@@ -9,32 +9,27 @@
 // throughput (DUT clock cycles per wall-clock second) for the
 // event-driven evaluator and the cycle-compiled bytecode VM.
 //
-// The matrix runs under strict-engine semantics: with a host toolchain
-// present it runs --vsim-engine=native-strict (any fallback — native
-// subset, emit, host compile, load, or a bytecode/event retry — is an
-// error), which subsumes the compiled-strict claim since the native tier
-// builds on the levelized CompiledModel; without a toolchain it runs
-// compiled-strict exactly as before.  A second gate replays every
-// accepted design's *generated self-checking testbench* (emitTestbench:
-// delay threads, a #1 clock generator, wait(done)) on every engine and
-// demands identical $display output and finish times.
+// The matrix runs under --vsim-engine=compiled-strict: any fallback to
+// the event engine, or a bytecode-to-event retry, is an error.  A second
+// gate replays every accepted design's *generated self-checking
+// testbench* (emitTestbench: delay threads, a #1 clock generator,
+// wait(done)) on both engines and demands identical $display output and
+// finish times.
 //
 // Exit status doubles as the CI perf gate: nonzero when any mismatch or
-// fallback appears, when the compiled engine's median speedup over the
-// event engine drops below the floor, or (with a toolchain) when the
-// native tier's median speedup over the bytecode VM drops below its floor.
+// fallback appears, or when the compiled engine's median speedup over the
+// event engine drops below the floor.
 //
 // --profile-ops switches to a reporting mode: every accepted pair runs
 // the handshake on the bytecode VM with the opcode-histogram hook armed,
 // printing a per-design ns/cycle table and the aggregate opcode mix —
-// the data that directed the peephole pass and the native tier.
+// the data that directed the peephole pass.
 #include "core/c2h.h"
 #include "core/engine.h"
 #include "rtl/verilog.h"
 #include "support/text.h"
 #include "vsim/cosim.h"
 #include "vsim/cvm.h"
-#include "vsim/jit.h"
 #include "vsim/parser.h"
 #include "vsim/sim.h"
 
@@ -54,9 +49,6 @@ namespace {
 // well above 5x; 2x leaves headroom for noisy shared runners while still
 // catching a real regression to event-engine speeds.
 constexpr double kMinMedianSpeedup = 2.0;
-// CI floor for the native tier: median speedup over the bytecode VM
-// across workloads.  Same reasoning — observed comfortably above it.
-constexpr double kMinNativeMedianSpeedup = 2.0;
 
 // Cycles/second of the full handshake loop on one design with the given
 // engine, measured over enough runs to amortize the poke/reset preamble.
@@ -93,21 +85,13 @@ bool printE11() {
                "(interpreter == FSMD == vsim)\n";
   std::cout << "==================================================\n\n";
 
-  const bool native = vsim::nativeToolchainAvailable();
   core::EngineOptions opts;
   opts.cosim = true;
   // Strict mode: any fallback down the engine ladder fails the row
   // instead of silently running on a slower engine.  Zero fallbacks
-  // across the whole matrix is the headline claim this binary gates; with
-  // a host toolchain the matrix runs native-strict (which also proves the
-  // bytecode compile succeeded for every design), otherwise
-  // compiled-strict.
-  opts.vsimEngine = native ? vsim::SimEngine::NativeStrict
-                           : vsim::SimEngine::CompiledStrict;
-  std::cout << "strict engine for the matrix: "
-            << (native ? "native-strict" : "compiled-strict (no host "
-                                           "C++ toolchain found)")
-            << "\n\n";
+  // across the whole matrix is the headline claim this binary gates.
+  opts.vsimEngine = vsim::SimEngine::CompiledStrict;
+  std::cout << "strict engine for the matrix: compiled-strict\n\n";
   core::CompareEngine engine(opts);
   const auto &workloads = core::standardWorkloads();
   // Run the full matrix under a generous shared budget, exactly like CI's
@@ -120,11 +104,11 @@ bool printE11() {
   auto matrix = engine.compareMatrix(workloads, tuning);
 
   TextTable table({"workload", "accepted", "cosimulated", "cycles matched",
-                   "event Mcyc/s", "compiled Mcyc/s", "native Mcyc/s",
-                   "comp/event", "nat/comp", "mismatches"});
+                   "event Mcyc/s", "compiled Mcyc/s", "comp/event",
+                   "mismatches"});
   unsigned totalCosim = 0, totalMatched = 0, totalMismatch = 0;
   unsigned totalFallback = 0;
-  std::vector<double> speedups, nativeSpeedups;
+  std::vector<double> speedups;
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     const core::Workload &w = workloads[i];
     unsigned accepted = 0, cosimmed = 0, matched = 0, mismatched = 0;
@@ -151,7 +135,7 @@ bool printE11() {
     // Throughput on one representative accepted design (first flow that
     // synthesized this workload synchronously), both engines on the same
     // design so the ratio is apples-to-apples.
-    double eventTp = 0.0, compiledTp = 0.0, nativeTp = 0.0;
+    double eventTp = 0.0, compiledTp = 0.0;
     for (const auto &spec : flows::allFlows()) {
       if (spec.asyncDataflow)
         continue;
@@ -165,25 +149,16 @@ bool printE11() {
       eventTp = measureThroughput(*r.design, args, vsim::SimEngine::Event);
       compiledTp =
           measureThroughput(*r.design, args, vsim::SimEngine::Compiled);
-      if (native)
-        nativeTp = measureThroughput(*r.design, args,
-                                     vsim::SimEngine::NativeStrict);
       break;
     }
     double speedup = eventTp > 0 ? compiledTp / eventTp : 0.0;
     if (speedup > 0)
       speedups.push_back(speedup);
-    double nativeSpeedup = compiledTp > 0 ? nativeTp / compiledTp : 0.0;
-    if (nativeSpeedup > 0)
-      nativeSpeedups.push_back(nativeSpeedup);
     table.addRow({w.name, std::to_string(accepted), std::to_string(cosimmed),
                   std::to_string(matched),
                   eventTp > 0 ? formatDouble(eventTp / 1e6, 2) : "-",
                   compiledTp > 0 ? formatDouble(compiledTp / 1e6, 2) : "-",
-                  nativeTp > 0 ? formatDouble(nativeTp / 1e6, 2) : "-",
                   speedup > 0 ? formatDouble(speedup, 1) + "x" : "-",
-                  nativeSpeedup > 0 ? formatDouble(nativeSpeedup, 1) + "x"
-                                    : "-",
                   std::to_string(mismatched)});
   }
   std::cout << table.str() << "\n";
@@ -201,19 +176,6 @@ bool printE11() {
               << formatDouble(speedups.front(), 1) << "x, max "
               << formatDouble(speedups.back(), 1) << "x\n";
   }
-  double nativeMedian = 0.0;
-  if (!nativeSpeedups.empty()) {
-    std::sort(nativeSpeedups.begin(), nativeSpeedups.end());
-    nativeMedian = nativeSpeedups[nativeSpeedups.size() / 2];
-    std::cout << "native-tier speedup over the bytecode VM: median "
-              << formatDouble(nativeMedian, 1) << "x, min "
-              << formatDouble(nativeSpeedups.front(), 1) << "x, max "
-              << formatDouble(nativeSpeedups.back(), 1) << "x\n";
-    const vsim::NativeCacheStats cs = vsim::nativeCacheStats();
-    std::cout << "native artifact cache: " << cs.compiles << " compiles, "
-              << cs.diskHits << " disk hits, " << cs.memoryHits
-              << " in-process hits\n";
-  }
   std::cout << "\n";
   bool ok = true;
   if (totalMismatch > 0) {
@@ -221,21 +183,14 @@ bool printE11() {
     ok = false;
   }
   if (totalFallback > 0) {
-    std::cout << "FAIL: " << totalFallback << " engine fallbacks under "
-              << (native ? "native-strict" : "compiled-strict") << "\n";
+    std::cout << "FAIL: " << totalFallback
+              << " engine fallbacks under compiled-strict\n";
     ok = false;
   }
   if (median < kMinMedianSpeedup) {
     std::cout << "FAIL: compiled-engine median speedup "
               << formatDouble(median, 1) << "x below the "
               << formatDouble(kMinMedianSpeedup, 1) << "x floor\n";
-    ok = false;
-  }
-  if (native && nativeMedian < kMinNativeMedianSpeedup) {
-    std::cout << "FAIL: native-tier median speedup "
-              << formatDouble(nativeMedian, 1) << "x over the bytecode VM, "
-              << "below the " << formatDouble(kMinNativeMedianSpeedup, 1)
-              << "x floor\n";
     ok = false;
   }
   return ok;
@@ -249,10 +204,8 @@ bool printE11() {
 // == event subset" claim — the handshake matrix above only exercises
 // clocked processes.
 bool checkGeneratedTestbenches() {
-  const bool native = vsim::nativeToolchainAvailable();
-  std::cout << "generated-testbench gate (compiled-strict"
-            << (native ? " AND native-strict" : "")
-            << " vs event, exact output + finish time):\n";
+  std::cout << "generated-testbench gate (compiled-strict vs event, exact "
+               "output + finish time):\n";
   unsigned ran = 0, failed = 0;
   for (const auto &w : core::standardWorkloads()) {
     TypeContext types;
@@ -301,22 +254,6 @@ bool checkGeneratedTestbenches() {
       else if (event.output.empty() ||
                event.output.front().rfind("PASS", 0) != 0)
         fail("testbench did not print PASS");
-      if (!native)
-        continue;
-      std::string nativeNote;
-      auto nat = vsim::runTestbench(source, top, 20'000'000,
-                                    vsim::SimEngine::NativeStrict,
-                                    &nativeNote);
-      if (!nativeNote.empty() || !nat.error.empty())
-        fail("native: " + (nativeNote.empty() ? nat.error : nativeNote));
-      else if (!nat.finished)
-        fail("native did not reach $finish");
-      else if (event.timeUnits != nat.timeUnits)
-        fail("finish time mismatch: event " +
-             std::to_string(event.timeUnits) + " vs native " +
-             std::to_string(nat.timeUnits));
-      else if (event.output != nat.output)
-        fail("native $display output mismatch");
     }
   }
   std::cout << "totals: " << ran << " generated testbenches, " << failed
@@ -373,7 +310,7 @@ void BM_ParseElaborate(benchmark::State &state, const char *flowId,
 // --profile-ops: run every accepted pair's handshake on the bytecode VM
 // with the opcode-histogram hook armed.  Prints a per-design ns/cycle
 // table plus the aggregate opcode mix — the measurement that tells where
-// VM time goes (and what the peephole pass and native tier removed).
+// VM time goes (and what the peephole pass removed).
 int runOpProfile() {
   std::cout << "bytecode VM opcode profile "
                "(--profile-ops; per-design handshake runs)\n\n";
@@ -495,10 +432,6 @@ int main(int argc, char **argv) {
     benchmark::RegisterBenchmark(
         (std::string("cosim-compiled/") + p.flow + "/" + p.workload).c_str(),
         BM_Cosim, p.flow, p.workload, vsim::SimEngine::Compiled);
-    if (vsim::nativeToolchainAvailable())
-      benchmark::RegisterBenchmark(
-          (std::string("cosim-native/") + p.flow + "/" + p.workload).c_str(),
-          BM_Cosim, p.flow, p.workload, vsim::SimEngine::Native);
   }
   benchmark::RegisterBenchmark("parse+elab/bachc/fir", BM_ParseElaborate,
                                "bachc", "fir");

@@ -128,20 +128,18 @@ struct CosimVerification {
 // plus every checked global bit-for-bit between interpreter and vsim.
 // `engine` selects the vsim backend: the cycle-compiled bytecode VM
 // (default; silently falls back to the event engine for models outside
-// its subset), the host-compiled native tier (degrading native ->
-// bytecode -> event with a recorded reason), or the event-driven
-// reference evaluator.  `modelCache`, when given, reuses elaborated and
-// compiled artifacts across calls that synthesize identical Verilog (the
-// serve layer's cross-request init-image reuse).  `sandboxNative` runs
-// native-engine executions in fork-isolated children (crash containment +
-// artifact quarantine); off by default for the in-process fast path.
+// its subset) or the event-driven reference evaluator.  `modelCache`, when
+// given, reuses elaborated and compiled artifacts across calls that
+// synthesize identical Verilog (the serve layer's cross-request init-image
+// reuse).
 CosimVerification
 cosimAgainstGoldenModel(const Workload &workload,
                         const flows::FlowResult &result,
                         vsim::SimEngine engine = vsim::SimEngine::Compiled,
                         guard::ExecBudget *budget = nullptr,
-                        vsim::ModelCache *modelCache = nullptr,
-                        bool sandboxNative = false);
+                        vsim::ModelCache *modelCache = nullptr);
+// The trailing bool is ignored.  It is kept only because the benchmark's
+// replica (perfbench/replica.cpp) passes it and that caller may not change.
 CosimVerification
 cosimAgainstGoldenModel(const Workload &workload,
                         const flows::FlowResult &result,
@@ -149,7 +147,7 @@ cosimAgainstGoldenModel(const Workload &workload,
                         vsim::SimEngine engine = vsim::SimEngine::Compiled,
                         guard::ExecBudget *budget = nullptr,
                         vsim::ModelCache *modelCache = nullptr,
-                        bool sandboxNative = false);
+                        bool = false);
 
 // One row of a cross-flow comparison.
 struct FlowComparison {

@@ -261,7 +261,7 @@ FlowComparison CompareEngine::runCell(const flows::FlowSpec &spec,
     if (options.cosim && v.ok && result.design && !result.asyncInfo) {
       CosimVerification cv = cosimAgainstGoldenModel(
           workload, result, *entry.program, options.vsimEngine, meter,
-          options.modelCache, options.sandboxNative);
+          options.modelCache);
       row.cosimRan = cv.ran;
       row.cosimOk = cv.ok;
       row.cosimCycles = cv.cycles;

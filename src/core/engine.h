@@ -119,21 +119,14 @@ struct EngineOptions {
   // structured row note, not an exception.
   bool cosim = false;
   // vsim backend for cosim mode: the cycle-compiled bytecode VM (default,
-  // with silent fallback to the event engine outside its subset), the
-  // host-compiled native tier (degrading native -> bytecode -> event with
-  // a recorded reason), or the event-driven reference evaluator.
+  // with silent fallback to the event engine outside its subset) or the
+  // event-driven reference evaluator.
   vsim::SimEngine vsimEngine = vsim::SimEngine::Compiled;
   // Optional cross-request vsim model cache (non-owning; may be null).
   // The cosim service points this at its per-daemon cache so repeat
   // requests over the same synthesized design skip parse/elaborate/compile
   // and reuse the post-`initial` init image.
   vsim::ModelCache *modelCache = nullptr;
-  // Crash containment for the native tier: run JIT-built .so executions in
-  // fork-isolated sandbox children (real crash/hang -> structured verdict
-  // + artifact quarantine + ladder descent).  Off by default so the
-  // one-shot CLI and benches keep the in-process fast path; the serve
-  // daemon enables it.
-  bool sandboxNative = false;
 };
 
 class CompareEngine {

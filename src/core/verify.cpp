@@ -175,8 +175,7 @@ CosimVerification cosimAgainstGoldenModel(const Workload &workload,
                                           const flows::FlowResult &result,
                                           vsim::SimEngine engine,
                                           guard::ExecBudget *budget,
-                                          vsim::ModelCache *modelCache,
-                                          bool sandboxNative) {
+                                          vsim::ModelCache *modelCache) {
   TypeContext types;
   DiagnosticEngine diags;
   auto program = frontend(workload.source, types, diags);
@@ -186,7 +185,7 @@ CosimVerification cosimAgainstGoldenModel(const Workload &workload,
     return c;
   }
   return cosimAgainstGoldenModel(workload, result, *program, engine, budget,
-                                 modelCache, sandboxNative);
+                                 modelCache);
 }
 
 CosimVerification cosimAgainstGoldenModel(const Workload &workload,
@@ -195,7 +194,7 @@ CosimVerification cosimAgainstGoldenModel(const Workload &workload,
                                           vsim::SimEngine engine,
                                           guard::ExecBudget *budget,
                                           vsim::ModelCache *modelCache,
-                                          bool sandboxNative) {
+                                          bool) {
   CosimVerification c;
   if (!result.accepted || !result.ok) {
     c.detail = "flow produced no design";
@@ -246,15 +245,12 @@ CosimVerification cosimAgainstGoldenModel(const Workload &workload,
   vsim::CosimOptions copts;
   copts.engine = engine;
   copts.budget = budget;
-  copts.sandbox = sandboxNative;
   vsim::CosimResult r = cosim.run(args, copts);
   c.cycles = r.cycles;
   c.degradation = r.degradation;
-  c.engine = cosim.engineUsed() == vsim::SimEngine::Event    ? "event"
-             : cosim.engineUsed() == vsim::SimEngine::Native ? "native"
-                                                             : "compiled";
-  c.fallback = !cosim.compileNote().empty() ? cosim.compileNote()
-                                            : cosim.nativeNote();
+  c.engine =
+      cosim.engineUsed() == vsim::SimEngine::Event ? "event" : "compiled";
+  c.fallback = cosim.compileNote();
   if (!r.ok) {
     c.detail = r.error;
     c.verdict = r.verdict;

@@ -103,11 +103,8 @@ bool parseRequest(const JsonValue &json, Request &out, std::string &error) {
     } else if (key == "vsim_engine") {
       if (!value.isString() || (value.stringValue() != "compiled" &&
                                 value.stringValue() != "compiled-strict" &&
-                                value.stringValue() != "native" &&
-                                value.stringValue() != "native-strict" &&
                                 value.stringValue() != "event")) {
-        error = "'vsim_engine' must be compiled, compiled-strict, native, "
-                "native-strict, or event";
+        error = "'vsim_engine' must be compiled, compiled-strict, or event";
         return false;
       }
       out.vsimEngine = value.stringValue();
@@ -222,20 +219,6 @@ const char *statusForExitCode(int exitCode) {
   default:
     return "error";
   }
-}
-
-const char *comparisonStatus(const std::vector<core::FlowComparison> &rows,
-                             int exitCode) {
-  bool hang = false;
-  for (const auto &r : rows) {
-    if (r.verdict.kind == guard::Kind::Crashed)
-      return "crashed";
-    if (r.verdict.kind == guard::Kind::Hang)
-      hang = true;
-  }
-  if (hang)
-    return "timeout";
-  return statusForExitCode(exitCode);
 }
 
 } // namespace c2h::serve

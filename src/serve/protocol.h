@@ -22,7 +22,7 @@ namespace c2h::serve {
 
 // Bumped on any response shape change, exactly like the analyzer's report
 // schema; harnesses pin it (tests/fixtures/serve_warm_gcd.json).
-constexpr int kProtocolSchemaVersion = 1;
+constexpr int kProtocolSchemaVersion = 2;
 
 struct Request {
   std::string id;     // echoed verbatim in the response; may be empty
@@ -63,15 +63,6 @@ int comparisonExitCode(const std::vector<core::FlowComparison> &rows);
 // Status string for a given exit code (ok/failed/invalid_request/error/
 // over_budget).
 const char *statusForExitCode(int exitCode);
-
-// Status for a finished comparison, refining statusForExitCode with the
-// sandbox containment outcomes: "crashed" when any row carries a Crashed
-// verdict (a native child died on a real signal under a strict engine),
-// "timeout" when any row carries a Hang verdict (watchdog-killed child),
-// else statusForExitCode(exitCode).  Self-healed rows (the ladder retried
-// successfully) carry no verdict and keep their ordinary status.
-const char *comparisonStatus(const std::vector<core::FlowComparison> &rows,
-                             int exitCode);
 
 } // namespace c2h::serve
 

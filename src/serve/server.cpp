@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <iostream>
 #include <map>
@@ -109,6 +110,77 @@ void submitLine(CosimService &service,
                       });
 }
 
+// Longest request line the daemon buffers.  A longer line is answered
+// `invalid_request` without being buffered, and reading resumes after its
+// newline.
+constexpr std::size_t kMaxRequestLineBytes = 1 << 20;
+
+void rejectOversizeLine(CosimService &service,
+                        const std::shared_ptr<OrderedWriter> &writer) {
+  std::uint64_t seq = writer->nextSequence();
+  writer->deliver(seq, service.invalidRequest(
+                           "request line exceeds " +
+                           std::to_string(kMaxRequestLineBytes) + " bytes"));
+}
+
+#ifndef _WIN32
+
+// The one request reader behind both transports: reads `fd` until EOF or
+// shutdown and submits each newline-terminated line (plus a final
+// unterminated one).  Only newly read bytes are scanned for the newline,
+// so a long line costs linear time.
+void readRequests(CosimService &service, int fd,
+                  const std::shared_ptr<OrderedWriter> &writer) {
+  std::string line;
+  bool oversize = false; // discarding the rest of an over-cap line
+  auto endLine = [&] {
+    if (oversize)
+      rejectOversizeLine(service, writer);
+    else
+      submitLine(service, writer, std::move(line));
+    line.clear();
+    oversize = false;
+  };
+  char chunk[4096];
+  while (!gStopRequested) {
+    struct pollfd pfd{fd, POLLIN, 0};
+    int ready = poll(&pfd, 1, 100);
+    if (ready < 0) {
+      if (errno == EINTR)
+        continue;
+      break;
+    }
+    if (ready == 0)
+      continue;
+    ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0)
+      break; // EOF or read error: stop admission
+    const char *p = chunk;
+    const char *end = chunk + n;
+    while (p < end) {
+      const char *eol =
+          static_cast<const char *>(std::memchr(p, '\n', end - p));
+      const char *stop = eol ? eol : end;
+      if (!oversize) {
+        if (line.size() + (stop - p) > kMaxRequestLineBytes) {
+          oversize = true;
+          std::string().swap(line);
+        } else {
+          line.append(p, stop);
+        }
+      }
+      if (!eol)
+        break;
+      endLine();
+      p = eol + 1;
+    }
+  }
+  if (!line.empty() || oversize)
+    endLine();
+}
+
+#endif // !_WIN32
+
 int runStdinServer(CosimService &service) {
   auto writer = std::make_shared<OrderedWriter>([](const std::string &line) {
     std::fwrite(line.data(), 1, line.size(), stdout);
@@ -118,36 +190,17 @@ int runStdinServer(CosimService &service) {
   });
   std::fputs("c2hc --serve: reading requests from stdin\n", stderr);
   std::fflush(stderr);
-  std::string buffer;
 #ifndef _WIN32
-  char chunk[4096];
-  while (!gStopRequested) {
-    struct pollfd pfd{STDIN_FILENO, POLLIN, 0};
-    int ready = poll(&pfd, 1, 100);
-    if (ready < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (ready == 0)
-      continue;
-    ssize_t n = read(STDIN_FILENO, chunk, sizeof(chunk));
-    if (n <= 0)
-      break; // EOF or read error: stop admission, drain below
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t eol;
-    while ((eol = buffer.find('\n')) != std::string::npos) {
-      submitLine(service, writer, buffer.substr(0, eol));
-      buffer.erase(0, eol + 1);
-    }
-  }
+  readRequests(service, STDIN_FILENO, writer);
 #else
   std::string line;
-  while (!gStopRequested && std::getline(std::cin, line))
-    submitLine(service, writer, line);
+  while (!gStopRequested && std::getline(std::cin, line)) {
+    if (line.size() > kMaxRequestLineBytes)
+      rejectOversizeLine(service, writer);
+    else
+      submitLine(service, writer, line);
+  }
 #endif
-  if (!buffer.empty())
-    submitLine(service, writer, buffer); // final unterminated line
   service.drain();
   writer->drain();
   return 0;
@@ -176,30 +229,7 @@ void serveConnection(CosimService &service, int fd) {
         }
         return true;
       });
-  std::string buffer;
-  char chunk[4096];
-  while (!gStopRequested) {
-    struct pollfd pfd{fd, POLLIN, 0};
-    int ready = poll(&pfd, 1, 100);
-    if (ready < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (ready == 0)
-      continue;
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0)
-      break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t eol;
-    while ((eol = buffer.find('\n')) != std::string::npos) {
-      submitLine(service, writer, buffer.substr(0, eol));
-      buffer.erase(0, eol + 1);
-    }
-  }
-  if (!buffer.empty())
-    submitLine(service, writer, buffer);
+  readRequests(service, fd, writer);
   writer->drain();
   ::close(fd);
 }

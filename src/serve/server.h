@@ -7,6 +7,10 @@
 // worker pool finishes them in, so a scripted client can pair request N with
 // response N without matching ids.
 //
+// Both transports read through one line reader.  A request line longer than
+// 1 MiB is never buffered: it is answered `invalid_request` in its slot and
+// reading resumes after its newline.
+//
 // Shutdown contract: SIGTERM/SIGINT (or stdin EOF) stops *admission* only.
 // Every already-admitted request is still answered and flushed before the
 // process exits 0 — a drain, not an abort.

@@ -3,7 +3,6 @@
 #include "analysis/diagnostic.h"
 #include "support/guard.h"
 #include "support/text.h"
-#include "vsim/jit.h"
 
 #include <chrono>
 
@@ -46,10 +45,6 @@ vsim::SimEngine resolveEngine(const Request &request,
     return vsim::SimEngine::Compiled;
   if (request.vsimEngine == "compiled-strict")
     return vsim::SimEngine::CompiledStrict;
-  if (request.vsimEngine == "native")
-    return vsim::SimEngine::Native;
-  if (request.vsimEngine == "native-strict")
-    return vsim::SimEngine::NativeStrict;
   return fallback;
 }
 
@@ -68,10 +63,6 @@ const char *engineName(vsim::SimEngine engine) {
     return "event";
   case vsim::SimEngine::CompiledStrict:
     return "compiled-strict";
-  case vsim::SimEngine::Native:
-    return "native";
-  case vsim::SimEngine::NativeStrict:
-    return "native-strict";
   default:
     return "compiled";
   }
@@ -196,6 +187,15 @@ std::string CosimService::handleLine(const std::string &line) {
   return handle(request, 0.0);
 }
 
+std::string CosimService::invalidRequest(const std::string &message) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++received_;
+    ++invalidCount_;
+  }
+  return errorResponse("", "invalid_request", message);
+}
+
 bool CosimService::resolveWorkload(const Request &request, core::Workload &out,
                                    std::string &error) const {
   if (!request.workloadName.empty()) {
@@ -301,7 +301,6 @@ std::string CosimService::handleComparison(const Request &request,
   callOptions.cosim = cosim;
   callOptions.vsimEngine = resolveEngine(request, options_.vsimEngine);
   callOptions.modelCache = &modelCache_;
-  callOptions.sandboxNative = options_.sandboxNative;
 
   flows::FlowTuning tuning;
   tuning.budget = effectiveBudget(request);
@@ -312,40 +311,27 @@ std::string CosimService::handleComparison(const Request &request,
   auto rows = engine_.compareFlows(workload, tuning, callOptions);
 
   int exitCode = comparisonExitCode(rows);
-  const char *status = comparisonStatus(rows, exitCode);
+  const char *status = statusForExitCode(exitCode);
   body = "\"op\":\"" + request.op + "\",\"status\":\"" + status +
          "\",\"exit_code\":" + std::to_string(exitCode) +
          ",\"rows\":" + serializeRows(rows, cosim);
   if (!rows.empty() && rows.front().analysis && !rows.front().analysis->empty())
     body += ",\"analysis\":" + inlineJson(rows.front().analysis->renderJson());
-  // Rows carrying a guard verdict (fault, budget trip, crash) are
-  // transient — never cached, so one over-budget or crashed run can't
-  // poison the response cache for clean repeats.
+  // Rows carrying a guard verdict (fault, budget trip) are transient —
+  // never cached, so one over-budget or faulted run can't poison the
+  // response cache for clean repeats.
   cacheable = exitCode == 0 || exitCode == 1;
-  bool crashed = false, hung = false;
-  for (const auto &r : rows) {
+  for (const auto &r : rows)
     if (!r.verdict.ok())
       cacheable = false;
-    if (r.verdict.kind == guard::Kind::Crashed)
-      crashed = true;
-    if (r.verdict.kind == guard::Kind::Hang)
-      hung = true;
-  }
 
   std::lock_guard<std::mutex> lock(mutex_);
   ClientStats &client = clients_[request.client];
   client.steps += meter.stepsUsed();
   client.cycles += meter.cyclesUsed();
   client.wallMs += meter.elapsedMs();
-  if (crashed) {
-    ++crashedCount_;
-    ++client.crashes;
-  } else if (hung) {
-    ++timeoutCount_;
-    ++client.timeouts;
-  } else if (exitCode == 4) {
+  if (exitCode == 4)
     ++overBudgetCount_;
-  }
   return {};
 }
 
@@ -398,10 +384,6 @@ std::string CosimService::statsBody() {
   out += ",\"rejected\":" + std::to_string(rejectedCount_);
   out += ",\"over_budget\":" + std::to_string(overBudgetCount_);
   out += ",\"errors\":" + std::to_string(errorCount_);
-  out += ",\"crashed\":" + std::to_string(crashedCount_);
-  out += ",\"timeouts\":" + std::to_string(timeoutCount_);
-  out += ",\"quarantined_artifacts\":" +
-         std::to_string(vsim::quarantinedArtifactCount());
   out += ",\"in_flight\":" + std::to_string(inFlight_);
   const core::FrontendCache &cache = engine_.cache();
   out += ",\"frontend_cache\":{\"hits\":" + std::to_string(cache.hits()) +
@@ -432,9 +414,7 @@ std::string CosimService::statsBody() {
     out += ",\"in_flight\":" + std::to_string(stats.inFlight);
     out += ",\"steps\":" + std::to_string(stats.steps);
     out += ",\"cycles\":" + std::to_string(stats.cycles);
-    out += ",\"wall_ms\":" + std::to_string(stats.wallMs);
-    out += ",\"crashes\":" + std::to_string(stats.crashes);
-    out += ",\"timeouts\":" + std::to_string(stats.timeouts) + "}";
+    out += ",\"wall_ms\":" + std::to_string(stats.wallMs) + "}";
   }
   out += "]}";
   return out;

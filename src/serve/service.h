@@ -61,15 +61,9 @@ struct ServiceOptions {
   // Default vsim backend for cosim requests.
   vsim::SimEngine vsimEngine = vsim::SimEngine::Compiled;
   // Entry cap for the cross-request vsim model cache (elaborated models,
-  // compiled programs and their post-`initial` init images, native
-  // modules, keyed by emitted Verilog).  0 disables the cache.
+  // compiled programs and their post-`initial` init images, keyed by
+  // emitted Verilog).  0 disables the cache.
   std::size_t modelCacheEntries = 16;
-  // Crash containment: execute native-tier runs in fork-isolated sandbox
-  // children so a real SIGSEGV or hang in a JIT-built .so becomes a
-  // structured crashed/timeout response (plus artifact quarantine), never
-  // a daemon death.  On by default for the daemon — this is the service's
-  // reason to exist; the in-process fast path is a one-shot-CLI luxury.
-  bool sandboxNative = true;
   // Test seam: runs at the top of every handled request (a latch here makes
   // queue-full admission deterministic under test).
   std::function<void()> onHandleForTesting;
@@ -96,6 +90,10 @@ public:
   // with the async path.
   std::string handleLine(const std::string &line);
 
+  // Answer a request the transport refused before parsing it (an oversize
+  // line): counted as invalid, answered `invalid_request` with `message`.
+  std::string invalidRequest(const std::string &message);
+
   // Block until every admitted request has been answered.
   void drain();
 
@@ -109,8 +107,6 @@ private:
     std::uint64_t steps = 0;   // cumulative meter charges
     std::uint64_t cycles = 0;
     std::uint64_t wallMs = 0;
-    std::uint64_t crashes = 0;  // responses with a Crashed verdict row
-    std::uint64_t timeouts = 0; // responses with a Hang verdict row
     std::size_t inFlight = 0;
   };
 
@@ -153,8 +149,7 @@ private:
   std::size_t inFlight_ = 0;
   std::map<std::string, ClientStats> clients_;
   std::uint64_t received_ = 0, completed_ = 0, rejectedCount_ = 0,
-                invalidCount_ = 0, overBudgetCount_ = 0, errorCount_ = 0,
-                crashedCount_ = 0, timeoutCount_ = 0;
+                invalidCount_ = 0, overBudgetCount_ = 0, errorCount_ = 0;
   // Response cache: LRU by bytes, most-recent first.
   std::list<CacheEntry> responseLru_;
   std::map<std::uint64_t, std::list<CacheEntry>::iterator> responseIndex_;

@@ -19,8 +19,6 @@ const char *kindName(Kind k) {
   case Kind::CombLoop: return "COMB_LOOP";
   case Kind::Deadlock: return "DEADLOCK";
   case Kind::IoError: return "IO_ERROR";
-  case Kind::Crashed: return "CRASHED";
-  case Kind::Hang: return "HANG";
   }
   return "?";
 }

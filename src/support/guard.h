@@ -44,8 +44,6 @@ enum class Kind : std::uint8_t {
   CombLoop,      // vsim combinational loop (loop nets in `site`)
   Deadlock,      // no process advanced within the stall limit
   IoError,       // guarded file I/O failed ($readmemh etc.)
-  Crashed,       // sandboxed child died on a real signal (SEGV/BUS/FPE/ABRT)
-  Hang,          // sandboxed child overran its watchdog and was killed
 };
 
 const char *kindName(Kind k);
@@ -64,8 +62,7 @@ struct Verdict {
   bool isResourceLimit() const {
     return kind == Kind::Timeout || kind == Kind::StepLimit ||
            kind == Kind::CycleLimit || kind == Kind::AllocLimit ||
-           kind == Kind::CombLoop || kind == Kind::Deadlock ||
-           kind == Kind::Hang;
+           kind == Kind::CombLoop || kind == Kind::Deadlock;
   }
   // One-line human rendering: "TIMEOUT at verify.interp (steps=..., wallMs=...)".
   std::string str() const;

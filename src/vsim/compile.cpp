@@ -966,7 +966,7 @@ compileModel(std::shared_ptr<const Model> model, std::string &whyNot) {
     whyNot = e.what();
     return nullptr;
   }
-  // Final lowering step, shared by the bytecode VM and the native tier:
+  // Final lowering step, run before the bytecode VM executes the model:
   // constant folding (within and across wires), compare+branch fusion,
   // dead-code removal, and constant wires dropped from the sweep.
   optimizeCompiledModel(*cm);

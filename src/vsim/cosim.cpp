@@ -1,10 +1,8 @@
 #include "vsim/cosim.h"
 
 #include "rtl/verilog.h"
-#include "support/sandbox.h"
 #include "vsim/compile.h"
 #include "vsim/cvm.h"
-#include "vsim/jit.h"
 #include "vsim/parser.h"
 
 namespace c2h::vsim {
@@ -16,7 +14,6 @@ std::string memNetName(const ir::Module &module, unsigned memId) {
 }
 
 guard::FaultSite siteCompiledRun("vsim.compiled.run");
-guard::FaultSite siteNativeRun("vsim.native.run");
 guard::FaultSite siteEventRun("vsim.event.run");
 guard::FaultSite siteEmit("cosim.emit");
 guard::FaultSite siteParse("cosim.parse");
@@ -92,113 +89,6 @@ CosimResult runHandshake(Sim &sim, const std::vector<BitVector> &args,
   return result;
 }
 
-// ---- sandboxed-run wire format -------------------------------------------
-//
-// The fork child serializes its CosimResult (plus budget deltas and the
-// final memory words, which readGlobal needs) into the sandbox pipe.  A
-// trivial length-prefixed binary layout: the two ends are the same binary,
-// so no portability concerns apply.
-
-void putU64(std::string &s, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    s.push_back(static_cast<char>((v >> (i * 8)) & 0xff));
-}
-
-bool getU64(const std::string &s, std::size_t &off, std::uint64_t &v) {
-  if (off + 8 > s.size())
-    return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(s[off + i]))
-         << (i * 8);
-  off += 8;
-  return true;
-}
-
-void putStr(std::string &s, const std::string &v) {
-  putU64(s, v.size());
-  s += v;
-}
-
-bool getStr(const std::string &s, std::size_t &off, std::string &v) {
-  std::uint64_t n = 0;
-  if (!getU64(s, off, n) || off + n > s.size())
-    return false;
-  v.assign(s, off, n);
-  off += n;
-  return true;
-}
-
-std::string encodeSandboxRun(const CosimResult &r,
-                             std::uint64_t stepsDelta,
-                             std::uint64_t cyclesDelta,
-                             const std::vector<std::vector<std::uint64_t>> &mems) {
-  std::string s;
-  s.push_back(r.ok ? 1 : 0);
-  putStr(s, r.error);
-  putU64(s, r.returnValue.width());
-  putU64(s, r.returnValue.word());
-  putU64(s, r.cycles);
-  s.push_back(static_cast<char>(r.verdict.kind));
-  putStr(s, r.verdict.stage);
-  putStr(s, r.verdict.site);
-  putU64(s, r.verdict.steps);
-  putU64(s, r.verdict.cycles);
-  putU64(s, r.verdict.allocBytes);
-  putU64(s, r.verdict.wallMs);
-  putU64(s, stepsDelta);
-  putU64(s, cyclesDelta);
-  putU64(s, mems.size());
-  for (const auto &m : mems) {
-    putU64(s, m.size());
-    for (std::uint64_t w : m)
-      putU64(s, w);
-  }
-  return s;
-}
-
-bool decodeSandboxRun(const std::string &s, CosimResult &r,
-                      std::uint64_t &stepsDelta, std::uint64_t &cyclesDelta,
-                      std::vector<std::vector<std::uint64_t>> &mems) {
-  std::size_t off = 0;
-  if (s.empty())
-    return false;
-  r.ok = s[off++] != 0;
-  if (!getStr(s, off, r.error))
-    return false;
-  std::uint64_t retWidth = 0, retWord = 0;
-  if (!getU64(s, off, retWidth) || !getU64(s, off, retWord))
-    return false;
-  r.returnValue = BitVector(static_cast<unsigned>(retWidth), retWord);
-  if (!getU64(s, off, r.cycles))
-    return false;
-  if (off >= s.size())
-    return false;
-  r.verdict.kind = static_cast<guard::Kind>(s[off++]);
-  if (!getStr(s, off, r.verdict.stage) || !getStr(s, off, r.verdict.site) ||
-      !getU64(s, off, r.verdict.steps) || !getU64(s, off, r.verdict.cycles) ||
-      !getU64(s, off, r.verdict.allocBytes) ||
-      !getU64(s, off, r.verdict.wallMs))
-    return false;
-  if (!getU64(s, off, stepsDelta) || !getU64(s, off, cyclesDelta))
-    return false;
-  std::uint64_t memCount = 0;
-  if (!getU64(s, off, memCount))
-    return false;
-  mems.clear();
-  mems.reserve(memCount);
-  for (std::uint64_t m = 0; m < memCount; ++m) {
-    std::uint64_t n = 0;
-    if (!getU64(s, off, n) || off + n * 8 > s.size())
-      return false;
-    std::vector<std::uint64_t> words(n);
-    for (std::uint64_t j = 0; j < n; ++j)
-      getU64(s, off, words[j]);
-    mems.push_back(std::move(words));
-  }
-  return true;
-}
-
 } // namespace
 
 // --------------------------------------------------------------------------
@@ -215,9 +105,6 @@ struct ModelCache::Entry {
   bool triedCompile = false;
   std::shared_ptr<const CompiledModel> compiled;
   std::string compileNote;
-  bool triedNative = false;
-  std::shared_ptr<const NativeModule> native;
-  std::string nativeNote;
   std::shared_ptr<InitImage> eventImage;
 };
 
@@ -277,9 +164,6 @@ void Cosimulation::cacheAdopt() {
   triedCompile_ = e.triedCompile;
   compiled_ = e.compiled;
   compileNote_ = e.compileNote;
-  triedNative_ = e.triedNative;
-  native_ = e.native;
-  nativeNote_ = e.nativeNote;
   eventImage_ = e.eventImage;
 }
 
@@ -299,11 +183,6 @@ void Cosimulation::cachePublish() {
     e.triedCompile = true;
     e.compiled = compiled_;
     e.compileNote = compileNote_;
-  }
-  if (triedNative_ && !e.triedNative) {
-    e.triedNative = true;
-    e.native = native_;
-    e.nativeNote = nativeNote_;
   }
   if (eventImage_ && !e.eventImage)
     e.eventImage = eventImage_;
@@ -377,11 +256,7 @@ CosimResult Cosimulation::run(const std::vector<BitVector> &args,
          i < sized.size() && i < top->params().size(); ++i)
       sized[i] = sized[i].resize(top->params()[i].width, false);
 
-  const bool wantNative = options.engine == SimEngine::Native ||
-                          options.engine == SimEngine::NativeStrict;
-  const bool strict = options.engine == SimEngine::CompiledStrict ||
-                      options.engine == SimEngine::NativeStrict;
-  const char *strictName = wantNative ? "native-strict" : "compiled-strict";
+  const bool strict = options.engine == SimEngine::CompiledStrict;
   bool useCompiled = false;
   if (options.engine != SimEngine::Event) {
     if (!triedCompile_) {
@@ -404,62 +279,13 @@ CosimResult Cosimulation::run(const std::vector<BitVector> &args,
     }
     useCompiled = compiled_ != nullptr;
     if (!useCompiled && strict) {
-      result.error = "vsim: " + std::string(strictName) + ": " +
-                     compileNote_;
+      result.error = "vsim: compiled-strict: " + compileNote_;
       result.verdict = compileVerdict_;
-      return result;
-    }
-  }
-  // Second rung of the ladder: lower the levelized program to host code.
-  // Any failure (subset, toolchain, build, load, injected jit fault) is a
-  // recorded reason (nativeNote) and drops the run to the bytecode VM —
-  // or, under NativeStrict, surfaces as an error.
-  bool useNative = false;
-  if (useCompiled && wantNative) {
-    if (!triedNative_) {
-      triedNative_ = true;
-      std::string why;
-      try {
-        native_ = compileNative(*compiled_, why, options.budget);
-      } catch (const guard::InjectedFault &e) {
-        native_ = nullptr;
-        why = e.verdict.str();
-        nativeVerdict_ = e.verdict;
-      }
-      if (!native_)
-        nativeNote_ = why;
-      cachePublish();
-    }
-    useNative = native_ != nullptr;
-    if (!useNative && strict) {
-      result.error = "vsim: native-strict: " + nativeNote_;
-      result.verdict = nativeVerdict_;
       return result;
     }
   }
   if (!useCompiled)
     return runEvent(sized, options);
-  if (useNative) {
-    result = runNative(sized, options);
-    if (result.ok || result.verdict.ok() || strict)
-      return result;
-    // Guard event on the native engine: descend one rung and retry on the
-    // bytecode VM with whatever budget headroom remains; a second trip
-    // there descends again to the event engine.  Every rung is recorded.
-    std::string first = result.error;
-    result = runCompiled(sized, options);
-    if (!result.ok && !result.verdict.ok()) {
-      std::string second = result.error;
-      CosimResult retry = runEvent(sized, options);
-      retry.degradation = "native engine: " + first +
-                          "; compiled engine: " + second +
-                          "; retried on event engine";
-      return retry;
-    }
-    result.degradation = "native engine: " + first +
-                         "; retried on compiled engine";
-    return result;
-  }
   result = runCompiled(sized, options);
   if (!result.ok && !result.verdict.ok() && !strict) {
     // Guard event (budget trip / injected fault) on the compiled engine:
@@ -474,135 +300,10 @@ CosimResult Cosimulation::run(const std::vector<BitVector> &args,
   return result;
 }
 
-CosimResult Cosimulation::runNative(const std::vector<BitVector> &args,
-                                    const CosimOptions &options) {
-  engineUsed_ = SimEngine::Native;
-  sim_.reset();
-  csim_.reset();
-  if (nsim_)
-    nsim_->reset();
-  else
-    nsim_ = std::make_unique<NativeSimulation>(compiled_, native_);
-  // Same construct-settle-seed order as the other two engines: behavioral
-  // models run their `initial` threads live before globals are seeded.
-  if (compiled_->behavioral)
-    nsim_->settle();
-  nsim_->setBudget(options.budget);
-  try {
-    siteNativeRun.hit();
-  } catch (const guard::InjectedFault &e) {
-    CosimResult result;
-    result.verdict = e.verdict;
-    result.error = "vsim: " + e.verdict.str();
-    return result;
-  }
-  seedInto(*nsim_);
-  if (!options.sandbox || !sandbox::available())
-    return runHandshake(*nsim_, args, options.maxCycles, options.budget);
-
-  // Sandboxed native execution: the JIT-built .so runs in a fork child so
-  // a real crash or hang in generated code becomes a structured verdict
-  // and an artifact quarantine, never a process death.  The ExecBudget is
-  // forked along with everything else — its steady_clock epoch survives,
-  // so the child's cooperative wall-deadline checks stay exact — and the
-  // child reports its step/cycle deltas for the parent to book into the
-  // live meter.
-  const std::uint64_t steps0 =
-      options.budget ? options.budget->stepsUsed() : 0;
-  const std::uint64_t cycles0 =
-      options.budget ? options.budget->cyclesUsed() : 0;
-  sandbox::Options sopts;
-  sopts.stage = "vsim.native.run";
-  sopts.timeoutMs = sandbox::watchdogMs(30000, options.budget);
-  sandbox::Outcome oc = sandbox::runInChild(
-      [&]() {
-        CosimResult r =
-            runHandshake(*nsim_, args, options.maxCycles, options.budget);
-        std::uint64_t stepsDelta =
-            options.budget ? options.budget->stepsUsed() - steps0 : 0;
-        std::uint64_t cyclesDelta =
-            options.budget ? options.budget->cyclesUsed() - cycles0 : 0;
-        return encodeSandboxRun(r, stepsDelta, cyclesDelta,
-                                nsim_->exportMemories());
-      },
-      sopts);
-
-  CosimResult result;
-  if (oc.status == sandbox::Status::Crashed ||
-      oc.status == sandbox::Status::Timeout) {
-    // Containment path: classify, quarantine the implicated artifact, and
-    // drop every live reference to it so neither this Cosimulation nor a
-    // warm ModelCache entry reloads the bad .so.  The ladder in run()
-    // then self-heals on the compiled engine (or surfaces the verdict
-    // under native-strict).
-    const std::string key = native_ ? native_->key() : std::string();
-    std::string site = oc.detail;
-    if (!key.empty())
-      site += "; artifact " + key;
-    result.verdict = oc.verdict("vsim.native.run", site);
-    if (options.budget) {
-      result.verdict.steps = options.budget->stepsUsed();
-      result.verdict.cycles = options.budget->cyclesUsed();
-      result.verdict.wallMs = options.budget->elapsedMs();
-    }
-    result.error = "vsim: " + result.verdict.str();
-    quarantineNativeArtifact(key);
-    nativeNote_ = "native artifact " + key + " quarantined (" +
-                  (oc.status == sandbox::Status::Crashed
-                       ? "crashed on " + oc.detail
-                       : oc.detail) +
-                  ")";
-    nsim_.reset();
-    native_ = nullptr;
-    if (cacheEntry_) {
-      std::lock_guard<std::mutex> lock(cacheEntry_->m);
-      ModelCache::Entry &e = *cacheEntry_;
-      if (e.native && e.native->key() == key) {
-        e.native = nullptr;
-        e.nativeNote = nativeNote_;
-      }
-    }
-    return result;
-  }
-  if (!oc.ok()) {
-    // Internal child failure (fork error, child-side exception): surface
-    // as a plain error with no guard verdict, matching what an in-process
-    // internal error would produce — no ladder descent.
-    result.error = "vsim: native sandbox: " + oc.detail;
-    return result;
-  }
-  std::uint64_t stepsDelta = 0, cyclesDelta = 0;
-  std::vector<std::vector<std::uint64_t>> mems;
-  if (!decodeSandboxRun(oc.payload, result, stepsDelta, cyclesDelta, mems)) {
-    result = CosimResult{};
-    result.error = "vsim: native sandbox: malformed child result";
-    return result;
-  }
-  nsim_->importMemories(mems); // readGlobal sees what the child wrote
-  if (options.budget && (stepsDelta != 0 || cyclesDelta != 0)) {
-    try {
-      if (stepsDelta != 0)
-        options.budget->chargeSteps(stepsDelta, "vsim.native");
-      if (cyclesDelta != 0)
-        options.budget->chargeCycles(cyclesDelta, "vsim.native");
-    } catch (const guard::BudgetExceeded &e) {
-      // The child already enforced the budget; tripping here means the
-      // meter moved concurrently (a sibling request on the same meter).
-      if (result.ok) {
-        result = CosimResult{};
-        result.verdict = e.verdict;
-        result.error = "vsim: " + e.verdict.str();
-      }
-    }
-  }
-  return result;
-}
-
 CosimResult Cosimulation::runCompiled(const std::vector<BitVector> &args,
                                       const CosimOptions &options) {
   engineUsed_ = SimEngine::Compiled;
   sim_.reset();
-  nsim_.reset();
   // The CompiledModel carries the post-`initial` image, so no settle is
   // needed before seeding; later runs restore it in place.
   if (csim_)
@@ -632,7 +333,6 @@ CosimResult Cosimulation::runEvent(const std::vector<BitVector> &args,
                                    const CosimOptions &options) {
   engineUsed_ = SimEngine::Event;
   csim_.reset();
-  nsim_.reset();
   if (eventImage_) {
     sim_ = std::make_unique<Simulation>(model_, *eventImage_);
   } else {
@@ -658,15 +358,14 @@ CosimResult Cosimulation::runEvent(const std::vector<BitVector> &args,
 
 std::vector<BitVector>
 Cosimulation::readGlobal(const std::string &name) const {
-  if ((!sim_ && !csim_ && !nsim_) || !design_)
+  if ((!sim_ && !csim_) || !design_)
     return {};
   const ir::GlobalSlot *slot = design_->module->findGlobal(name);
   if (!slot)
     return {};
   std::string net = memNetName(*design_->module, slot->memId);
-  std::vector<BitVector> cells = nsim_   ? nsim_->memoryContents(net)
-                                 : csim_ ? csim_->memoryContents(net)
-                                         : sim_->memoryContents(net);
+  std::vector<BitVector> cells = csim_ ? csim_->memoryContents(net)
+                                      : sim_->memoryContents(net);
   std::vector<BitVector> out;
   for (std::uint64_t i = 0; i < slot->words && slot->base + i < cells.size();
        ++i)
@@ -699,10 +398,6 @@ CosimResult cosimulateSource(const std::string &verilogText,
     result.error = "vsim elaborate: " + elabError;
     return result;
   }
-  const bool wantNative = options.engine == SimEngine::Native ||
-                          options.engine == SimEngine::NativeStrict;
-  const bool strict = options.engine == SimEngine::CompiledStrict ||
-                      options.engine == SimEngine::NativeStrict;
   if (options.engine != SimEngine::Event) {
     std::string why;
     std::shared_ptr<const CompiledModel> compiled;
@@ -713,29 +408,6 @@ CosimResult cosimulateSource(const std::string &verilogText,
       why = e.verdict.str();
       compileVerdict = e.verdict;
     }
-    if (compiled && wantNative) {
-      std::string nativeWhy;
-      std::shared_ptr<const NativeModule> mod;
-      guard::Verdict nativeVerdict;
-      try {
-        mod = compileNative(*compiled, nativeWhy, options.budget);
-      } catch (const guard::InjectedFault &e) {
-        nativeWhy = e.verdict.str();
-        nativeVerdict = e.verdict;
-      }
-      if (mod) {
-        NativeSimulation sim(compiled, std::move(mod));
-        if (compiled->behavioral)
-          sim.settle();
-        sim.setBudget(options.budget);
-        return runHandshake(sim, args, options.maxCycles, options.budget);
-      }
-      if (options.engine == SimEngine::NativeStrict) {
-        result.error = "vsim: native-strict: " + nativeWhy;
-        result.verdict = nativeVerdict;
-        return result;
-      }
-    }
     if (compiled) {
       CompiledSimulation sim(compiled);
       if (compiled->behavioral)
@@ -743,11 +415,8 @@ CosimResult cosimulateSource(const std::string &verilogText,
       sim.setBudget(options.budget);
       return runHandshake(sim, args, options.maxCycles, options.budget);
     }
-    if (strict) {
-      result.error = "vsim: " +
-                     std::string(wantNative ? "native-strict"
-                                            : "compiled-strict") +
-                     ": " + why;
+    if (options.engine == SimEngine::CompiledStrict) {
+      result.error = "vsim: compiled-strict: " + why;
       result.verdict = compileVerdict;
       return result;
     }

@@ -29,8 +29,6 @@ namespace c2h::vsim {
 
 struct CompiledModel;
 class CompiledSimulation;
-class NativeModule;
-class NativeSimulation;
 
 struct CosimOptions {
   std::uint64_t maxCycles = 2'000'000;
@@ -46,13 +44,6 @@ struct CosimOptions {
   // the *same* budget to the event-engine retry, so a compiled-engine trip
   // retries only with whatever headroom remains.
   guard::ExecBudget *budget = nullptr;
-  // Run native-engine executions in a fork-isolated sandbox child with a
-  // watchdog: a real crash (SIGSEGV and friends) or hang in the JIT-built
-  // .so becomes a structured Crashed/Hang verdict, quarantines the
-  // artifact, and descends the ladder instead of killing the process.
-  // Off by default — the one-shot CLI and benches keep the historical
-  // in-process fast path; the serve daemon turns it on.
-  bool sandbox = false;
 };
 
 struct CosimResult {
@@ -72,9 +63,8 @@ struct CosimResult {
 // the emitted Verilog text + top module, an entry keeps every immutable
 // artifact a Cosimulation would otherwise rebuild per request — the
 // elaborated Model, the lazily compiled CompiledModel (which carries the
-// post-`initial` init image the bytecode VM restores from), the native
-// module, the event engine's InitImage snapshot, and the recorded fallback
-// notes.  Entries hold no run state, so concurrent requests share one
+// post-`initial` init image the bytecode VM restores from), the event
+// engine's InitImage snapshot, and the recorded fallback note.  Entries hold no run state, so concurrent requests share one
 // safely; eviction is LRU by entry count.  Lookups and stores are bypassed
 // entirely while a guard fault is armed, so chaos runs can neither poison
 // the cache nor be masked by it.
@@ -118,11 +108,9 @@ public:
   const guard::Verdict &verdict() const { return verdict_; }
   const std::string &verilog() const { return verilog_; }
   // Backend that actually executed the last run() (Compiled may fall back
-  // to Event; compileNote() then says why.  Native may fall back to
-  // Compiled; nativeNote() then says why).
+  // to Event; compileNote() then says why).
   SimEngine engineUsed() const { return engineUsed_; }
   const std::string &compileNote() const { return compileNote_; }
-  const std::string &nativeNote() const { return nativeNote_; }
 
   // Seed a source-level global (through the module's GlobalSlot map)
   // before the next run — the vsim analogue of Simulator::writeGlobal.
@@ -138,8 +126,6 @@ private:
   template <class Sim> void seedInto(Sim &sim);
   void cacheAdopt();   // copy an elaborated entry's artifacts in
   void cachePublish(); // write lazily built artifacts back (idempotent)
-  CosimResult runNative(const std::vector<BitVector> &args,
-                        const CosimOptions &options);
   CosimResult runCompiled(const std::vector<BitVector> &args,
                           const CosimOptions &options);
   CosimResult runEvent(const std::vector<BitVector> &args,
@@ -151,19 +137,12 @@ private:
   std::shared_ptr<Model> model_;
   std::unique_ptr<Simulation> sim_; // last event run's state, for readGlobal
   std::unique_ptr<CompiledSimulation> csim_; // last compiled run's state
-  std::unique_ptr<NativeSimulation> nsim_;   // last native run's state
   std::map<std::string, std::vector<BitVector>> seeds_;
   // Compile once per model (lazily, on the first Compiled-engine run).
   std::shared_ptr<const CompiledModel> compiled_;
   bool triedCompile_ = false;
   std::string compileNote_;
   guard::Verdict compileVerdict_; // injected vsim.compile fault, if any
-  // Native tier: lowered/built once per model (lazily, on the first
-  // Native-engine run), shared with the jit module cache.
-  std::shared_ptr<const NativeModule> native_;
-  bool triedNative_ = false;
-  std::string nativeNote_;
-  guard::Verdict nativeVerdict_; // injected vsim.jit.* fault, if any
   SimEngine engineUsed_ = SimEngine::Event;
   // Post-`initial` snapshot for the event engine, so repeated runs don't
   // re-execute ROM init blocks (the crc8small outlier fix).  Shared so a

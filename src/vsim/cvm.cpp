@@ -1,6 +1,5 @@
 #include "vsim/cvm.h"
 
-#include "vsim/jit.h"
 #include "vsim/parser.h"
 #include "vsim/readmem.h"
 #include "vsim/wordops.h"
@@ -12,8 +11,7 @@ namespace c2h::vsim {
 namespace {
 
 // extWord (zero/sign extension), the shift-amount rule, and the div/mod
-// semantics live in wordops.h, shared with the peephole folder and the
-// native emitter.
+// semantics live in wordops.h, shared with the peephole folder.
 
 inline bool truthy(const BitVector &v) {
   return v.isInline() ? v.word() != 0 : !v.isZero();
@@ -913,24 +911,6 @@ void CompiledSimulation::tick(const std::string &clk) {
 
 // ------------------------------------------------------- testbench run --
 
-namespace {
-
-template <class Sim>
-TestbenchResult finishTestbenchRun(Sim &sim, std::uint64_t maxTime) {
-  TestbenchResult result;
-  sim.runToFinish(maxTime);
-  result.finished = sim.finished();
-  result.output = sim.displayed();
-  result.timeUnits = sim.now();
-  if (!sim.ok())
-    result.error = sim.error();
-  else if (!sim.finished())
-    result.error = "simulation went quiescent without $finish";
-  return result;
-}
-
-} // namespace
-
 TestbenchResult runTestbench(const std::string &source,
                              const std::string &topModule,
                              std::uint64_t maxTime, SimEngine engine,
@@ -964,34 +944,18 @@ TestbenchResult runTestbench(const std::string &source,
       result.error = "vsim: compiled-strict: " + whyNot;
       return result;
     }
-    if (engine == SimEngine::NativeStrict) {
-      result.error = "vsim: native-strict: " + whyNot;
-      return result;
-    }
     return runTestbench(source, topModule, maxTime);
   }
-  if (engine == SimEngine::Native || engine == SimEngine::NativeStrict) {
-    std::string nativeWhy;
-    std::shared_ptr<const NativeModule> mod;
-    try {
-      mod = compileNative(*cm, nativeWhy);
-    } catch (const guard::InjectedFault &e) {
-      nativeWhy = e.verdict.str();
-    }
-    if (mod) {
-      NativeSimulation sim(cm, std::move(mod));
-      return finishTestbenchRun(sim, maxTime);
-    }
-    if (fallbackNote)
-      *fallbackNote = nativeWhy;
-    if (engine == SimEngine::NativeStrict) {
-      result.error = "vsim: native-strict: " + nativeWhy;
-      return result;
-    }
-    // Native degrades one rung: run the same compiled model on the VM.
-  }
   CompiledSimulation sim(std::move(cm));
-  return finishTestbenchRun(sim, maxTime);
+  sim.runToFinish(maxTime);
+  result.finished = sim.finished();
+  result.output = sim.displayed();
+  result.timeUnits = sim.now();
+  if (!sim.ok())
+    result.error = sim.error();
+  else if (!sim.finished())
+    result.error = "simulation went quiescent without $finish";
+  return result;
 }
 
 } // namespace c2h::vsim

@@ -1,15 +1,12 @@
 // Engine selection for vsim co-simulation.
 //
-// Three interchangeable backends execute an elaborated Model behind the
+// Two interchangeable backends execute an elaborated Model behind the
 // same poke/peek/tick/settle interface:
 //  * Event    — the reference two-phase event-driven evaluator (sim.h),
-//  * Compiled — the cycle-compiled levelized bytecode VM (compile.h/cvm.h),
-//  * Native   — the levelized program lowered to specialized C++, built
-//    with the host toolchain into a dlopen'ed shared object (emitcpp.h/
-//    jit.h), so per-op dispatch disappears entirely.
-// Every tier must agree with the one below on values, globals, $display
-// output, and exact cycle counts for every accepted design; the ladder
-// degrades native -> bytecode -> event with a recorded reason per rung.
+//  * Compiled — the cycle-compiled levelized bytecode VM (compile.h/cvm.h).
+// The bytecode VM must agree with the event engine on values, globals,
+// $display output, and exact cycle counts for every accepted design; the
+// ladder degrades bytecode -> event with a recorded reason.
 // Kept in its own header so core/engine.h can carry the choice in
 // EngineOptions without pulling in the simulator headers.
 #ifndef C2H_VSIM_ENGINE_H
@@ -26,15 +23,6 @@ enum class SimEngine {
                   // instead of a silent downgrade.  The contract-checking
                   // mode bench_cosim and CI run to keep the compiled
                   // subset equal to the event subset.
-  Native, // host-compiled shared object; falls back to the bytecode VM
-          // (then Event) with a recorded reason when the design is outside
-          // the native subset, no host compiler is available, or the
-          // build/load fails
-  NativeStrict, // native tier with the fallback ladder disarmed: any
-                // fallback — levelization failure, missing toolchain,
-                // emit/compile/load failure, or guard-triggered retry —
-                // is an error.  The contract-checking mode for the
-                // native-tier registry sweep.
 };
 
 } // namespace c2h::vsim

@@ -1,8 +1,5 @@
-// Peephole optimization of the levelized bytecode form (compile.h),
-// shared by both back ends: the switch VM in cvm.cpp executes the
-// optimized programs directly, and the native tier (emitcpp.cpp) lowers
-// them to C++ — so every win here compounds through the whole engine
-// ladder.
+// Peephole optimization of the levelized bytecode form (compile.h): the
+// switch VM in cvm.cpp executes the optimized programs directly.
 //
 // Passes, run to a model-wide fixpoint:
 //  1. word-path constant folding inside every program (temps are

@@ -1,9 +1,7 @@
-// Word-path (<= 64 bit) semantics shared by the bytecode VM (cvm.cpp),
-// the peephole constant folder (peephole.cpp), and — re-emitted as C++
-// text — the native back end (emitcpp.cpp).  There must be exactly one
-// definition of these rules: all three execution tiers are differentially
-// tested against each other, and a divergence here is a miscompare, not a
-// crash.
+// Word-path (<= 64 bit) semantics shared by the bytecode VM (cvm.cpp)
+// and the peephole constant folder (peephole.cpp).  There must be exactly
+// one definition of these rules: a folded constant that disagrees with
+// the VM is a miscompare against the event engine, not a crash.
 #ifndef C2H_VSIM_WORDOPS_H
 #define C2H_VSIM_WORDOPS_H
 

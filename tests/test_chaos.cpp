@@ -20,15 +20,10 @@
 #include "interp/interp.h"
 #include "serve/service.h"
 #include "support/guard.h"
-#include "support/sandbox.h"
-#include "vsim/jit.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <filesystem>
 #include <mutex>
 #include <set>
 #include <string>
@@ -86,10 +81,8 @@ TEST(Chaos, RegistryEnumeratesEveryStageBoundary) {
        {"frontend.parse", "frontend.sema", "engine.cell", "flow.inline",
         "flow.unroll", "flow.lower", "flow.schedule", "cosim.emit",
         "cosim.parse", "cosim.elab", "vsim.compile", "vsim.compiled.run",
-        "vsim.event.run", "vsim.jit.emit", "vsim.jit.cc", "vsim.jit.load",
-        "vsim.native.run", "guard.alloc", "guard.io.read", "serve.parse",
-        "serve.handle", "serve.respond", "sandbox.segv", "sandbox.bus",
-        "sandbox.fpe", "sandbox.abrt", "sandbox.hang"})
+        "vsim.event.run", "guard.alloc", "guard.io.read", "serve.parse",
+        "serve.handle", "serve.respond"})
     EXPECT_TRUE(have.count(required)) << required;
   EXPECT_TRUE(std::is_sorted(sites.begin(), sites.end()));
 }
@@ -120,21 +113,21 @@ TEST(Chaos, EverySiteIsolatedDeterministicAndSelfHealing) {
   // Sites a healthy gcd run never reaches: no $readmem in the emitted RTL
   // and the compiled engine handles the model, so the event engine only
   // runs when some *other* site already fired.  The serve.* sites live in
-  // the daemon layer, which this engine-level run never enters, and the
-  // vsim.jit.* / vsim.native.run sites live in the native tier, which the
-  // default bytecode-engine run never requests (both families get their
-  // own blast-radius tests below).
-  // ... and the sandbox.* sites only fire when sandboxed execution is
-  // requested (EngineOptions::sandboxNative / CosimOptions::sandbox),
-  // which this in-process run never is (SandboxChaos covers them).
-  const std::set<std::string> mayNotFire = {
-      "guard.io.read",  "vsim.event.run", "serve.parse",
-      "serve.handle",   "serve.respond",  "vsim.jit.emit",
-      "vsim.jit.cc",    "vsim.jit.load",  "vsim.native.run",
-      "sandbox.segv",   "sandbox.bus",    "sandbox.fpe",
-      "sandbox.abrt",   "sandbox.hang"};
+  // the daemon layer, which this engine-level run never enters (they get
+  // their own blast-radius tests below).
+  const std::set<std::string> mayNotFire = {"guard.io.read", "vsim.event.run",
+                                            "serve.parse", "serve.handle",
+                                            "serve.respond"};
+  // Every classified site is registered: a stale name above would silently
+  // weaken the sweep below, which arms every registered site.
+  const std::vector<std::string> sites = guard::allFaultSites();
+  const std::set<std::string> registered(sites.begin(), sites.end());
+  for (const auto *group :
+       {&degradeSilent, &degradeRetry, &frontendSites, &mayNotFire})
+    for (const std::string &site : *group)
+      EXPECT_TRUE(registered.count(site)) << "unregistered site " << site;
 
-  for (const std::string &site : guard::allFaultSites()) {
+  for (const std::string &site : sites) {
     SCOPED_TRACE("site=" + site);
     std::vector<core::FlowComparison> armed, rerun;
     {
@@ -211,154 +204,6 @@ TEST(Chaos, FaultedRunDoesNotPoisonTheFrontendCache) {
   ASSERT_EQ(clean.size(), expected.size());
   for (std::size_t i = 0; i < clean.size(); ++i)
     expectRowEqual(clean[i], expected[i], "post-fault");
-}
-
-// ------------------------------------------------------- native chaos --
-//
-// The native tier adds four fault sites (vsim.jit.emit / .cc / .load in
-// the build pipeline, vsim.native.run at dispatch).  The engine ladder's
-// contract: any of them failing degrades native -> bytecode with a
-// recorded reason on exactly the request that hit the fault, siblings and
-// results untouched, and the ladder self-heals once disarmed.
-
-std::vector<core::FlowComparison> runGcdNative() {
-  core::EngineOptions opts;
-  opts.cosim = true;
-  opts.vsimEngine = vsim::SimEngine::Native;
-  core::CompareEngine engine(opts);
-  flows::FlowTuning serial;
-  serial.jobs = 1;
-  return engine.compareFlows(core::findWorkload("gcd"), serial);
-}
-
-// Fresh, private native artifact cache: without it the vsim.jit.cc /
-// vsim.jit.load sites can be skipped by a warm disk or in-process hit.
-struct NativeCacheSandbox {
-  std::string dir;
-  explicit NativeCacheSandbox(const std::string &tag) {
-    dir = (std::filesystem::temp_directory_path() / ("c2h-chaos-" + tag))
-              .string();
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-    ::setenv("C2H_NATIVE_CACHE", dir.c_str(), 1);
-    vsim::clearNativeCache();
-  }
-  ~NativeCacheSandbox() {
-    ::unsetenv("C2H_NATIVE_CACHE");
-    vsim::clearNativeCache();
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-  }
-};
-
-TEST(NativeChaos, JitSitesDegradeToBytecodeWithRecordedReason) {
-  if (!vsim::nativeToolchainAvailable())
-    GTEST_SKIP() << "no host C++ compiler on PATH";
-  guard::disarmFaults();
-  std::vector<core::FlowComparison> baseline;
-  {
-    NativeCacheSandbox sandbox("baseline");
-    baseline = runGcdNative();
-  }
-  ASSERT_FALSE(baseline.empty());
-  for (const auto &r : baseline) {
-    ASSERT_EQ(static_cast<int>(r.verdict.kind),
-              static_cast<int>(guard::Kind::None))
-        << r.flowId << ": " << r.note;
-    if (r.cosimRan) {
-      EXPECT_TRUE(r.cosimOk) << r.flowId << ": " << r.cosimNote;
-      EXPECT_EQ(r.cosimEngine, "native") << r.flowId;
-      EXPECT_TRUE(r.cosimFallback.empty())
-          << r.flowId << ": " << r.cosimFallback;
-    }
-  }
-
-  for (const std::string site :
-       {"vsim.jit.emit", "vsim.jit.cc", "vsim.jit.load"}) {
-    SCOPED_TRACE("site=" + site);
-    NativeCacheSandbox sandbox(site);
-    std::vector<core::FlowComparison> armed;
-    {
-      ArmedGuard arm(site);
-      armed = runGcdNative();
-    }
-    ASSERT_EQ(armed.size(), baseline.size());
-    // The fault never surfaces as a failure: the ladder absorbs it.
-    EXPECT_EQ(countInjected(armed), 0u);
-    std::size_t degraded = 0;
-    for (std::size_t i = 0; i < armed.size(); ++i) {
-      const auto &r = armed[i];
-      EXPECT_EQ(r.verified, baseline[i].verified) << r.flowId;
-      EXPECT_EQ(r.cosimOk, baseline[i].cosimOk) << r.flowId;
-      EXPECT_EQ(r.cosimCycles, baseline[i].cosimCycles) << r.flowId;
-      if (!r.cosimRan)
-        continue;
-      if (r.cosimEngine == "compiled") {
-        ++degraded;
-        // The recorded reason names the injected site.
-        EXPECT_NE(r.cosimFallback.find(site), std::string::npos)
-            << r.flowId << ": " << r.cosimFallback;
-      } else {
-        EXPECT_EQ(r.cosimEngine, "native") << r.flowId;
-        EXPECT_TRUE(r.cosimFallback.empty())
-            << r.flowId << ": " << r.cosimFallback;
-      }
-    }
-    EXPECT_EQ(degraded, 1u) << "exactly one request absorbs the fault";
-    // Self-healing: a disarmed rerun is native again, end to end.
-    auto healed = runGcdNative();
-    ASSERT_EQ(healed.size(), baseline.size());
-    for (std::size_t i = 0; i < healed.size(); ++i) {
-      expectRowEqual(healed[i], baseline[i], "healed");
-      EXPECT_EQ(healed[i].cosimEngine, baseline[i].cosimEngine)
-          << healed[i].flowId;
-    }
-  }
-  guard::disarmFaults();
-}
-
-TEST(NativeChaos, RuntimeFaultRetriesOnBytecodeWithRecordedDegradation) {
-  if (!vsim::nativeToolchainAvailable())
-    GTEST_SKIP() << "no host C++ compiler on PATH";
-  guard::disarmFaults();
-  NativeCacheSandbox sandbox("native-run");
-  const auto baseline = runGcdNative();
-  ASSERT_FALSE(baseline.empty());
-  std::vector<core::FlowComparison> armed, rerun;
-  {
-    ArmedGuard arm("vsim.native.run");
-    armed = runGcdNative();
-  }
-  {
-    ArmedGuard arm("vsim.native.run");
-    rerun = runGcdNative();
-  }
-  ASSERT_EQ(armed.size(), baseline.size());
-  EXPECT_EQ(countInjected(armed), 0u);
-  std::size_t degraded = 0;
-  for (std::size_t i = 0; i < armed.size(); ++i) {
-    const auto &r = armed[i];
-    EXPECT_EQ(r.verified, baseline[i].verified) << r.flowId;
-    EXPECT_EQ(r.cosimOk, baseline[i].cosimOk) << r.flowId;
-    EXPECT_EQ(r.cosimCycles, baseline[i].cosimCycles) << r.flowId;
-    if (!r.degradation.empty()) {
-      ++degraded;
-      // The ladder records the rung it fell from and where it landed.
-      EXPECT_NE(r.degradation.find("native engine"), std::string::npos)
-          << r.degradation;
-      EXPECT_NE(r.degradation.find("retried on compiled engine"),
-                std::string::npos)
-          << r.degradation;
-      EXPECT_NE(r.degradation.find("vsim.native.run"), std::string::npos)
-          << r.degradation;
-    }
-  }
-  EXPECT_EQ(degraded, 1u) << "exactly one request degrades";
-  // Deterministic chaos: identical rows on an identically-armed rerun.
-  ASSERT_EQ(rerun.size(), armed.size());
-  for (std::size_t i = 0; i < armed.size(); ++i)
-    expectRowEqual(armed[i], rerun[i], "rerun");
-  guard::disarmFaults();
 }
 
 // -------------------------------------------------------- serve chaos --
@@ -483,377 +328,6 @@ TEST(ServeChaos, OverBudgetRequestLeavesSiblingsUntouched) {
       EXPECT_EQ(chaosStripVolatile(responses[i]), baseline) << i;
     }
   }
-}
-
-// ------------------------------------------------------ sandbox chaos --
-//
-// The crash-containment layer (support/sandbox): native-tier executions
-// and toolchain invocations run in fork-isolated children, so a real
-// SIGSEGV, a hang, or a toolchain death becomes a structured
-// CRASHED/HANG verdict and a quarantined artifact — never a process
-// death.  The sandbox.* chaos sites make the child *genuinely* raise the
-// signal (or hang), which is why the real-signal tests skip under
-// sanitizers: an ASan/TSan child dying on a raw SIGSEGV produces runtime
-// noise (and sometimes deadlocks) that has nothing to do with the
-// contract under test.  CI runs them in the plain-Release crash-chaos
-// job.
-
-bool sandboxSignalChaosSupported() {
-  return vsim::nativeToolchainAvailable() && sandbox::available() &&
-         !sandbox::sanitizersActive();
-}
-
-// Verdict strings embed wall-clock ("wallMs=123"), the one
-// nondeterministic field; blank the digits for byte-comparisons.
-std::string stripWallMs(std::string s) {
-  std::size_t pos = 0;
-  while ((pos = s.find("wallMs=", pos)) != std::string::npos) {
-    pos += 7;
-    std::size_t end = pos;
-    while (end < s.size() &&
-           std::isdigit(static_cast<unsigned char>(s[end])))
-      ++end;
-    s.replace(pos, end - pos, "N");
-    pos += 1;
-  }
-  return s;
-}
-
-// Single-flow sandboxed cosim: one native build + one run, the light
-// harness for per-signal coverage (the CompareEngine variants below cover
-// the full ladder).
-core::CosimVerification cosimOneNativeSandboxed(bool strict) {
-  const auto &w = core::findWorkload("gcd");
-  const flows::FlowSpec *flow = flows::findFlow("c2verilog");
-  EXPECT_NE(flow, nullptr);
-  flows::FlowResult r = flows::runFlow(*flow, w.source, w.top);
-  EXPECT_TRUE(r.ok) << r.error;
-  return core::cosimAgainstGoldenModel(
-      w, r,
-      strict ? vsim::SimEngine::NativeStrict : vsim::SimEngine::Native,
-      nullptr, nullptr, /*sandboxNative=*/true);
-}
-
-std::vector<core::FlowComparison> runGcdSandboxed(vsim::SimEngine engine) {
-  core::EngineOptions opts;
-  opts.cosim = true;
-  opts.vsimEngine = engine;
-  opts.sandboxNative = true;
-  core::CompareEngine eng(opts);
-  flows::FlowTuning serial;
-  serial.jobs = 1;
-  return eng.compareFlows(core::findWorkload("gcd"), serial);
-}
-
-struct WatchdogEnv {
-  explicit WatchdogEnv(const char *ms) {
-    ::setenv("C2H_SANDBOX_WATCHDOG_MS", ms, 1);
-  }
-  ~WatchdogEnv() { ::unsetenv("C2H_SANDBOX_WATCHDOG_MS"); }
-};
-
-TEST(SandboxChaos, EverySignalSiteYieldsItsSignalNameAndSelfHeals) {
-  if (!sandboxSignalChaosSupported())
-    GTEST_SKIP() << "needs toolchain + fork sandbox, no sanitizers";
-  guard::disarmFaults();
-  const std::pair<const char *, const char *> sites[] = {
-      {"sandbox.segv", "SIGSEGV"},
-      {"sandbox.bus", "SIGBUS"},
-      {"sandbox.fpe", "SIGFPE"},
-      {"sandbox.abrt", "SIGABRT"},
-  };
-  for (const auto &[site, signal] : sites) {
-    SCOPED_TRACE(site);
-    NativeCacheSandbox cache(std::string("sig-") + site);
-    ArmedGuard arm(site);
-    core::CosimVerification cv = cosimOneNativeSandboxed(false);
-    // The child genuinely died on the signal; the ladder absorbed it.
-    EXPECT_TRUE(cv.ran);
-    EXPECT_TRUE(cv.ok) << cv.detail;
-    EXPECT_NE(cv.degradation.find("CRASHED"), std::string::npos)
-        << cv.degradation;
-    EXPECT_NE(cv.degradation.find(signal), std::string::npos)
-        << cv.degradation;
-    EXPECT_NE(cv.degradation.find("retried on compiled engine"),
-              std::string::npos)
-        << cv.degradation;
-    EXPECT_EQ(cv.engine, "compiled");
-    // The crash-implicated artifact was quarantined on disk.
-    EXPECT_EQ(vsim::quarantinedArtifactCount(), 1u);
-    EXPECT_NE(cv.fallback.find("quarantined"), std::string::npos)
-        << cv.fallback;
-  }
-  guard::disarmFaults();
-}
-
-TEST(SandboxChaos, QuarantineIsHonoredAcrossCacheReloads) {
-  if (!sandboxSignalChaosSupported())
-    GTEST_SKIP() << "needs toolchain + fork sandbox, no sanitizers";
-  guard::disarmFaults();
-  NativeCacheSandbox cache("quarantine-reload");
-  {
-    ArmedGuard arm("sandbox.segv");
-    core::CosimVerification cv = cosimOneNativeSandboxed(false);
-    EXPECT_TRUE(cv.ok) << cv.detail;
-  }
-  // A disarmed rerun with the same cache dir and a cleared in-process
-  // module cache (a fresh daemon's view): the quarantined .so is never
-  // reloaded, the run lands on the bytecode tier with a recorded reason.
-  vsim::clearNativeCache();
-  core::CosimVerification cv = cosimOneNativeSandboxed(false);
-  EXPECT_TRUE(cv.ok) << cv.detail;
-  EXPECT_EQ(cv.engine, "compiled");
-  EXPECT_NE(cv.fallback.find("quarantined after a prior crash"),
-            std::string::npos)
-      << cv.fallback;
-  // Strict mode surfaces the quarantine instead of descending.
-  core::CosimVerification strict = cosimOneNativeSandboxed(true);
-  EXPECT_TRUE(strict.ran);
-  EXPECT_FALSE(strict.ok);
-  EXPECT_NE(strict.detail.find("quarantined"), std::string::npos)
-      << strict.detail;
-}
-
-TEST(SandboxChaos, ArmedCrashRunsAreDeterministic) {
-  if (!sandboxSignalChaosSupported())
-    GTEST_SKIP() << "needs toolchain + fork sandbox, no sanitizers";
-  guard::disarmFaults();
-  // Each armed run gets a FRESH cache dir: quarantine is persistent by
-  // design, so a shared dir would make the second run take the
-  // (different) quarantine path instead of reproducing the crash.
-  core::CosimVerification first, second;
-  {
-    NativeCacheSandbox cache("det-1");
-    ArmedGuard arm("sandbox.segv");
-    first = cosimOneNativeSandboxed(false);
-  }
-  {
-    NativeCacheSandbox cache("det-2");
-    ArmedGuard arm("sandbox.segv");
-    second = cosimOneNativeSandboxed(false);
-  }
-  EXPECT_EQ(first.ran, second.ran);
-  EXPECT_EQ(first.ok, second.ok);
-  EXPECT_EQ(first.cycles, second.cycles);
-  EXPECT_EQ(first.engine, second.engine);
-  EXPECT_EQ(first.fallback, second.fallback);
-  EXPECT_EQ(stripWallMs(first.degradation), stripWallMs(second.degradation));
-}
-
-TEST(SandboxChaos, StrictEngineSurfacesCrashVerdict) {
-  if (!sandboxSignalChaosSupported())
-    GTEST_SKIP() << "needs toolchain + fork sandbox, no sanitizers";
-  guard::disarmFaults();
-  NativeCacheSandbox cache("strict-crash");
-  ArmedGuard arm("sandbox.segv");
-  core::CosimVerification cv = cosimOneNativeSandboxed(true);
-  EXPECT_TRUE(cv.ran);
-  EXPECT_FALSE(cv.ok);
-  EXPECT_EQ(static_cast<int>(cv.verdict.kind),
-            static_cast<int>(guard::Kind::Crashed))
-      << cv.detail;
-  EXPECT_EQ(cv.verdict.stage, "vsim.native.run");
-  EXPECT_NE(cv.detail.find("SIGSEGV"), std::string::npos) << cv.detail;
-  // Crashed, not a resource limit: the CLI maps this to exit 1.
-  EXPECT_FALSE(cv.verdict.isResourceLimit());
-}
-
-TEST(SandboxChaos, FullLadderCrashBlastRadiusIsOneRow) {
-  if (!sandboxSignalChaosSupported())
-    GTEST_SKIP() << "needs toolchain + fork sandbox, no sanitizers";
-  guard::disarmFaults();
-  NativeCacheSandbox cache("ladder");
-  const auto baseline = runGcdSandboxed(vsim::SimEngine::Native);
-  ASSERT_FALSE(baseline.empty());
-  for (const auto &r : baseline)
-    ASSERT_EQ(static_cast<int>(r.verdict.kind),
-              static_cast<int>(guard::Kind::None))
-        << r.flowId << ": " << r.note;
-  std::vector<core::FlowComparison> armed;
-  {
-    ArmedGuard arm("sandbox.segv");
-    armed = runGcdSandboxed(vsim::SimEngine::Native);
-  }
-  ASSERT_EQ(armed.size(), baseline.size());
-  EXPECT_EQ(countInjected(armed), 0u);
-  // The quarantine's blast radius is the ARTIFACT, not the row: flows that
-  // emit identical Verilog share one content-hashed .so, so quarantining
-  // the crash-implicated artifact legitimately pushes every flow that
-  // shares it onto the bytecode tier (with a recorded "quarantined"
-  // reason).  What must never change is the answers.
-  std::size_t degraded = 0;
-  for (std::size_t i = 0; i < armed.size(); ++i) {
-    const auto &r = armed[i];
-    EXPECT_EQ(r.verified, baseline[i].verified) << r.flowId;
-    EXPECT_EQ(r.cosimOk, baseline[i].cosimOk) << r.flowId;
-    EXPECT_EQ(r.cosimCycles, baseline[i].cosimCycles) << r.flowId;
-    if (!r.degradation.empty()) {
-      ++degraded;
-      EXPECT_NE(r.degradation.find("CRASHED"), std::string::npos)
-          << r.degradation;
-    } else if (r.cosimRan && r.cosimEngine == "compiled") {
-      EXPECT_NE(r.cosimFallback.find("quarantined"), std::string::npos)
-          << r.flowId << ": " << r.cosimFallback;
-    } else if (r.cosimRan) {
-      EXPECT_EQ(r.cosimEngine, "native") << r.flowId;
-    }
-  }
-  EXPECT_EQ(degraded, 1u) << "exactly one row absorbs the crash";
-  guard::disarmFaults();
-}
-
-TEST(SandboxChaos, HungChildIsKilledByWatchdogAndLadderRetries) {
-  if (!vsim::nativeToolchainAvailable() || !sandbox::available())
-    GTEST_SKIP() << "needs toolchain + fork sandbox";
-  guard::disarmFaults();
-  NativeCacheSandbox cache("hang-run");
-  // Warm the artifact first so the armed hang hits the *run* stage, not
-  // the toolchain invocation (covered separately below).
-  {
-    core::CosimVerification warm = cosimOneNativeSandboxed(false);
-    ASSERT_TRUE(warm.ok) << warm.detail;
-    ASSERT_EQ(warm.engine, "native") << warm.fallback;
-  }
-  WatchdogEnv wd("400");
-  ArmedGuard arm("sandbox.hang");
-  core::CosimVerification cv = cosimOneNativeSandboxed(false);
-  EXPECT_TRUE(cv.ok) << cv.detail;
-  EXPECT_EQ(cv.engine, "compiled");
-  EXPECT_NE(cv.degradation.find("HANG"), std::string::npos)
-      << cv.degradation;
-  EXPECT_NE(cv.degradation.find("killed by watchdog"), std::string::npos)
-      << cv.degradation;
-  EXPECT_NE(cv.degradation.find("retried on compiled engine"),
-            std::string::npos)
-      << cv.degradation;
-  // A hang quarantines the artifact too: it may spin forever every time.
-  EXPECT_EQ(vsim::quarantinedArtifactCount(), 1u);
-}
-
-TEST(SandboxChaos, HungToolchainIsKilledByWatchdog) {
-  if (!vsim::nativeToolchainAvailable() || !sandbox::available())
-    GTEST_SKIP() << "needs toolchain + fork sandbox";
-  guard::disarmFaults();
-  NativeCacheSandbox cache("hang-cc");
-  WatchdogEnv wd("400");
-  ArmedGuard arm("sandbox.hang");
-  // Cold cache: the first sandboxed stage is the compiler child, which
-  // hangs, is watchdog-killed, and degrades like any compile failure.
-  core::CosimVerification cv = cosimOneNativeSandboxed(false);
-  EXPECT_TRUE(cv.ok) << cv.detail;
-  EXPECT_EQ(cv.engine, "compiled");
-  EXPECT_NE(cv.fallback.find("native compile hung"), std::string::npos)
-      << cv.fallback;
-  EXPECT_NE(cv.fallback.find("killed by watchdog"), std::string::npos)
-      << cv.fallback;
-}
-
-// ------------------------------------------------- sandbox serve chaos --
-//
-// The daemon-level containment contract: a native child dying on a real
-// signal under the (default-sandboxed) service becomes a structured
-// `crashed` response, a hang becomes `timeout`, tenant stats account for
-// both, the quarantine survives into a fresh service, and concurrent
-// clean siblings stay byte-identical.
-
-TEST(SandboxServe, CrashedRequestGetsStructuredStatusAndStats) {
-  if (!sandboxSignalChaosSupported())
-    GTEST_SKIP() << "needs toolchain + fork sandbox, no sanitizers";
-  guard::disarmFaults();
-  NativeCacheSandbox cache("serve-crash");
-  const std::string inject =
-      R"({"id":"i","op":"cosim","workload":"gcd",)"
-      R"("vsim_engine":"native-strict","timing":false,"no_cache":true})";
-  {
-    serve::CosimService service;
-    ASSERT_TRUE(service.options().sandboxNative);
-    guard::armFault("sandbox.segv");
-    std::string crashed = service.handleLine(inject);
-    guard::disarmFaults();
-    EXPECT_NE(crashed.find("\"status\":\"crashed\""), std::string::npos)
-        << crashed;
-    EXPECT_NE(crashed.find("\"exit_code\":1"), std::string::npos) << crashed;
-    EXPECT_NE(crashed.find("\"kind\":\"CRASHED\""), std::string::npos)
-        << crashed;
-    std::string stats = service.handleLine(R"({"op":"stats"})");
-    EXPECT_NE(stats.find("\"crashed\":1"), std::string::npos) << stats;
-    EXPECT_NE(stats.find("\"quarantined_artifacts\":1"), std::string::npos)
-        << stats;
-    EXPECT_NE(stats.find("\"crashes\":1"), std::string::npos) << stats;
-  }
-  // A FRESH service (new process's worth of state) honors the quarantine:
-  // the non-strict request self-heals onto the bytecode tier, status ok.
-  vsim::clearNativeCache();
-  serve::CosimService fresh;
-  std::string healed = fresh.handleLine(
-      R"({"id":"h","op":"cosim","workload":"gcd","vsim_engine":"native",)"
-      R"("timing":false,"no_cache":true})");
-  EXPECT_NE(healed.find("\"status\":\"ok\""), std::string::npos) << healed;
-  EXPECT_NE(healed.find("quarantined after a prior crash"),
-            std::string::npos)
-      << healed;
-}
-
-TEST(SandboxServe, MixedLoadCrashBlastRadiusIsOne) {
-  if (!sandboxSignalChaosSupported())
-    GTEST_SKIP() << "needs toolchain + fork sandbox, no sanitizers";
-  guard::disarmFaults();
-  NativeCacheSandbox cache("serve-mixed");
-  serve::ServiceOptions options;
-  options.jobs = 4;
-  serve::CosimService service(options);
-  // Clean siblings use the compiled engine: quarantine after the injected
-  // crash must not change their answers (byte-identity is the proof).
-  const std::string clean =
-      R"({"id":"c","op":"compare","workload":"gcd","timing":false,)"
-      R"("no_cache":true})";
-  const std::string inject =
-      R"({"id":"i","op":"cosim","workload":"gcd",)"
-      R"("vsim_engine":"native-strict","timing":false,"no_cache":true})";
-  std::string baseline = chaosStripVolatile(service.handleLine(clean));
-  guard::armFault("sandbox.segv");
-  constexpr int kRequests = 6;
-  std::vector<std::string> responses(kRequests);
-  std::mutex mutex;
-  for (int i = 0; i < kRequests; ++i)
-    service.submitAsync(i == 2 ? inject : clean, [&, i](std::string r) {
-      std::lock_guard<std::mutex> lock(mutex);
-      responses[i] = std::move(r);
-    });
-  service.drain();
-  guard::disarmFaults();
-  for (int i = 0; i < kRequests; ++i) {
-    if (i == 2) {
-      EXPECT_NE(responses[i].find("\"status\":\"crashed\""),
-                std::string::npos)
-          << responses[i];
-      continue;
-    }
-    EXPECT_EQ(chaosStripVolatile(responses[i]), baseline) << i;
-  }
-}
-
-TEST(SandboxServe, HungNativeRunBecomesTimeoutStatus) {
-  if (!vsim::nativeToolchainAvailable() || !sandbox::available())
-    GTEST_SKIP() << "needs toolchain + fork sandbox";
-  guard::disarmFaults();
-  NativeCacheSandbox cache("serve-hang");
-  serve::CosimService service;
-  const std::string native =
-      R"({"id":"w","op":"cosim","workload":"gcd",)"
-      R"("vsim_engine":"native-strict","timing":false,"no_cache":true})";
-  // Warm build, then a hung run under a tight watchdog.
-  std::string warm = service.handleLine(native);
-  ASSERT_NE(warm.find("\"status\":\"ok\""), std::string::npos) << warm;
-  WatchdogEnv wd("400");
-  guard::armFault("sandbox.hang");
-  std::string hung = service.handleLine(native);
-  guard::disarmFaults();
-  EXPECT_NE(hung.find("\"status\":\"timeout\""), std::string::npos) << hung;
-  EXPECT_NE(hung.find("\"exit_code\":4"), std::string::npos) << hung;
-  EXPECT_NE(hung.find("\"kind\":\"HANG\""), std::string::npos) << hung;
-  std::string stats = service.handleLine(R"({"op":"stats"})");
-  EXPECT_NE(stats.find("\"timeouts\":1"), std::string::npos) << stats;
 }
 
 // ------------------------------------------------------ verify budgets --

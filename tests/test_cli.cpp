@@ -17,6 +17,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #ifndef _WIN32
 #include <sys/wait.h>
@@ -114,6 +115,94 @@ void expectSameOutput(const std::string &name, const std::string &cmdA,
   std::cout << "ok   " << name << "\n";
 }
 
+// The JSON array that opens at text[open], through its matching ']'
+// (brackets inside strings don't count); empty when unterminated.
+std::string jsonArrayAt(const std::string &text, std::size_t open) {
+  int depth = 0;
+  bool inString = false;
+  for (std::size_t i = open; i < text.size(); ++i) {
+    char c = text[i];
+    if (inString) {
+      if (c == '\\')
+        ++i;
+      else if (c == '"')
+        inString = false;
+    } else if (c == '"') {
+      inString = true;
+    } else if (c == '[' || c == '{') {
+      ++depth;
+    } else if ((c == ']' || c == '}') && --depth == 0) {
+      return text.substr(open, i - open + 1);
+    }
+  }
+  return {};
+}
+
+std::vector<std::string> lines(const std::string &text) {
+  std::vector<std::string> out;
+  std::stringstream ss(text);
+  std::string line;
+  while (std::getline(ss, line))
+    out.push_back(line);
+  return out;
+}
+
+// One row format and one exit-code table: for every registry workload,
+// `--flow=all --cosim --diag-format=json` prints exactly the rows a serve
+// `cosim` response carries, and exits with the response's exit_code.
+void expectCliRowsMatchServe(const std::string &c2hc, int &n) {
+  const std::string name = "cli_rows_match_serve_rows";
+  std::string listing;
+  run(c2hc + " --list-workloads", listing, ++n);
+  const std::vector<std::string> workloads = lines(listing);
+  const std::string requests = tempFile(++n) + ".jsonl";
+  {
+    std::ofstream out(requests);
+    for (const auto &w : workloads)
+      out << "{\"id\":\"" << w << "\",\"op\":\"cosim\",\"workload\":\"" << w
+          << "\",\"timing\":false}\n";
+  }
+  std::string served;
+  // The daemon's stderr banner stays out of the captured responses.
+  run("(" + c2hc + " --serve --jobs=2 < " + requests + " 2>/dev/null)",
+      served, ++n);
+  std::remove(requests.c_str());
+  const std::vector<std::string> responses = lines(served);
+  if (workloads.empty() || responses.size() != workloads.size()) {
+    std::cerr << "FAIL " << name << ": " << responses.size()
+              << " serve responses for " << workloads.size()
+              << " workloads\n";
+    ++failures;
+    return;
+  }
+  for (std::size_t i = 0; i < workloads.size(); ++i) {
+    const std::string &w = workloads[i];
+    std::string cli;
+    int cliExit = run(c2hc + " --workload=" + w +
+                          " --flow=all --cosim --diag-format=json",
+                      cli, ++n);
+    std::size_t cliAt = cli.find("\n[{\"flow\":");
+    std::string cliRows =
+        cliAt == std::string::npos ? "" : jsonArrayAt(cli, cliAt + 1);
+    std::size_t rowsAt = responses[i].find("\"rows\":[");
+    std::string serveRows = rowsAt == std::string::npos
+                                ? ""
+                                : jsonArrayAt(responses[i], rowsAt + 7);
+    const std::string serveExit =
+        "\"exit_code\":" + std::to_string(cliExit) + ",";
+    if (cliRows.empty() || cliRows != serveRows ||
+        responses[i].find(serveExit) == std::string::npos) {
+      std::cerr << "FAIL " << name << " (" << w << "): CLI exit " << cliExit
+                << "\n--- CLI rows\n" << cliRows << "\n--- serve response\n"
+                << responses[i] << "\n";
+      ++failures;
+      return;
+    }
+  }
+  std::cout << "ok   " << name << " (" << workloads.size()
+            << " workloads)\n";
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -164,6 +253,12 @@ int main(int argc, char **argv) {
   expectExit("bad_vsim_engine",
              c2hc + " --workload=gcd --cosim --vsim-engine=interpreted", 2,
              ++n, "invalid value for --vsim-engine");
+  expectExit("native_strict_vsim_engine_is_rejected",
+             c2hc + " --workload=gcd --cosim --vsim-engine=native-strict", 2,
+             ++n, "expected event, compiled, or compiled-strict");
+  expectExit("sandbox_option_is_rejected",
+             c2hc + " --workload=gcd --cosim --sandbox", 2, ++n,
+             "unknown option: --sandbox");
   // JSON cosim rows carry the engine and (empty) fallback per flow.
   expectExit("cosim_json_rows",
              c2hc + " --workload=gcd --flow=all --cosim --diag-format=json",
@@ -175,6 +270,7 @@ int main(int argc, char **argv) {
   std::remove("test_cli_emit_out/bachc_good.v");
   std::remove("test_cli_emit_out/bachc_good_tb.v");
   std::remove("test_cli_emit_out");
+  expectCliRowsMatchServe(c2hc, n);
 
   // --- program errors: exit 1 ---------------------------------------------
   expectExit("race_analyze", c2hc + " " + fx + "/race.uc --analyze", 1, ++n,

@@ -4,9 +4,9 @@
 // control flow, mixed-width arithmetic, arrays, compound assignments);
 // each program is executed by the reference interpreter, the IR executor
 // (optimized and unoptimized), the cycle-accurate RTL simulator under two
-// scheduling policies, and — through the emitted Verilog text — every
-// available vsim backend (the event-driven evaluator, the cycle-compiled
-// bytecode VM, and, when a host compiler is present, the native tier).
+// scheduling policies, and — through the emitted Verilog text — both vsim
+// backends (the event-driven evaluator and the cycle-compiled bytecode
+// VM).
 // All executions must agree on the return value and on every global, and
 // every vsim engine must match the FSMD simulator's exact cycle count —
 // any divergence is a compiler bug by construction.
@@ -20,7 +20,6 @@
 #include "rtl/sim.h"
 #include "support/text.h"
 #include "vsim/cosim.h"
-#include "vsim/jit.h"
 
 #include "testutil.h"
 
@@ -31,16 +30,11 @@
 namespace c2h {
 namespace {
 
-// The engines under differential test: event + bytecode always; the
-// native tier joins whenever the host toolchain can build it.  The loops
-// below additionally assert no silent fallback for the upper tiers.
-std::vector<vsim::SimEngine> fuzzEngines() {
-  std::vector<vsim::SimEngine> engines{vsim::SimEngine::Event,
-                                       vsim::SimEngine::Compiled};
-  if (vsim::nativeToolchainAvailable())
-    engines.push_back(vsim::SimEngine::Native);
-  return engines;
-}
+// The engines under differential test.  The loops below additionally
+// assert that the bytecode VM never silently falls back to the event
+// engine.
+constexpr vsim::SimEngine kFuzzEngines[] = {vsim::SimEngine::Event,
+                                            vsim::SimEngine::Compiled};
 
 class ProgramGenerator {
 public:
@@ -299,10 +293,10 @@ TEST_P(FuzzParity, FiveWayAgreement) {
       for (std::size_t i = 0; i < gm.size(); ++i)
         EXPECT_EQ(gm[i].toStringHex(), rm[i].toStringHex())
             << "mem[" << i << "] divergence";
-      // vsim against both designs, once per available engine — the full
+      // vsim against both designs, once per engine — the full
       // differential: interpreter == FSMD == vsim-event == vsim-compiled
-      // (== vsim-native) on values and exact cycle counts.
-      for (auto engine : fuzzEngines()) {
+      // on values and exact cycle counts.
+      for (auto engine : kFuzzEngines) {
         vsim::CosimOptions vopts;
         vopts.engine = engine;
         auto v = cosim->run(args, vopts);
@@ -310,9 +304,6 @@ TEST_P(FuzzParity, FiveWayAgreement) {
         if (engine == vsim::SimEngine::Compiled)
           ASSERT_EQ(cosim->engineUsed(), vsim::SimEngine::Compiled)
               << "compiled engine fell back: " << cosim->compileNote();
-        if (engine == vsim::SimEngine::Native)
-          ASSERT_EQ(cosim->engineUsed(), vsim::SimEngine::Native)
-              << "native engine fell back: " << cosim->nativeNote();
         EXPECT_EQ(golden.returnValue.resize(32, false).toStringHex(),
                   v.returnValue.resize(32, false).toStringHex())
             << "vsim divergence";
@@ -419,8 +410,8 @@ TEST_P(ConcurrentFuzz, InterpreterAndRtlAgree) {
     ASSERT_TRUE(r0.ok) << r0.error;
     ASSERT_TRUE(r1.ok) << r1.error;
     EXPECT_EQ(r0.returnValue.toStringHex(), r1.returnValue.toStringHex());
-    // The par/channel designs run under every available vsim engine too.
-    for (auto engine : fuzzEngines()) {
+    // The par/channel designs run under both vsim engines too.
+    for (auto engine : kFuzzEngines) {
       vsim::CosimOptions vopts;
       vopts.engine = engine;
       auto r2 = cosim.run(args, vopts);
@@ -428,9 +419,6 @@ TEST_P(ConcurrentFuzz, InterpreterAndRtlAgree) {
       if (engine == vsim::SimEngine::Compiled)
         ASSERT_EQ(cosim.engineUsed(), vsim::SimEngine::Compiled)
             << "compiled engine fell back: " << cosim.compileNote();
-      if (engine == vsim::SimEngine::Native)
-        ASSERT_EQ(cosim.engineUsed(), vsim::SimEngine::Native)
-            << "native engine fell back: " << cosim.nativeNote();
       EXPECT_EQ(r0.returnValue.resize(32, false).toStringHex(),
                 r2.returnValue.resize(32, false).toStringHex())
           << "vsim divergence";

@@ -114,6 +114,15 @@ TEST(ServeProtocol, ParseRequestValidatesShape) {
   EXPECT_FALSE(parse(
       R"({"op":"cosim","workload":"gcd","budget":{"volts":9}})", req, err));
   EXPECT_NE(err.find("unknown budget field"), std::string::npos);
+  for (const char *engine : {"native", "native-strict", "interpreted"}) {
+    EXPECT_FALSE(parse(std::string(R"({"op":"cosim","workload":"gcd",)") +
+                           R"("vsim_engine":")" + engine + R"("})",
+                       req, err))
+        << engine;
+    EXPECT_NE(err.find("compiled, compiled-strict, or event"),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(ServeService, MalformedLineIsAStructuredResponse) {
@@ -126,6 +135,14 @@ TEST(ServeService, MalformedLineIsAStructuredResponse) {
   EXPECT_NE(response.find("\"id\":\"x\""), std::string::npos);
   EXPECT_NE(response.find("\"status\":\"invalid_request\""),
             std::string::npos);
+  response = service.handleLine(
+      R"({"id":"n","op":"cosim","workload":"gcd","vsim_engine":"native"})");
+  EXPECT_NE(response.find("\"id\":\"n\""), std::string::npos);
+  EXPECT_NE(response.find("\"status\":\"invalid_request\""),
+            std::string::npos);
+  EXPECT_NE(response.find("compiled, compiled-strict, or event"),
+            std::string::npos)
+      << response;
 }
 
 TEST(ServeService, UnknownWorkloadIsInvalidRequest) {

@@ -11,6 +11,8 @@
 //    (the daemon analogue of exit code 4) without disturbing siblings;
 //  * SIGTERM with the input stream still open drains in-flight requests
 //    and exits 0;
+//  * a request line past the 1 MiB cap is answered `invalid_request` and
+//    the next line on the stream is still answered, in order;
 //  * AF_UNIX socket mode serves a connection and cleans up the socket file.
 //
 // Run as:  test_serve_cli <path-to-c2hc> <fixtures-dir>
@@ -306,6 +308,36 @@ void testSigtermDrainsAndExitsZero(const std::string &c2hc) {
   pass(name);
 }
 
+// A line past the daemon's 1 MiB cap is answered `invalid_request` in its
+// slot, and the next line on the same stream is still read and answered.
+void testOversizeLineIsRejectedAndReadingResumes(const std::string &c2hc) {
+  const std::string name = "oversize_line_rejected_and_reading_resumes";
+  Daemon d = spawn(c2hc, {"--serve", "--jobs=2"});
+  const std::string oversize = R"({"id":"big","op":"stats","pad":")" +
+                               std::string((1u << 20) + 4096, 'x') + "\"}";
+  if (!d.writeLine(R"({"id":"before","op":"stats","timing":false})") ||
+      !d.writeLine(oversize) ||
+      !d.writeLine(R"({"id":"after","op":"stats","timing":false})"))
+    return fail(name, "write failed");
+  d.closeIn();
+  std::string before, big, after;
+  if (!d.readLine(before) || !d.readLine(big) || !d.readLine(after))
+    return fail(name, "missing responses");
+  if (d.wait() != 0)
+    return fail(name, "daemon exit nonzero");
+  if (!contains(before, "\"id\":\"before\"") ||
+      !contains(before, "\"status\":\"ok\""))
+    return fail(name, "bad first response: " + before);
+  if (!contains(big, "\"status\":\"invalid_request\"") ||
+      !contains(big, "request line exceeds"))
+    return fail(name, "oversize line not rejected: " + big.substr(0, 200));
+  if (!contains(after, "\"id\":\"after\"") ||
+      !contains(after, "\"status\":\"ok\"") ||
+      !contains(after, "\"invalid\":1"))
+    return fail(name, "line after the oversize one: " + after);
+  pass(name);
+}
+
 void testSocketModeServesAndCleansUp(const std::string &c2hc) {
   const std::string name = "socket_mode_serves_and_cleans_up";
   const std::string path = "serve_cli_test.sock";
@@ -475,6 +507,7 @@ int main(int argc, char **argv) {
   testInjectedFaultBlastRadiusOfOne(c2hc);
   testOverBudgetRequestIsContained(c2hc);
   testSigtermDrainsAndExitsZero(c2hc);
+  testOversizeLineIsRejectedAndReadingResumes(c2hc);
   testSocketModeServesAndCleansUp(c2hc);
   testPeerDisconnectDoesNotDisturbSiblings(c2hc);
   if (failures) {

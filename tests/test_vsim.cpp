@@ -18,7 +18,6 @@
 #include "vsim/compile.h"
 #include "vsim/cosim.h"
 #include "vsim/cvm.h"
-#include "vsim/jit.h"
 #include "vsim/parser.h"
 #include "vsim/sim.h"
 
@@ -687,165 +686,6 @@ TEST(VsimCompiled, NoFallbackAcrossRegistry) {
   }
   EXPECT_GT(designs, 100u);     // the sweep really covered the registry
   EXPECT_GT(testbenches, 100u);
-}
-
-// --------------------------------------------------------------------------
-// Native tier (host-compiled shared objects behind the same surface)
-// --------------------------------------------------------------------------
-
-// The native tier's subset claim: everything the bytecode VM compiles, the
-// native tier compiles too — every accepted synchronous (flow, workload)
-// pair AND its generated testbench builds a loadable module with no
-// fallback reason.  bench_cosim enforces the same property with
-// exact-agreement runs under native-strict.
-TEST(VsimNative, NoFallbackAcrossRegistry) {
-  if (!vsim::nativeToolchainAvailable())
-    GTEST_SKIP() << "no host C++ compiler on PATH";
-  unsigned designs = 0, testbenches = 0;
-  for (const auto &w : core::standardWorkloads()) {
-    TypeContext types;
-    DiagnosticEngine diags;
-    auto program = frontend(w.source, types, diags);
-    if (!program)
-      continue;
-    auto args = core::argBits(*program, w.top, w.args);
-    Interpreter interp(*program);
-    auto golden = interp.call(w.top, args);
-    for (const auto &spec : flows::allFlows()) {
-      if (spec.asyncDataflow)
-        continue;
-      auto r = flows::runFlow(spec, w.source, w.top);
-      if (!r.ok || !r.design)
-        continue;
-      std::string text = rtl::emitVerilog(*r.design);
-      std::string top = "c2h_" + rtl::verilogIdent(r.design->top);
-      vsim::ParseDiagnostic diag;
-      auto unit = vsim::parseVerilog(text, diag);
-      ASSERT_TRUE(diag.ok()) << w.name << "/" << spec.info.id << ": "
-                             << diag.str();
-      std::string err, why;
-      auto model = vsim::elaborate(unit, top, err);
-      ASSERT_NE(model, nullptr) << w.name << "/" << spec.info.id << ": "
-                                << err;
-      auto cm = vsim::compileModel(model, why);
-      ASSERT_NE(cm, nullptr) << w.name << "/" << spec.info.id << ": " << why;
-      EXPECT_NE(vsim::compileNative(*cm, why), nullptr)
-          << w.name << "/" << spec.info.id << " fell back: " << why;
-      ++designs;
-      if (!golden.ok)
-        continue;
-      std::string tb =
-          text + rtl::emitTestbench(*r.design, args, golden.returnValue);
-      vsim::ParseDiagnostic tbDiag;
-      auto tbUnit = vsim::parseVerilog(tb, tbDiag);
-      ASSERT_TRUE(tbDiag.ok()) << w.name << "/" << spec.info.id << ": "
-                               << tbDiag.str();
-      auto tbModel = vsim::elaborate(tbUnit, top + "_tb", err);
-      ASSERT_NE(tbModel, nullptr) << w.name << "/" << spec.info.id << ": "
-                                  << err;
-      auto tbCm = vsim::compileModel(tbModel, why);
-      ASSERT_NE(tbCm, nullptr) << w.name << "/" << spec.info.id << ": "
-                               << why;
-      EXPECT_NE(vsim::compileNative(*tbCm, why), nullptr)
-          << w.name << "/" << spec.info.id << " testbench fell back: "
-          << why;
-      ++testbenches;
-    }
-  }
-  EXPECT_GT(designs, 100u);
-  EXPECT_GT(testbenches, 100u);
-}
-
-// One design through the whole ladder top rung: the native engine runs the
-// gcd handshake with no fallback and agrees with the event engine on the
-// return value and the exact cycle count.
-TEST(VsimNative, GcdHandshakeMatchesEventEngine) {
-  if (!vsim::nativeToolchainAvailable())
-    GTEST_SKIP() << "no host C++ compiler on PATH";
-  TbRun t = buildGcd();
-  ASSERT_TRUE(t.flow.ok);
-  vsim::Cosimulation cosim(*t.flow.design);
-  ASSERT_TRUE(cosim.valid()) << cosim.error();
-  vsim::CosimOptions eventOpts;
-  eventOpts.engine = vsim::SimEngine::Event;
-  auto event = cosim.run(t.args, eventOpts);
-  ASSERT_TRUE(event.ok) << event.error;
-  vsim::CosimOptions nativeOpts;
-  nativeOpts.engine = vsim::SimEngine::NativeStrict;
-  auto native = cosim.run(t.args, nativeOpts);
-  ASSERT_TRUE(native.ok) << native.error;
-  EXPECT_EQ(cosim.engineUsed(), vsim::SimEngine::Native);
-  EXPECT_TRUE(cosim.nativeNote().empty()) << cosim.nativeNote();
-  EXPECT_EQ(event.returnValue.toStringHex(),
-            native.returnValue.toStringHex());
-  EXPECT_EQ(event.cycles, native.cycles);
-}
-
-// The generated self-checking testbench — `always #1` clock, delay and
-// edge threads, $display, $finish — runs on the native engine with no
-// fallback and byte-identical observable behavior.
-TEST(VsimNative, DelayThreadTestbenchMatchesEventEngine) {
-  if (!vsim::nativeToolchainAvailable())
-    GTEST_SKIP() << "no host C++ compiler on PATH";
-  TbRun t = buildGcd();
-  ASSERT_TRUE(t.flow.ok);
-  std::string src = rtl::emitVerilog(*t.flow.design) + "\n" +
-                    rtl::emitTestbench(*t.flow.design, t.args, t.golden);
-  vsim::TestbenchResult event = vsim::runTestbench(src, "c2h_main_tb");
-  ASSERT_TRUE(event.error.empty()) << event.error;
-  std::string note;
-  vsim::TestbenchResult native = vsim::runTestbench(
-      src, "c2h_main_tb", 20'000'000, vsim::SimEngine::NativeStrict, &note);
-  EXPECT_TRUE(note.empty()) << "fell back: " << note;
-  ASSERT_TRUE(native.error.empty()) << native.error;
-  EXPECT_TRUE(native.finished);
-  EXPECT_EQ(event.timeUnits, native.timeUnits);
-  EXPECT_EQ(event.output, native.output);
-  ASSERT_FALSE(native.output.empty());
-  EXPECT_TRUE(contains(native.output.front(), "PASS"))
-      << native.output.front();
-}
-
-// Without a usable toolchain the ladder degrades to the bytecode VM with a
-// recorded reason — and refuses under native-strict.  C2H_NATIVE_CXX=""
-// is the deliberate off switch the CI no-toolchain job uses.
-TEST(VsimNative, MissingToolchainDegradesWithRecordedReason) {
-  TbRun t = buildGcd();
-  ASSERT_TRUE(t.flow.ok);
-  // Disable the compiler AND point the artifact cache at an empty
-  // directory: a warm cache deliberately serves modules without a
-  // toolchain, which is not what this test is about.
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "c2h-vsim-no-toolchain")
-          .string();
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  ::setenv("C2H_NATIVE_CXX", "", 1);
-  ::setenv("C2H_NATIVE_CACHE", dir.c_str(), 1);
-  vsim::clearNativeCache();
-  EXPECT_FALSE(vsim::nativeToolchainAvailable());
-  {
-    vsim::Cosimulation cosim(*t.flow.design);
-    vsim::CosimOptions opts;
-    opts.engine = vsim::SimEngine::Native;
-    auto res = cosim.run(t.args, opts);
-    ASSERT_TRUE(res.ok) << res.error; // graceful: bytecode VM took over
-    EXPECT_EQ(cosim.engineUsed(), vsim::SimEngine::Compiled);
-    EXPECT_TRUE(contains(cosim.nativeNote(), "C2H_NATIVE_CXX"))
-        << cosim.nativeNote();
-  }
-  {
-    vsim::Cosimulation cosim(*t.flow.design);
-    vsim::CosimOptions opts;
-    opts.engine = vsim::SimEngine::NativeStrict;
-    auto res = cosim.run(t.args, opts);
-    EXPECT_FALSE(res.ok);
-    EXPECT_TRUE(contains(res.error, "native-strict")) << res.error;
-  }
-  ::unsetenv("C2H_NATIVE_CXX");
-  ::unsetenv("C2H_NATIVE_CACHE");
-  vsim::clearNativeCache();
-  std::filesystem::remove_all(dir, ec);
 }
 
 // Regression for closed gap (a): a generated testbench — `always #1`

@@ -20,26 +20,15 @@
 //                      cycle-compiled bytecode VM, falling back to the
 //                      event engine on a guard event), 'compiled-strict'
 //                      (same VM, but any fallback is an error — the
-//                      no-silent-fallback gate), 'native' (the levelized
-//                      program lowered to C++ and built with the host
-//                      toolchain; degrades native -> bytecode -> event
-//                      with a recorded reason; .so artifacts are cached
-//                      under $C2H_NATIVE_CACHE), 'native-strict' (same
-//                      tier, any fallback is an error), or 'event' (the
+//                      no-silent-fallback gate), or 'event' (the
 //                      event-driven reference evaluator).  Any recorded
 //                      fallback reason is printed with the cosim verdict.
-//   --sandbox          run native-tier executions and toolchain invocations
-//                      in fork-isolated sandbox children with watchdog
-//                      timeouts: a real SIGSEGV or hang becomes a structured
-//                      CRASHED/HANG verdict (and the .so is quarantined
-//                      under $C2H_NATIVE_CACHE/quarantine), never a process
-//                      death.  Default off for one-shot runs; --serve
-//                      defaults it on
-//   --no-sandbox       force the in-process fast path (also under --serve)
 //   --ir               print the optimized IR listing
 //   --no-sim           synthesize only, skip simulation/verification
 //   --analyze          run the synthesizability analyzer only (no synthesis)
-//   --diag-format=<f>  analyzer diagnostic format: text (default) or json
+//   --diag-format=<f>  analyzer diagnostic format: text (default) or json;
+//                      with --flow=all --cosim, json also prints the rows
+//                      exactly as a serve `cosim` response carries them
 //   --list-workloads   print the registry workload names and exit
 //   --budget-steps=<n>   per-cell step budget (interpreter/scheduler; 0=off)
 //   --budget-cycles=<n>  per-cell simulation cycle budget (0=off)
@@ -94,6 +83,7 @@
 #include "analysis/diagnostic.h"
 #include "core/c2h.h"
 #include "core/engine.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 #include "support/guard.h"
 #include "support/text.h"
@@ -139,9 +129,6 @@ struct Options {
   guard::BudgetSpec budget;
   std::string injectSite; // empty = no fault armed
   std::uint64_t injectNth = 1;
-  // Sandbox tri-state: -1 = default (off one-shot, on under --serve),
-  // 0 = forced off (--no-sandbox), 1 = forced on (--sandbox).
-  int sandboxMode = -1;
   bool serve = false;
   std::string servePath;             // empty = stdin/stdout line mode
   std::uint64_t serveQueue = 64;     // 0 = unbounded
@@ -228,16 +215,11 @@ bool parseArgs(int argc, char **argv, Options &options) {
         options.vsimEngine = vsim::SimEngine::Compiled;
       } else if (*v == "compiled-strict") {
         options.vsimEngine = vsim::SimEngine::CompiledStrict;
-      } else if (*v == "native") {
-        options.vsimEngine = vsim::SimEngine::Native;
-      } else if (*v == "native-strict") {
-        options.vsimEngine = vsim::SimEngine::NativeStrict;
       } else if (*v == "event") {
         options.vsimEngine = vsim::SimEngine::Event;
       } else {
         std::cerr << "invalid value for --vsim-engine: '" << *v
-                  << "' (expected event, compiled, compiled-strict, "
-                     "native, or native-strict)\n";
+                  << "' (expected event, compiled, or compiled-strict)\n";
         return false;
       }
     } else if (auto v = valueOf("--budget-steps=")) {
@@ -291,10 +273,6 @@ bool parseArgs(int argc, char **argv, Options &options) {
       options.listFaultSites = true;
     } else if (arg == "--cosim") {
       options.cosim = true;
-    } else if (arg == "--sandbox") {
-      options.sandboxMode = 1;
-    } else if (arg == "--no-sandbox") {
-      options.sandboxMode = 0;
     } else if (arg == "--ir") {
       options.printIr = true;
     } else if (arg == "--no-sim") {
@@ -470,8 +448,7 @@ int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
 
   if (options.cosim) {
     core::CosimVerification cv = core::cosimAgainstGoldenModel(
-        workload, result, options.vsimEngine, &meter, nullptr,
-        options.sandboxMode == 1);
+        workload, result, options.vsimEngine, &meter);
     if (!cv.degradation.empty())
       std::cout << "   cosim   : degraded (" << cv.degradation << ")\n";
     if (!cv.fallback.empty())
@@ -541,7 +518,6 @@ int runAll(const core::Workload &workload, const Options &options) {
   engineOptions.jobs = options.jobs;
   engineOptions.cosim = options.cosim;
   engineOptions.vsimEngine = options.vsimEngine;
-  engineOptions.sandboxNative = options.sandboxMode == 1;
   core::CompareEngine engine(engineOptions);
   flows::FlowTuning tuning;
   tuning.clockNs = options.clockNs;
@@ -553,7 +529,6 @@ int runAll(const core::Workload &workload, const Options &options) {
   if (options.cosim)
     headers.insert(headers.begin() + 3, "cosim");
   TextTable table(headers);
-  int exitCode = kExitOk;
   for (const auto &r : rows) {
     std::string cycles =
         r.asyncNs > 0 ? formatDouble(r.asyncNs, 0) + "ns"
@@ -569,15 +544,10 @@ int runAll(const core::Workload &workload, const Options &options) {
       cells.insert(cells.begin() + 3,
                    r.cosimRan ? (r.cosimOk ? "yes" : "NO") : "-");
     table.addRow(cells);
-    // Rejections are expected under 'all'; real failures are not.  A
-    // resource-limit verdict on any row dominates the exit code.
-    if (r.verdict.isResourceLimit())
-      exitCode = kExitResource;
-    else if (exitCode != kExitResource &&
-             ((r.accepted && !r.verified) || (r.cosimRan && !r.cosimOk) ||
-              r.note.rfind("internal error:", 0) == 0))
-      exitCode = kExitRejected;
   }
+  // Rejections are expected under 'all'; real failures are not.  The serve
+  // layer's exit-code table applies, so both surfaces agree.
+  int exitCode = serve::comparisonExitCode(rows);
   std::cout << table.str();
   for (const auto &r : rows)
     if (!r.degradation.empty())
@@ -588,26 +558,10 @@ int runAll(const core::Workload &workload, const Options &options) {
     if (!r.cosimFallback.empty())
       std::cout << "fallback: " << r.flowId << ": " << r.cosimFallback
                 << "\n";
-  // Machine-readable cosim rows (--diag-format=json --cosim): one JSON
-  // object per flow with the engine that actually ran and any fallback or
-  // degradation reason, for harnesses that gate on zero fallbacks.
-  if (options.jsonDiags && options.cosim) {
-    std::cout << "[";
-    bool first = true;
-    for (const auto &r : rows) {
-      std::cout << (first ? "" : ",") << "{\"flow\":\""
-                << analysis::jsonEscape(r.flowId) << "\",\"cosimRan\":"
-                << (r.cosimRan ? "true" : "false") << ",\"cosimOk\":"
-                << (r.cosimOk ? "true" : "false") << ",\"cycles\":"
-                << r.cosimCycles << ",\"engine\":\""
-                << analysis::jsonEscape(r.cosimEngine) << "\",\"fallback\":\""
-                << analysis::jsonEscape(r.cosimFallback)
-                << "\",\"degradation\":\""
-                << analysis::jsonEscape(r.degradation) << "\"}";
-      first = false;
-    }
-    std::cout << "]\n";
-  }
+  // Machine-readable cosim rows (--diag-format=json --cosim): the serve
+  // layer's row serializer, so the rows equal a serve `cosim` response's.
+  if (options.jsonDiags && options.cosim)
+    std::cout << serve::serializeRows(rows, true) << "\n";
 
   // `--emit-verilog` under 'all': one (design, testbench) pair per
   // accepted synchronous flow.
@@ -642,9 +596,8 @@ int run(int argc, char **argv) {
     std::cerr << "usage: c2hc <file.uc> [--flow=<id>|all] [--top=<fn>] "
                  "[--args=a,b] [--clock=ns] [--jobs=n] [--verilog=<file>|-] "
                  "[--emit-verilog=<dir>] [--cosim] "
-                 "[--vsim-engine=event|compiled|compiled-strict|"
-                 "native|native-strict] "
-                 "[--sandbox|--no-sandbox] [--ir] [--no-sim] "
+                 "[--vsim-engine=event|compiled|compiled-strict] "
+                 "[--ir] [--no-sim] "
                  "[--analyze] [--diag-format=text|json] "
                  "[--budget-steps=n] [--budget-cycles=n] [--budget-alloc=n] "
                  "[--budget-ms=n] [--inject-fault=site[:nth]]\n"
@@ -691,7 +644,6 @@ int run(int argc, char **argv) {
     serverOptions.service.responseCacheBytes = options.serveCacheMb << 20;
     serverOptions.service.defaultBudget = options.budget;
     serverOptions.service.vsimEngine = options.vsimEngine;
-    serverOptions.service.sandboxNative = options.sandboxMode != 0;
     return serve::runServer(serverOptions);
   }
 
