@@ -263,6 +263,10 @@ struct ParityCase {
   std::vector<std::vector<std::int64_t>> argSets;
 };
 
+// gtest names each case after its printed value; print the case name so the
+// name does not embed pointer bytes that change from build to build.
+void PrintTo(const ParityCase &c, std::ostream *os) { *os << c.name; }
+
 class IrParity : public ::testing::TestWithParam<ParityCase> {};
 
 TEST_P(IrParity, InterpreterAndExecutorAgree) {

@@ -293,6 +293,10 @@ struct ParityCase {
   std::vector<const char *> globals;
 };
 
+// gtest names each case after its printed value; print the case name so the
+// name does not embed pointer bytes that change from build to build.
+void PrintTo(const ParityCase &c, std::ostream *os) { *os << c.name; }
+
 class RtlParity : public ::testing::TestWithParam<ParityCase> {};
 
 TEST_P(RtlParity, AllThreeLevelsAgree) {
