@@ -17,6 +17,7 @@
 #include "opt/irpasses.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <optional>
 
@@ -1311,7 +1312,16 @@ bool growSummaries(std::vector<Interval> &cur, const std::vector<Interval> &next
 // ---------------------------------------------------------------------------
 // Public entry points.
 
+namespace {
+std::atomic<std::uint64_t> rangeSolves{0};
+} // namespace
+
+std::uint64_t analyzeRangesCalls() {
+  return rangeSolves.load(std::memory_order_relaxed);
+}
+
 RangeAnalysis analyzeRanges(const ir::Module &module) {
+  rangeSolves.fetch_add(1, std::memory_order_relaxed);
   Ctx ctx{module, seedMemSummaries(module),
           std::vector<Interval>(module.chans().size(), Interval::bottom()),
           std::vector<Interval>(module.functions().size(), Interval::bottom()),

@@ -123,6 +123,10 @@ struct RangeAnalysis {
 // level memory/channel/return summaries to their own fixpoint.
 RangeAnalysis analyzeRanges(const ir::Module &module);
 
+// How many times analyzeRanges has run in this process (relaxed atomic).
+// A deterministic work count: tests bound it where wall time would flake.
+std::uint64_t analyzeRangesCalls();
+
 // Replay one reachable block from its converged entry state, handing each
 // instruction to `hook` with the operand intervals in force just before it
 // executes.  Diagnostics and the dynamic soundness checker share this so

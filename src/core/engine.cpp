@@ -1,7 +1,9 @@
 #include "core/engine.h"
 
 #include "analysis/analyzer.h"
+#include "flows/prefix.h"
 #include "opt/astclone.h"
+#include "support/text.h"
 #include "support/threadpool.h"
 
 #include <algorithm>
@@ -10,18 +12,10 @@ namespace c2h::core {
 
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t h, const std::string &s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::uint64_t hashKey(const std::string &source, const std::string &top) {
-  std::uint64_t h = fnv1a(14695981039346656037ull, source);
-  h = fnv1a(h, "\x1f"); // separator: hash(source, top) != hash(source+top)
-  return fnv1a(h, top);
+  std::uint64_t h = fnv1a(source);
+  h = fnv1a("\x1f", h); // separator: hash(source, top) != hash(source+top)
+  return fnv1a(top, h);
 }
 
 // Fires at the top of every (flow, workload) cell — the chaos suite's
@@ -325,13 +319,26 @@ CompareEngine::compareFlows(const Workload &workload,
   return compareFlowsImpl(workload, flows::allFlows(), tuning, callOptions);
 }
 
+std::unique_ptr<flows::PrefixMemo>
+CompareEngine::requestMemo(const FrontendCache::Entry &entry,
+                           const std::string &top, flows::FlowTuning &tuning) {
+  auto memo = entry.ok()
+                  ? std::make_unique<flows::PrefixMemo>(*entry.program, top)
+                  : nullptr;
+  tuning.prefix = memo.get();
+  return memo;
+}
+
 std::vector<FlowComparison>
 CompareEngine::compareFlowsImpl(const Workload &workload,
                                 const std::vector<flows::FlowSpec> &specs,
-                                const flows::FlowTuning &tuning,
+                                const flows::FlowTuning &callTuning,
                                 const EngineOptions &options) {
   std::shared_ptr<FrontendCache::Entry> entry =
       cache_.get(workload.source, workload.top);
+  flows::FlowTuning tuning = callTuning;
+  std::unique_ptr<flows::PrefixMemo> memo =
+      requestMemo(*entry, workload.top, tuning);
   std::vector<FlowComparison> rows(specs.size());
   unsigned jobs = resolveJobs(tuning);
   if (jobs <= 1 || specs.size() <= 1) {
@@ -358,11 +365,16 @@ CompareEngine::compareMatrix(const std::vector<Workload> &workloads,
                              const flows::FlowTuning &tuning) {
   const std::vector<flows::FlowSpec> &specs = flows::allFlows();
   // Compile every workload up front: deterministic cache fill, and workers
-  // never contend on the compile lock.
+  // never contend on the compile lock.  Each workload gets its own prefix
+  // memo, as if it were a request of its own.
   std::vector<std::shared_ptr<FrontendCache::Entry>> entries;
+  std::vector<std::unique_ptr<flows::PrefixMemo>> memos;
+  std::vector<flows::FlowTuning> tunings(workloads.size(), tuning);
   entries.reserve(workloads.size());
-  for (const auto &w : workloads)
-    entries.push_back(cache_.get(w.source, w.top));
+  for (std::size_t w = 0; w < workloads.size(); ++w) {
+    entries.push_back(cache_.get(workloads[w].source, workloads[w].top));
+    memos.push_back(requestMemo(*entries[w], workloads[w].top, tunings[w]));
+  }
 
   std::vector<std::vector<FlowComparison>> rows(workloads.size());
   for (auto &r : rows)
@@ -372,15 +384,16 @@ CompareEngine::compareMatrix(const std::vector<Workload> &workloads,
     for (std::size_t w = 0; w < workloads.size(); ++w)
       for (std::size_t f = 0; f < specs.size(); ++f)
         rows[w][f] =
-            runCell(specs[f], workloads[w], *entries[w], tuning, options_);
+            runCell(specs[f], workloads[w], *entries[w], tunings[w], options_);
     return rows;
   }
   TaskGroup group(sharedPool(jobs));
   for (std::size_t w = 0; w < workloads.size(); ++w)
     for (std::size_t f = 0; f < specs.size(); ++f)
-      group.submit([this, &rows, &specs, &workloads, &entries, &tuning, w, f] {
+      group.submit([this, &rows, &specs, &workloads, &entries, &tunings, w,
+                    f] {
         rows[w][f] =
-            runCell(specs[f], workloads[w], *entries[w], tuning, options_);
+            runCell(specs[f], workloads[w], *entries[w], tunings[w], options_);
       });
   group.wait();
   return rows;

@@ -12,7 +12,13 @@
 //  2. Redundant work: lex/parse/sema ran once per (flow, workload) on
 //     identical source.  The FrontendCache compiles each (source, top)
 //     once; every flow gets a private deep clone of the checked AST (via
-//     opt::cloneProgram) before its flow-specific mutations.
+//     opt::cloneProgram) before its flow-specific mutations.  Past the front
+//     end most flows lower identical IR, so each workload of a call gets a
+//     request-scoped flows::PrefixMemo (FlowTuning::prefix): the pre-flight
+//     analysis runs once per workload, and the range gate and the
+//     optimize/prune step once per distinct lowered module, whose optimized
+//     form the flows share read-only.  Callers outside the engine (runFlow,
+//     the CLI's single-flow path) pass a null memo and compute every stage.
 //  3. Serialism: cells are independent, so the engine runs the
 //     (flow x workload) matrix on a fixed-size ThreadPool.  Results are
 //     written into pre-assigned slots, so row order — and content — is
@@ -170,6 +176,11 @@ private:
   std::vector<FlowComparison> compareFlowsImpl(
       const Workload &workload, const std::vector<flows::FlowSpec> &specs,
       const flows::FlowTuning &tuning, const EngineOptions &options);
+  // A fresh prefix memo for one workload of a request, installed in
+  // `tuning.prefix`; null (and no memo) when the front end failed.
+  static std::unique_ptr<flows::PrefixMemo>
+  requestMemo(const FrontendCache::Entry &entry, const std::string &top,
+              flows::FlowTuning &tuning);
   unsigned resolveJobs(const flows::FlowTuning &tuning) const;
   // The engine's persistent worker pool, created lazily on the first
   // parallel call and reused by every later batch (TaskGroup-scoped), so a

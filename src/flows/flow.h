@@ -37,6 +37,8 @@
 
 namespace c2h::flows {
 
+class PrefixMemo; // flows/prefix.h
+
 // The descriptive row of Table 1.
 struct FlowInfo {
   std::string id;          // registry key, e.g. "handelc"
@@ -86,6 +88,10 @@ struct FlowTuning {
   // `budget` when set).  The engine sets this so the pipeline, golden-model
   // verification, and co-simulation of one cell share a single meter.
   guard::ExecBudget *meter = nullptr;
+  // Request-scoped memo of the pipeline prefix the flows share (non-owning;
+  // see flows/prefix.h).  The engine sets one per workload in a request, the
+  // way it sets `meter`; null computes every stage for this call alone.
+  PrefixMemo *prefix = nullptr;
 };
 
 struct FlowResult {
@@ -125,6 +131,12 @@ FlowResult runFlow(const FlowSpec &spec, const std::string &source,
 // once per workload, not once per (flow, workload).  The flow MUTATES
 // `program` (inlining, unrolling), so never pass a shared AST; `types`
 // must be the context the program's Type pointers live in.
+//
+// With `tuning.prefix` set, the pre-flight analysis, the range gate and the
+// optimize/prune step come from that request memo, and the result's module
+// may be shared read-only with other flows of the request.  The engine sets
+// it; runFlow, the CLI's single-flow path and other direct callers pass
+// null and compute every stage themselves.
 FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
                           TypeContext &types, const std::string &top,
                           const FlowTuning &tuning = {});

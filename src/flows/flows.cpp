@@ -3,6 +3,7 @@
 #include "analysis/analyzer.h"
 #include "analysis/lints.h"
 #include "analysis/range.h"
+#include "flows/prefix.h"
 #include "frontend/parser.h"
 #include "ir/lower.h"
 #include "opt/ifconvert.h"
@@ -300,7 +301,9 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
   //     deadlock means the program is wrong in any language that accepts the
   //     constructs — reject with the precise sites instead of synthesizing a
   //     broken circuit.
-  analysis::Report preflight = analysis::preflightFlow(program, top, false);
+  analysis::Report preflight =
+      tuning.prefix ? tuning.prefix->preflight()
+                    : analysis::preflightFlow(program, top, false);
   if (preflight.hasErrors()) {
     for (const auto &d : preflight.diagnostics())
       result.rejections.push_back(std::string(spec.info.displayName) +
@@ -357,7 +360,7 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
     }
   }
 
-  // 4. Lower and optimize.
+  // 4. Lower.
   siteLower.hit();
   meter->checkDeadline("flow.lower");
   ir::LowerOptions lowerOptions;
@@ -372,8 +375,11 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
   //     access or division by zero is wrong in every backend, and it must be
   //     caught before optimization constant-folds the offending operation
   //     into its (defined but surprising) hardware result.
+  PrefixMemo::Lowered *shared =
+      tuning.prefix ? &tuning.prefix->lowered(*module) : nullptr;
   {
-    analysis::Report ranges = analysis::checkRanges(*module);
+    analysis::Report ranges =
+        shared ? shared->ranges(*module) : analysis::checkRanges(*module);
     if (ranges.hasErrors()) {
       result.accepted = false;
       analysis::Report errors;
@@ -389,20 +395,30 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
     }
   }
 
+  // 4c. Optimize.  Through the request memo, flows that lowered identical IR
+  //     share one optimized module read-only; flows that rewrite it further
+  //     take a private clone.
   if (spec.optimizeIr) {
-    opt::optimizeModule(*module);
-    // Range-driven dead-branch pruning: branches the interval analysis
-    // decides fold to unconditional jumps, then the cleanup passes rerun.
-    if (analysis::pruneDeadBranches(*module))
+    if (shared) {
+      std::shared_ptr<const ir::Module> optimized =
+          shared->optimized(std::move(module));
+      if (spec.stackifyRecursion || spec.ifConvertBranches)
+        module = ir::cloneModule(*optimized);
+      else // FlowResult and the design only ever read the module.
+        result.module = std::const_pointer_cast<ir::Module>(optimized);
+    } else {
+      optimizeAndPrune(*module);
+    }
+  }
+  if (module) {
+    if (spec.stackifyRecursion && opt::stackifyRecursion(*module))
       opt::optimizeModule(*module);
+    if (spec.ifConvertBranches) {
+      opt::ifConvert(*module);
+      opt::optimizeModule(*module);
+    }
+    result.module = std::shared_ptr<ir::Module>(std::move(module));
   }
-  if (spec.stackifyRecursion && opt::stackifyRecursion(*module))
-    opt::optimizeModule(*module);
-  if (spec.ifConvertBranches) {
-    opt::ifConvert(*module);
-    opt::optimizeModule(*module);
-  }
-  result.module = std::shared_ptr<ir::Module>(std::move(module));
 
   if (spec.requireCombinational) {
     for (const auto &fn : result.module->functions()) {

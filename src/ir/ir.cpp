@@ -1,5 +1,7 @@
 #include "ir/ir.h"
 
+#include "support/text.h"
+
 #include <algorithm>
 #include <map>
 #include <set>
@@ -186,6 +188,30 @@ std::string Function::str() const {
   return out.str();
 }
 
+std::unique_ptr<Function> Function::clone() const {
+  auto copy = std::make_unique<Function>(name_, returnWidth_);
+  copy->isProcess = isProcess;
+  copy->params_ = params_;
+  copy->nextVReg_ = nextVReg_;
+  copy->nextBlock_ = nextBlock_;
+  copy->constraints_ = constraints_;
+  std::map<const BasicBlock *, BasicBlock *> remap;
+  for (const auto &block : blocks_) {
+    copy->blocks_.push_back(
+        std::make_unique<BasicBlock>(block->id(), block->name()));
+    remap[block.get()] = copy->blocks_.back().get();
+  }
+  for (std::size_t i = 0; i < blocks_.size(); ++i)
+    for (const auto &instr : blocks_[i]->instrs()) {
+      Instr *dup = copy->blocks_[i]->append(std::make_unique<Instr>(*instr));
+      if (dup->target0)
+        dup->target0 = remap.at(dup->target0);
+      if (dup->target1)
+        dup->target1 = remap.at(dup->target1);
+    }
+  return copy;
+}
+
 Function *Module::addFunction(std::string name, unsigned returnWidth) {
   functions_.push_back(std::make_unique<Function>(std::move(name),
                                                   returnWidth));
@@ -255,6 +281,105 @@ std::string Module::str() const {
   for (const auto &fn : functions_)
     out << fn->str();
   return out.str();
+}
+
+std::unique_ptr<Module> cloneModule(const Module &module) {
+  auto copy = std::make_unique<Module>();
+  for (const auto &fn : module.functions())
+    copy->functions().push_back(fn->clone());
+  copy->mems() = module.mems();
+  copy->chans() = module.chans();
+  copy->globalMap() = module.globalMap();
+  return copy;
+}
+
+namespace {
+
+// Appends fields to a fingerprint text.  Numbers end in ' '; strings are
+// length-prefixed, so no field can run into the next.
+class FingerprintWriter {
+public:
+  FingerprintWriter &operator<<(std::uint64_t n) {
+    text_ += std::to_string(n);
+    text_ += ' ';
+    return *this;
+  }
+  FingerprintWriter &operator<<(const std::string &s) {
+    *this << s.size();
+    text_ += s;
+    return *this;
+  }
+  FingerprintWriter &operator<<(const BitVector &v) {
+    return *this << v.width() << v.toStringHex();
+  }
+  FingerprintWriter &operator<<(const VReg &r) { return *this << r.id << r.width; }
+  FingerprintWriter &operator<<(const SourceLoc &loc) {
+    return *this << loc.line << loc.column;
+  }
+  std::string take() { return std::move(text_); }
+
+private:
+  std::string text_;
+};
+
+void writeInstr(FingerprintWriter &out, const Instr &instr) {
+  out << static_cast<unsigned>(instr.op) << (instr.dst ? 1u : 0u);
+  if (instr.dst)
+    out << *instr.dst;
+  out << instr.operands.size();
+  for (const auto &operand : instr.operands) {
+    if (operand.isImm())
+      out << 0u << operand.imm();
+    else
+      out << 1u << operand.reg();
+  }
+  out << instr.constValue << instr.memId << instr.chanId << instr.delayCycles
+      << instr.processes.size();
+  for (unsigned p : instr.processes)
+    out << p;
+  // Targets are in-function: a block id names one exactly.
+  out << instr.callee << (instr.target0 ? instr.target0->id() + 1 : 0u)
+      << (instr.target1 ? instr.target1->id() + 1 : 0u) << instr.constraintId
+      << instr.loc;
+}
+
+} // namespace
+
+Fingerprint fingerprint(const Module &module) {
+  FingerprintWriter out;
+  out << module.mems().size();
+  for (const auto &m : module.mems()) {
+    out << m.id << m.name << m.width << m.depth << (m.readOnly ? 1u : 0u)
+        << m.init.size();
+    for (const auto &word : m.init)
+      out << word;
+  }
+  out << module.chans().size();
+  for (const auto &c : module.chans())
+    out << c.id << c.name << c.width;
+  out << module.globalMap().size();
+  for (const auto &g : module.globalMap())
+    out << g.name << g.memId << g.base << g.words << g.width;
+  out << module.functions().size();
+  for (const auto &fn : module.functions()) {
+    out << fn->name() << fn->returnWidth() << (fn->isProcess ? 1u : 0u)
+        << fn->vregCount() << fn->blockIdCount() << fn->params().size();
+    for (const auto &p : fn->params())
+      out << p;
+    out << fn->constraints().size();
+    for (const auto &c : fn->constraints())
+      out << c.id << c.minCycles << c.maxCycles;
+    out << fn->blocks().size();
+    for (const auto &block : fn->blocks()) {
+      out << block->id() << block->name() << block->instrs().size();
+      for (const auto &instr : block->instrs())
+        writeInstr(out, *instr);
+    }
+  }
+  Fingerprint fp;
+  fp.text = out.take();
+  fp.hash = fnv1a(fp.text);
+  return fp;
 }
 
 // ---------------------------------------------------------------------------

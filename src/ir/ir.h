@@ -179,6 +179,9 @@ public:
   unsigned vregCount() const { return nextVReg_; }
 
   BasicBlock *newBlock(std::string name);
+  // The id the next newBlock() hands out (ids of erased blocks are never
+  // reused, so this may exceed blocks().size()).
+  unsigned blockIdCount() const { return nextBlock_; }
   std::vector<std::unique_ptr<BasicBlock>> &blocks() { return blocks_; }
   const std::vector<std::unique_ptr<BasicBlock>> &blocks() const {
     return blocks_;
@@ -200,6 +203,10 @@ public:
   std::vector<BasicBlock *> reversePostOrder() const;
 
   std::string str() const;
+  // A deep copy with the same block ids, names and order, the same vreg and
+  // block counters and constraints; branch targets point at the copy's own
+  // blocks.
+  std::unique_ptr<Function> clone() const;
 
 private:
   std::string name_;
@@ -273,6 +280,24 @@ private:
   std::vector<ChanObject> chans_;
   std::vector<GlobalSlot> globalMap_;
 };
+
+// A deep copy of `module`: every function via Function::clone, plus the
+// memories (with init images), channels and global map.  Passes that mutate
+// IR in place run on a clone to leave a shared module untouched.
+std::unique_ptr<Module> cloneModule(const Module &module);
+
+// The module's complete structural identity: everything str() prints plus
+// what it omits (memory init images, the global map, instruction source
+// locations, vreg/block counters, attributes of opcodes that ignore them).
+// Two modules with equal fingerprints are interchangeable inputs to every
+// IR pass.  `hash` is for lookup; compare `text` to confirm a hit.
+struct Fingerprint {
+  std::uint64_t hash = 0;
+  std::string text;
+
+  bool operator==(const Fingerprint &) const = default;
+};
+Fingerprint fingerprint(const Module &module);
 
 // Structural sanity checks (operand widths, terminators present, branch
 // targets in-function, memory ids valid...).  Returns problems found.

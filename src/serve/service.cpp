@@ -17,14 +17,6 @@ guard::FaultSite siteParse("serve.parse");
 guard::FaultSite siteHandle("serve.handle");
 guard::FaultSite siteRespond("serve.respond");
 
-std::uint64_t fnv1a(std::uint64_t h, const std::string &s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 double msSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
@@ -247,7 +239,7 @@ std::string CosimService::cacheKey(const Request &request) const {
 }
 
 bool CosimService::cacheLookup(const std::string &key, std::string &body) {
-  std::uint64_t hash = fnv1a(14695981039346656037ull, key);
+  std::uint64_t hash = fnv1a(key);
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = responseIndex_.find(hash);
   if (it == responseIndex_.end() || it->second->key != key) {
@@ -261,7 +253,7 @@ bool CosimService::cacheLookup(const std::string &key, std::string &body) {
 }
 
 void CosimService::cacheStore(const std::string &key, const std::string &body) {
-  std::uint64_t hash = fnv1a(14695981039346656037ull, key);
+  std::uint64_t hash = fnv1a(key);
   std::lock_guard<std::mutex> lock(mutex_);
   auto existing = responseIndex_.find(hash);
   if (existing != responseIndex_.end()) {
@@ -282,7 +274,7 @@ void CosimService::cacheStore(const std::string &key, const std::string &body) {
          !responseLru_.empty()) {
     const CacheEntry &victim = responseLru_.back();
     responseBytes_ -= std::min(responseBytes_, victim.bytes);
-    responseIndex_.erase(fnv1a(14695981039346656037ull, victim.key));
+    responseIndex_.erase(fnv1a(victim.key));
     responseLru_.pop_back();
     ++responseEvictions_;
   }

@@ -57,6 +57,14 @@ std::string formatDouble(double value, int digits) {
   return buf;
 }
 
+std::uint64_t fnv1a(std::string_view text, std::uint64_t h) {
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 std::uint64_t SplitMix64::next() {
   state_ += 0x9e3779b97f4a7c15ull;
   std::uint64_t z = state_;

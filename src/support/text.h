@@ -1,11 +1,13 @@
 // Small text utilities: an aligned table printer used by the benchmark
-// harnesses (every experiment prints the paper's rows as a table) and a
-// deterministic RNG for workload generation.
+// harnesses (every experiment prints the paper's rows as a table), a
+// deterministic RNG for workload generation, and the FNV-1a hash behind
+// every content-keyed cache.
 #ifndef C2H_SUPPORT_TEXT_H
 #define C2H_SUPPORT_TEXT_H
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace c2h {
@@ -43,6 +45,11 @@ public:
 private:
   std::uint64_t state_;
 };
+
+// 64-bit FNV-1a of `text`, continuing from `h` (the offset basis by
+// default), so a key can be hashed in pieces.
+constexpr std::uint64_t kFnv1aBasis = 14695981039346656037ull;
+std::uint64_t fnv1a(std::string_view text, std::uint64_t h = kFnv1aBasis);
 
 } // namespace c2h
 

@@ -6,6 +6,12 @@
 //  3. Front-end cache hygiene — one compile per (source, top), and every
 //     flow gets a private AST clone: mutating one clone never leaks into
 //     another or into the cached program.
+//  4. Shared prefix — the range gate and the optimize/prune step run once
+//     per distinct lowered module in a request, counted by the range
+//     solver's call counter.
+#include "analysis/analyzer.h"
+#include "analysis/lints.h"
+#include "analysis/range.h"
 #include "core/engine.h"
 #include "opt/astclone.h"
 #include "support/guard.h"
@@ -144,6 +150,91 @@ TEST(Engine, InjectedFaultUnderParallelJobsStaysIsolated) {
     EXPECT_EQ(static_cast<int>(r.verdict.kind),
               static_cast<int>(guard::Kind::None))
         << r.flowId << ": " << r.note;
+}
+
+// One workload's distinct lowered modules as runFlowChecked's stages produce
+// them, computed here from the public stage functions: the raw modules that
+// reach the range gate, and the optimizer outputs that reach dead-branch
+// pruning.
+struct DistinctModules {
+  std::set<std::string> raw, optimized;
+};
+
+DistinctModules distinctModules(const core::Workload &w) {
+  DistinctModules out;
+  TypeContext types;
+  DiagnosticEngine diags;
+  std::unique_ptr<ast::Program> pristine = frontend(w.source, types, diags);
+  EXPECT_NE(pristine, nullptr) << w.name << ": " << diags.str();
+  if (!pristine)
+    return out;
+  const FeatureSet features = analyzeFeatures(*pristine);
+  const bool preflightOk =
+      !analysis::preflightFlow(*pristine, w.top, false).hasErrors();
+  for (const auto &spec : flows::allFlows()) {
+    bool rejected = false;
+    for (const auto &rule : spec.rejects)
+      rejected |= features.has(rule.first);
+    if (rejected || !preflightOk)
+      continue;
+    std::unique_ptr<ast::Program> program = opt::cloneProgram(*pristine);
+    DiagnosticEngine stageDiags;
+    opt::inlineFunctions(*program, types, stageDiags);
+    opt::removeUnusedFunctions(*program, w.top);
+    opt::UnrollOptions unroll;
+    unroll.unrollAll = spec.unrollAllLoops;
+    opt::unrollLoops(*program, stageDiags, unroll);
+    if (stageDiags.hasErrors())
+      continue;
+    if ((spec.unrollAllLoops || spec.requireCombinational) &&
+        analysis::lintUnboundedLoops(*program, analysis::Severity::Error)
+            .hasErrors())
+      continue;
+    ir::LowerOptions lower;
+    lower.forceUnifiedMemory = spec.forceUnifiedMemory;
+    std::unique_ptr<ir::Module> module =
+        ir::lowerToIR(*program, stageDiags, lower);
+    if (!module)
+      continue;
+    out.raw.insert(ir::fingerprint(*module).text);
+    if (!spec.optimizeIr || analysis::checkRanges(*module).hasErrors())
+      continue;
+    opt::optimizeModule(*module);
+    out.optimized.insert(ir::fingerprint(*module).text);
+  }
+  return out;
+}
+
+TEST(Engine, RangeSolverRunsOncePerDistinctModule) {
+  // Per workload: at most one solve for the front-end cache's analyzer, one
+  // per distinct raw module (the range gate), and one per distinct
+  // optimizer output (dead-branch pruning) — not one per flow.
+  const std::vector<core::Workload> &suite = core::standardWorkloads();
+  std::uint64_t bound = 0;
+  for (const auto &w : suite) {
+    DistinctModules d = distinctModules(w);
+    bound += 1 + d.raw.size() + d.optimized.size();
+  }
+
+  auto countedPass = [&](unsigned jobs, std::uint64_t &solves) {
+    core::CompareEngine engine; // fresh: every workload compiles
+    flows::FlowTuning tuning;
+    tuning.jobs = jobs;
+    std::uint64_t before = analysis::analyzeRangesCalls();
+    auto rows = engine.compareMatrix(suite, tuning);
+    solves = analysis::analyzeRangesCalls() - before;
+    return rows;
+  };
+  std::uint64_t serialSolves = 0, parallelSolves = 0;
+  auto serialRows = countedPass(1, serialSolves);
+  auto parallelRows = countedPass(4, parallelSolves);
+  RecordProperty("bound", std::to_string(bound));
+  RecordProperty("solves", std::to_string(serialSolves));
+  EXPECT_LE(serialSolves, bound);
+  EXPECT_EQ(parallelSolves, serialSolves);
+  ASSERT_EQ(serialRows.size(), parallelRows.size());
+  for (std::size_t i = 0; i < serialRows.size(); ++i)
+    expectRowsEqual(serialRows[i], parallelRows[i]);
 }
 
 TEST(FrontendCache, CompilesOncePerSourceTopPair) {

@@ -5,8 +5,12 @@
 #include "ir/builder.h"
 #include "ir/exec.h"
 #include "ir/lower.h"
+#include "opt/ifconvert.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <set>
 
 namespace c2h {
 namespace {
@@ -460,6 +464,101 @@ TEST(IrPrinter, ProducesReadableListing) {
   EXPECT_NE(s.find("func f"), std::string::npos);
   EXPECT_NE(s.find("add"), std::string::npos);
   EXPECT_NE(s.find("ret"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Fingerprint and clone
+// ---------------------------------------------------------------------------
+
+// A ROM with an init image, a global, source locations, a timing constraint
+// and an if-convertible diamond.
+const char *kFingerprintSource = R"(
+const int rom[2] = {3, 5};
+int g;
+int f(int a) {
+  constraint(1, 2) { a = a + rom[1]; }
+  int x;
+  if (a > 4) x = a - 4; else x = a + 1;
+  g = x;
+  return x;
+}
+)";
+
+TEST(IrFingerprint, SeesWhatThePrinterOmits) {
+  auto p = lower(kFingerprintSource);
+  ASSERT_NE(p->module, nullptr) << p->diags.str();
+  const std::string listing = p->module->str();
+  const ir::Fingerprint base = ir::fingerprint(*p->module);
+  EXPECT_EQ(ir::fingerprint(*p->module), base);
+
+  auto expectSeen = [&](const char *what, bool printed,
+                        const std::function<void(ir::Module &)> &mutate) {
+    std::unique_ptr<ir::Module> m = ir::cloneModule(*p->module);
+    mutate(*m);
+    if (!printed)
+      EXPECT_EQ(m->str(), listing) << what;
+    ir::Fingerprint changed = ir::fingerprint(*m);
+    EXPECT_NE(changed.text, base.text) << what;
+    EXPECT_NE(changed.hash, base.hash) << what;
+  };
+  expectSeen("mem init", false, [](ir::Module &m) {
+    m.findMem("rom")->init[1] = BitVector(32, 6);
+  });
+  expectSeen("global slot", false, [](ir::Module &m) {
+    for (auto &slot : m.globalMap())
+      if (slot.name == "g")
+        slot.width = 8;
+  });
+  expectSeen("instr loc", false, [](ir::Module &m) {
+    for (const auto &bb : m.findFunction("f")->blocks())
+      for (const auto &i : bb->instrs())
+        if (i->loc.isValid()) {
+          ++i->loc.column;
+          return;
+        }
+  });
+  expectSeen("vreg counter", false,
+             [](ir::Module &m) { m.findFunction("f")->newVReg(1); });
+  // Function::str() prints constraint windows, so only the fingerprint
+  // half applies here.
+  expectSeen("timing constraint", true, [](ir::Module &m) {
+    m.findFunction("f")->constraints()[0].maxCycles = 3;
+  });
+}
+
+TEST(IrClone, EqualFingerprintAndTargetsIntoTheClone) {
+  auto p = lower(kFingerprintSource);
+  ASSERT_NE(p->module, nullptr) << p->diags.str();
+  std::unique_ptr<ir::Module> copy = ir::cloneModule(*p->module);
+  EXPECT_EQ(ir::fingerprint(*copy), ir::fingerprint(*p->module));
+  EXPECT_EQ(copy->str(), p->module->str());
+  EXPECT_TRUE(ir::verify(*copy).empty());
+  unsigned condBrs = 0;
+  for (const auto &fn : copy->functions()) {
+    std::set<const ir::BasicBlock *> owned;
+    for (const auto &bb : fn->blocks())
+      owned.insert(bb.get());
+    for (const auto &bb : fn->blocks())
+      for (const auto &i : bb->instrs()) {
+        if (i->op != ir::Opcode::CondBr)
+          continue;
+        ++condBrs;
+        EXPECT_TRUE(owned.count(i->target0) && owned.count(i->target1))
+            << i->str();
+      }
+  }
+  EXPECT_GT(condBrs, 0u);
+}
+
+TEST(IrClone, RewritingTheCloneLeavesTheOriginal) {
+  auto p = lower(kFingerprintSource);
+  ASSERT_NE(p->module, nullptr) << p->diags.str();
+  const ir::Fingerprint before = ir::fingerprint(*p->module);
+  std::unique_ptr<ir::Module> copy = ir::cloneModule(*p->module);
+  ASSERT_TRUE(opt::ifConvert(*copy));
+  EXPECT_NE(ir::fingerprint(*copy), before);
+  EXPECT_EQ(ir::fingerprint(*p->module), before);
+  EXPECT_TRUE(ir::verify(*p->module).empty());
 }
 
 } // namespace
