@@ -145,8 +145,20 @@ AsyncSimResult simulateAsync(const ir::Module &module,
           return {};
         const ir::Instr &instr = *instrPtr;
         if (++fired > options.maxOperations) {
+          result.verdict.kind = guard::Kind::StepLimit;
+          result.verdict.stage = "async.sim";
+          result.verdict.steps = options.maxOperations;
           fail("operation budget exceeded");
           return {};
+        }
+        if (options.budget && (fired & 1023) == 0) {
+          try {
+            options.budget->checkDeadline("async.sim");
+          } catch (const guard::BudgetExceeded &e) {
+            result.verdict = e.verdict;
+            fail(e.verdict.str());
+            return {};
+          }
         }
         switch (instr.op) {
         case Opcode::Const:
@@ -273,6 +285,7 @@ AsyncSimResult simulateAsync(const ir::Module &module,
   for (const auto &a : args)
     in.push_back({a, 0.0});
   Val out = run(*fn, in, 0.0);
+  result.operations = fired;
   if (failed) {
     result.error = failMessage;
     return result;
@@ -280,7 +293,6 @@ AsyncSimResult simulateAsync(const ir::Module &module,
   result.ok = true;
   result.returnValue = out.v;
   result.timeNs = std::max(makespan, out.t);
-  result.operations = fired;
   return result;
 }
 

@@ -25,6 +25,7 @@
 #include "ir/ir.h"
 #include "sched/techlib.h"
 #include "support/bitvector.h"
+#include "support/guard.h"
 
 #include <cstdint>
 #include <string>
@@ -51,12 +52,18 @@ struct AsyncSimResult {
   BitVector returnValue{1};
   double timeNs = 0.0;          // dataflow completion time
   std::uint64_t operations = 0; // dynamic operations fired
+  // Structured cause when the operation limit or the shared meter's
+  // deadline ended the run; kind None otherwise.
+  guard::Verdict verdict;
 };
 
 struct AsyncSimOptions {
   std::uint64_t maxOperations = 20'000'000;
   // Per-node handshake latency added to every firing (async overhead).
   double handshakeNs = 0.05;
+  // Shared resource meter (non-owning; may be null), polled for its
+  // deadline and cancellation every 1024 fired operations.
+  guard::ExecBudget *budget = nullptr;
 };
 
 // Event-driven timing simulation of `fn(args)`.  Sequential programs only

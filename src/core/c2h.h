@@ -78,6 +78,26 @@ struct Verification {
   guard::Verdict verdict;
 };
 
+// The outcome of one golden-model run: `workload.top(workload.args)` on the
+// reference interpreter.  The run is deterministic, so one result serves
+// every flow's verification and co-simulation of the workload.
+struct GoldenRun {
+  bool ok = false;
+  std::string detail; // failure reason when !ok ("interpreter: ...")
+  // Structured cause when a resource limit or injected fault stopped the
+  // run; kind None for completed runs and plain interpreter errors.
+  guard::Verdict verdict;
+  BitVector returnValue{1};
+  // Final contents of each of workload.checkGlobals, in that order.
+  std::vector<std::vector<BitVector>> globals;
+};
+
+// Run the golden model of `workload` over its already-compiled program,
+// charging `budget` (the interpreter's default step limit still applies).
+GoldenRun runGoldenModel(const Workload &workload,
+                         const ast::Program &goldenProgram,
+                         guard::ExecBudget *budget = nullptr);
+
 // Execute `workload` on the reference interpreter and on the synthesized
 // design inside `result` (FSMD simulation or asynchronous dataflow timing),
 // comparing return values and every checked global bit-for-bit.  Narrower
@@ -95,8 +115,24 @@ Verification verifyAgainstGoldenModel(const Workload &workload,
                                       const ast::Program &goldenProgram,
                                       guard::ExecBudget *budget = nullptr);
 
+// Same, against a golden run already made over `goldenProgram`: only the
+// design is simulated (one FSMD or asynchronous run, charged to `budget`).
+// Every overload above computes its golden run and delegates here.
+Verification verifyAgainstGoldenModel(const Workload &workload,
+                                      const flows::FlowResult &result,
+                                      const ast::Program &goldenProgram,
+                                      const GoldenRun &golden,
+                                      guard::ExecBudget *budget = nullptr);
+
 // Golden-model-only execution (reference outputs + a sanity baseline).
 Verification runGoldenModel(const Workload &workload);
+
+// Process-wide work counters (relaxed atomics): golden-model runs made by
+// runGoldenModel, and FSMD simulations made by verification and
+// co-simulation.  Deterministic, so tests bound them where wall time would
+// flake.
+std::uint64_t goldenModelRuns();
+std::uint64_t verifyFsmdRuns();
 
 // Result of the third witness: re-executing the *emitted Verilog text*
 // through vsim (src/vsim) and comparing it against both the interpreter
@@ -132,6 +168,10 @@ struct CosimVerification {
 // given, reuses elaborated and compiled artifacts across calls that
 // synthesize identical Verilog (the serve layer's cross-request init-image
 // reuse).
+//
+// These overloads compute both reference witnesses themselves — one golden
+// run and one FSMD simulation — and delegate to the witness-taking
+// overload below.
 CosimVerification
 cosimAgainstGoldenModel(const Workload &workload,
                         const flows::FlowResult &result,
@@ -148,6 +188,19 @@ cosimAgainstGoldenModel(const Workload &workload,
                         guard::ExecBudget *budget = nullptr,
                         vsim::ModelCache *modelCache = nullptr,
                         bool = false);
+// The same check against witnesses a verification step already made: the
+// golden run over `goldenProgram` and the FSMD simulator's cycle count
+// (Verification::cycles).  Only vsim runs here; its return value and
+// globals are compared with `golden`, its cycle count with `fsmdCycles`.
+// The engine hands each verified cell's witnesses to this overload.
+CosimVerification
+cosimAgainstGoldenModel(const Workload &workload,
+                        const flows::FlowResult &result,
+                        const ast::Program &goldenProgram,
+                        const GoldenRun &golden, std::uint64_t fsmdCycles,
+                        vsim::SimEngine engine = vsim::SimEngine::Compiled,
+                        guard::ExecBudget *budget = nullptr,
+                        vsim::ModelCache *modelCache = nullptr);
 
 // One row of a cross-flow comparison.
 struct FlowComparison {

@@ -7,6 +7,7 @@
 #include "support/threadpool.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace c2h::core {
 
@@ -24,6 +25,41 @@ std::uint64_t hashKey(const std::string &source, const std::string &top) {
 guard::FaultSite siteCell("engine.cell");
 
 } // namespace
+
+// The golden model is deterministic, so every cell of a workload in one
+// call can read one run.  The first cell to verify computes it under its
+// own meter while later cells wait, the way flows::PrefixMemo computes a
+// shared prefix.  Only a run that no guard event stopped is kept: a budget
+// trip or injected fault belongs to the cell that hit it, and the next cell
+// runs the model again.  A cell whose meter limits steps, cycles or
+// allocation runs its own model, so what it charges — and any verdict it
+// trips — never depends on which cell came first.
+class CompareEngine::GoldenMemo {
+public:
+  GoldenMemo(const Workload &workload, const ast::Program *program)
+      : workload_(workload), program_(program) {}
+
+  // The golden run for a cell metered by `meter`.  A run that is not
+  // shared lands in `local`, which must outlive the returned reference.
+  const GoldenRun &get(guard::ExecBudget *meter, GoldenRun &local) {
+    const guard::BudgetSpec &spec = meter->spec();
+    if (spec.maxSteps || spec.maxCycles || spec.maxAllocBytes)
+      return local = runGoldenModel(workload_, *program_, meter);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (value_)
+      return *value_;
+    GoldenRun run = runGoldenModel(workload_, *program_, meter);
+    if (!run.verdict.ok())
+      return local = std::move(run);
+    return value_.emplace(std::move(run));
+  }
+
+private:
+  const Workload &workload_;
+  const ast::Program *program_; // the front-end cache's AST; null on failure
+  std::mutex mutex_;
+  std::optional<GoldenRun> value_;
+};
 
 std::unique_ptr<ast::Program> FrontendCache::Entry::cloneAst() const {
   return program ? opt::cloneProgram(*program) : nullptr;
@@ -211,7 +247,8 @@ FlowComparison CompareEngine::runCell(const flows::FlowSpec &spec,
                                       const Workload &workload,
                                       FrontendCache::Entry &entry,
                                       const flows::FlowTuning &tuning,
-                                      const EngineOptions &options) {
+                                      const EngineOptions &options,
+                                      GoldenMemo &goldenMemo) {
   FlowComparison row;
   row.flowId = spec.info.id;
   // One meter per cell, shared by the pipeline, golden-model verification,
@@ -243,8 +280,10 @@ FlowComparison CompareEngine::runCell(const flows::FlowSpec &spec,
       row.verdict = result.verdict;
       return row;
     }
-    Verification v =
-        verifyAgainstGoldenModel(workload, result, *entry.program, meter);
+    GoldenRun local;
+    const GoldenRun &golden = goldenMemo.get(meter, local);
+    Verification v = verifyAgainstGoldenModel(workload, result, *entry.program,
+                                              golden, meter);
     row.verified = v.ok;
     if (!v.ok) {
       row.note = v.detail;
@@ -254,8 +293,8 @@ FlowComparison CompareEngine::runCell(const flows::FlowSpec &spec,
     row.asyncNs = v.asyncNs;
     if (options.cosim && v.ok && result.design && !result.asyncInfo) {
       CosimVerification cv = cosimAgainstGoldenModel(
-          workload, result, *entry.program, options.vsimEngine, meter,
-          options.modelCache);
+          workload, result, *entry.program, golden, v.cycles,
+          options.vsimEngine, meter, options.modelCache);
       row.cosimRan = cv.ran;
       row.cosimOk = cv.ok;
       row.cosimCycles = cv.cycles;
@@ -339,11 +378,12 @@ CompareEngine::compareFlowsImpl(const Workload &workload,
   flows::FlowTuning tuning = callTuning;
   std::unique_ptr<flows::PrefixMemo> memo =
       requestMemo(*entry, workload.top, tuning);
+  GoldenMemo golden(workload, entry->program.get());
   std::vector<FlowComparison> rows(specs.size());
   unsigned jobs = resolveJobs(tuning);
   if (jobs <= 1 || specs.size() <= 1) {
     for (std::size_t i = 0; i < specs.size(); ++i)
-      rows[i] = runCell(specs[i], workload, *entry, tuning, options);
+      rows[i] = runCell(specs[i], workload, *entry, tuning, options, golden);
     return rows;
   }
   // The persistent pool outlives this call; the group scopes the wait to
@@ -353,8 +393,8 @@ CompareEngine::compareFlowsImpl(const Workload &workload,
       std::min<std::size_t>(jobs, specs.size()))));
   for (std::size_t i = 0; i < specs.size(); ++i)
     group.submit([this, &rows, &specs, &workload, &entry, &tuning, &options,
-                  i] {
-      rows[i] = runCell(specs[i], workload, *entry, tuning, options);
+                  &golden, i] {
+      rows[i] = runCell(specs[i], workload, *entry, tuning, options, golden);
     });
   group.wait();
   return rows;
@@ -366,14 +406,17 @@ CompareEngine::compareMatrix(const std::vector<Workload> &workloads,
   const std::vector<flows::FlowSpec> &specs = flows::allFlows();
   // Compile every workload up front: deterministic cache fill, and workers
   // never contend on the compile lock.  Each workload gets its own prefix
-  // memo, as if it were a request of its own.
+  // memo and golden run, as if it were a request of its own.
   std::vector<std::shared_ptr<FrontendCache::Entry>> entries;
   std::vector<std::unique_ptr<flows::PrefixMemo>> memos;
+  std::vector<std::unique_ptr<GoldenMemo>> goldens;
   std::vector<flows::FlowTuning> tunings(workloads.size(), tuning);
   entries.reserve(workloads.size());
   for (std::size_t w = 0; w < workloads.size(); ++w) {
     entries.push_back(cache_.get(workloads[w].source, workloads[w].top));
     memos.push_back(requestMemo(*entries[w], workloads[w].top, tunings[w]));
+    goldens.push_back(std::make_unique<GoldenMemo>(
+        workloads[w], entries[w]->program.get()));
   }
 
   std::vector<std::vector<FlowComparison>> rows(workloads.size());
@@ -383,17 +426,17 @@ CompareEngine::compareMatrix(const std::vector<Workload> &workloads,
   if (jobs <= 1) {
     for (std::size_t w = 0; w < workloads.size(); ++w)
       for (std::size_t f = 0; f < specs.size(); ++f)
-        rows[w][f] =
-            runCell(specs[f], workloads[w], *entries[w], tunings[w], options_);
+        rows[w][f] = runCell(specs[f], workloads[w], *entries[w], tunings[w],
+                             options_, *goldens[w]);
     return rows;
   }
   TaskGroup group(sharedPool(jobs));
   for (std::size_t w = 0; w < workloads.size(); ++w)
     for (std::size_t f = 0; f < specs.size(); ++f)
-      group.submit([this, &rows, &specs, &workloads, &entries, &tunings, w,
-                    f] {
-        rows[w][f] =
-            runCell(specs[f], workloads[w], *entries[w], tunings[w], options_);
+      group.submit([this, &rows, &specs, &workloads, &entries, &tunings,
+                    &goldens, w, f] {
+        rows[w][f] = runCell(specs[f], workloads[w], *entries[w], tunings[w],
+                             options_, *goldens[w]);
       });
   group.wait();
   return rows;

@@ -19,6 +19,11 @@
 //     optimize/prune step once per distinct lowered module, whose optimized
 //     form the flows share read-only.  Callers outside the engine (runFlow,
 //     the CLI's single-flow path) pass a null memo and compute every stage.
+//     Verification shares work the same way: the golden model runs once
+//     per workload of a call (GoldenMemo; only a run no guard event stopped
+//     is kept, and a cell with a step, cycle or alloc limit runs its own),
+//     and cosim takes the cell's golden run and FSMD cycle count from its
+//     verify step, so each witness is computed once per cell at most.
 //  3. Serialism: cells are independent, so the engine runs the
 //     (flow x workload) matrix on a fixed-size ThreadPool.  Results are
 //     written into pre-assigned slots, so row order — and content — is
@@ -169,10 +174,13 @@ public:
   void setRunnerForTesting(FlowRunner runner);
 
 private:
+  // One workload's golden-model run within one call (engine.cpp).
+  class GoldenMemo;
+
   FlowComparison runCell(const flows::FlowSpec &spec, const Workload &workload,
                          FrontendCache::Entry &entry,
                          const flows::FlowTuning &tuning,
-                         const EngineOptions &options);
+                         const EngineOptions &options, GoldenMemo &golden);
   std::vector<FlowComparison> compareFlowsImpl(
       const Workload &workload, const std::vector<flows::FlowSpec> &specs,
       const flows::FlowTuning &tuning, const EngineOptions &options);

@@ -3,9 +3,14 @@
 #include "core/engine.h"
 #include "vsim/cosim.h"
 
+#include <atomic>
+
 namespace c2h::core {
 
 namespace {
+
+std::atomic<std::uint64_t> goldenRuns{0};
+std::atomic<std::uint64_t> fsmdRuns{0};
 
 // The scalar type at the bottom of a (possibly nested) array type.
 const Type *scalarLeaf(const Type *type) {
@@ -14,7 +19,64 @@ const Type *scalarLeaf(const Type *type) {
   return type && type->isScalar() ? type : nullptr;
 }
 
+// Width of `top`'s return value; 0 when it returns nothing to compare.
+unsigned returnWidth(const ast::Program &program, const std::string &top) {
+  const ast::FuncDecl *fn = program.findFunction(top);
+  return fn && !fn->returnType->isVoid() ? fn->returnType->bitWidth() : 0;
+}
+
+bool sameReturn(unsigned width, const BitVector &golden, const BitVector &got) {
+  return width == 0 ||
+         got.resize(width, false) == golden.resize(width, false);
+}
+
+// The first checked global on which a witness disagrees with the golden
+// run, as a row note; empty when every global agrees.  Narrower witness
+// storage is extended by the *declared* signedness: a negative int<N> value
+// whose storage is narrower than the declared width must be sign-extended,
+// not zero-extended, before the bit-level compare.
+template <class ReadGlobal>
+std::string globalMismatch(const Workload &workload,
+                           const ast::Program &program,
+                           const GoldenRun &golden, ReadGlobal &&read,
+                           const std::string &witness,
+                           const std::string &sizeSuffix) {
+  for (std::size_t g = 0; g < workload.checkGlobals.size(); ++g) {
+    const std::string &name = workload.checkGlobals[g];
+    const std::vector<BitVector> &want = golden.globals.at(g);
+    std::vector<BitVector> got = read(name);
+    if (want.size() != got.size())
+      return "global '" + name + "' size mismatch" + sizeSuffix;
+    const ast::VarDecl *decl = program.findGlobal(name);
+    const Type *leaf = decl ? scalarLeaf(decl->type) : nullptr;
+    bool isSigned = leaf && leaf->isSigned();
+    for (std::size_t i = 0; i < want.size(); ++i)
+      if (!(want[i] == got[i].resize(want[i].width(), isSigned)))
+        return "global '" + name + "[" + std::to_string(i) +
+               "]' mismatch: golden " + want[i].toStringHex() + " vs " +
+               witness + " " + got[i].toStringHex();
+  }
+  return {};
+}
+
+// Why `result` has no synchronous RTL to co-simulate; null when it has.
+const char *cosimSkipReason(const flows::FlowResult &result) {
+  if (!result.accepted || !result.ok || (!result.asyncInfo && !result.design))
+    return "flow produced no design";
+  if (result.asyncInfo)
+    return "asynchronous design (no synchronous RTL to co-simulate)";
+  return nullptr;
+}
+
 } // namespace
+
+std::uint64_t goldenModelRuns() {
+  return goldenRuns.load(std::memory_order_relaxed);
+}
+
+std::uint64_t verifyFsmdRuns() {
+  return fsmdRuns.load(std::memory_order_relaxed);
+}
 
 std::vector<BitVector> argBits(const ast::Program &program,
                                const std::string &fn,
@@ -30,6 +92,31 @@ std::vector<BitVector> argBits(const ast::Program &program,
   return out;
 }
 
+GoldenRun runGoldenModel(const Workload &workload,
+                         const ast::Program &goldenProgram,
+                         guard::ExecBudget *budget) {
+  goldenRuns.fetch_add(1, std::memory_order_relaxed);
+  GoldenRun g;
+  // InterpOptions' default step budget is the real guard here: a
+  // non-terminating workload surfaces as a structured StepLimit verdict
+  // instead of hanging verification.
+  InterpOptions iopts;
+  iopts.budget = budget;
+  Interpreter interp(goldenProgram, iopts);
+  auto r = interp.call(workload.top,
+                       argBits(goldenProgram, workload.top, workload.args));
+  if (!r.ok) {
+    g.detail = "interpreter: " + r.error;
+    g.verdict = r.verdict;
+    return g;
+  }
+  g.ok = true;
+  g.returnValue = r.returnValue;
+  for (const auto &name : workload.checkGlobals)
+    g.globals.push_back(interp.readGlobal(name));
+  return g;
+}
+
 Verification runGoldenModel(const Workload &workload) {
   Verification v;
   TypeContext types;
@@ -39,15 +126,11 @@ Verification runGoldenModel(const Workload &workload) {
     v.detail = "frontend: " + diags.str();
     return v;
   }
-  Interpreter interp(*program);
-  auto r = interp.call(workload.top,
-                       argBits(*program, workload.top, workload.args));
-  if (!r.ok) {
-    v.detail = "interpreter: " + r.error;
-    return v;
-  }
-  v.ok = true;
-  v.returnValue = r.returnValue;
+  GoldenRun g = runGoldenModel(workload, *program);
+  v.ok = g.ok;
+  v.detail = g.detail;
+  v.verdict = g.verdict;
+  v.returnValue = g.returnValue;
   return v;
 }
 
@@ -69,6 +152,20 @@ Verification verifyAgainstGoldenModel(const Workload &workload,
                                       const flows::FlowResult &result,
                                       const ast::Program &goldenProgram,
                                       guard::ExecBudget *budget) {
+  // No golden run for a design that was never produced.
+  if (!result.accepted || !result.ok)
+    return verifyAgainstGoldenModel(workload, result, goldenProgram,
+                                    GoldenRun{}, budget);
+  return verifyAgainstGoldenModel(
+      workload, result, goldenProgram,
+      runGoldenModel(workload, goldenProgram, budget), budget);
+}
+
+Verification verifyAgainstGoldenModel(const Workload &workload,
+                                      const flows::FlowResult &result,
+                                      const ast::Program &goldenProgram,
+                                      const GoldenRun &golden,
+                                      guard::ExecBudget *budget) {
   Verification v;
   if (!result.accepted) {
     v.detail = "flow rejected the program";
@@ -79,37 +176,28 @@ Verification verifyAgainstGoldenModel(const Workload &workload,
     v.verdict = result.verdict;
     return v;
   }
-
-  // Golden model.  InterpOptions' default step budget is the real guard
-  // here: a non-terminating workload surfaces as a structured StepLimit
-  // verdict instead of hanging verification.
-  const ast::Program *program = &goldenProgram;
-  std::vector<BitVector> args =
-      argBits(*program, workload.top, workload.args);
-  InterpOptions iopts;
-  iopts.budget = budget;
-  Interpreter interp(*program, iopts);
-  auto golden = interp.call(workload.top, args);
   if (!golden.ok) {
-    v.detail = "interpreter: " + golden.error;
+    v.detail = golden.detail;
     v.verdict = golden.verdict;
     return v;
   }
-  const ast::FuncDecl *fn = program->findFunction(workload.top);
-  bool hasReturn = fn && !fn->returnType->isVoid();
-  unsigned retWidth = hasReturn ? fn->returnType->bitWidth() : 1;
+  std::vector<BitVector> args =
+      argBits(goldenProgram, workload.top, workload.args);
+  unsigned width = returnWidth(goldenProgram, workload.top);
 
   // Asynchronous (CASH) designs: event-driven dataflow timing simulation.
   if (result.asyncInfo) {
     sched::TechLibrary lib;
-    auto r = async::simulateAsync(*result.module, workload.top, args, lib);
+    async::AsyncSimOptions aopts;
+    aopts.budget = budget;
+    auto r = async::simulateAsync(*result.module, workload.top, args, lib,
+                                  aopts);
     if (!r.ok) {
       v.detail = "async simulation: " + r.error;
+      v.verdict = r.verdict;
       return v;
     }
-    if (hasReturn &&
-        !(r.returnValue.resize(retWidth, false) ==
-          golden.returnValue.resize(retWidth, false))) {
+    if (!sameReturn(width, golden.returnValue, r.returnValue)) {
       v.detail = "async return value mismatch: golden " +
                  golden.returnValue.toStringHex() + " vs " +
                  r.returnValue.toStringHex();
@@ -126,6 +214,7 @@ Verification verifyAgainstGoldenModel(const Workload &workload,
     v.detail = "flow produced no design";
     return v;
   }
+  fsmdRuns.fetch_add(1, std::memory_order_relaxed);
   rtl::SimOptions sopts;
   sopts.budget = budget;
   rtl::Simulator sim(*result.design, sopts);
@@ -135,36 +224,18 @@ Verification verifyAgainstGoldenModel(const Workload &workload,
     v.verdict = r.verdict;
     return v;
   }
-  if (hasReturn &&
-      !(r.returnValue.resize(retWidth, false) ==
-        golden.returnValue.resize(retWidth, false))) {
+  if (!sameReturn(width, golden.returnValue, r.returnValue)) {
     v.detail = "return value mismatch: golden " +
                golden.returnValue.toStringHex() + " vs rtl " +
                r.returnValue.toStringHex();
     return v;
   }
-  for (const auto &name : workload.checkGlobals) {
-    auto gi = interp.readGlobal(name);
-    auto gr = sim.readGlobal(name);
-    if (gi.size() != gr.size()) {
-      v.detail = "global '" + name + "' size mismatch";
-      return v;
-    }
-    // Extend narrower RTL storage by the *declared* signedness: a negative
-    // int<N> value whose storage is narrower than the declared width must
-    // be sign-extended, not zero-extended, before the bit-level compare.
-    const ast::VarDecl *decl = program->findGlobal(name);
-    const Type *leaf = decl ? scalarLeaf(decl->type) : nullptr;
-    bool isSigned = leaf && leaf->isSigned();
-    for (std::size_t i = 0; i < gi.size(); ++i) {
-      if (!(gi[i] == gr[i].resize(gi[i].width(), isSigned))) {
-        v.detail = "global '" + name + "[" + std::to_string(i) +
-                   "]' mismatch: golden " + gi[i].toStringHex() + " vs rtl " +
-                   gr[i].toStringHex();
-        return v;
-      }
-    }
-  }
+  v.detail = globalMismatch(
+      workload, goldenProgram, golden,
+      [&](const std::string &name) { return sim.readGlobal(name); }, "rtl",
+      "");
+  if (!v.detail.empty())
+    return v;
   v.ok = true;
   v.cycles = r.cycles;
   v.returnValue = golden.returnValue;
@@ -195,43 +266,52 @@ CosimVerification cosimAgainstGoldenModel(const Workload &workload,
                                           guard::ExecBudget *budget,
                                           vsim::ModelCache *modelCache,
                                           bool) {
-  CosimVerification c;
-  if (!result.accepted || !result.ok) {
-    c.detail = "flow produced no design";
+  if (const char *why = cosimSkipReason(result)) {
+    CosimVerification c;
+    c.detail = why;
     return c;
   }
-  if (result.asyncInfo) {
-    c.detail = "asynchronous design (no synchronous RTL to co-simulate)";
-    return c;
-  }
-  if (!result.design) {
-    c.detail = "flow produced no design";
-    return c;
-  }
-  c.ran = true;
-
   // Witness 1: the reference interpreter.
-  std::vector<BitVector> args =
-      argBits(goldenProgram, workload.top, workload.args);
-  InterpOptions iopts;
-  iopts.budget = budget;
-  Interpreter interp(goldenProgram, iopts);
-  auto golden = interp.call(workload.top, args);
-  if (!golden.ok) {
-    c.detail = "interpreter: " + golden.error;
-    c.verdict = golden.verdict;
-    return c;
-  }
+  GoldenRun golden = runGoldenModel(workload, goldenProgram, budget);
+  if (!golden.ok)
+    return cosimAgainstGoldenModel(workload, result, goldenProgram, golden, 0,
+                                   engine, budget, modelCache);
 
-  // Witness 2: the FSMD simulator (return value and the cycle count the
-  // experiments quote).
+  // Witness 2: the FSMD simulator (the cycle count the experiments quote).
+  fsmdRuns.fetch_add(1, std::memory_order_relaxed);
   rtl::SimOptions sopts;
   sopts.budget = budget;
   rtl::Simulator sim(*result.design, sopts);
-  auto fsmd = sim.run(args);
+  auto fsmd =
+      sim.run(argBits(goldenProgram, workload.top, workload.args));
   if (!fsmd.ok) {
+    CosimVerification c;
+    c.ran = true;
     c.detail = "rtl simulation: " + fsmd.error;
     c.verdict = fsmd.verdict;
+    return c;
+  }
+  return cosimAgainstGoldenModel(workload, result, goldenProgram, golden,
+                                 fsmd.cycles, engine, budget, modelCache);
+}
+
+CosimVerification cosimAgainstGoldenModel(const Workload &workload,
+                                          const flows::FlowResult &result,
+                                          const ast::Program &goldenProgram,
+                                          const GoldenRun &golden,
+                                          std::uint64_t fsmdCycles,
+                                          vsim::SimEngine engine,
+                                          guard::ExecBudget *budget,
+                                          vsim::ModelCache *modelCache) {
+  CosimVerification c;
+  if (const char *why = cosimSkipReason(result)) {
+    c.detail = why;
+    return c;
+  }
+  c.ran = true;
+  if (!golden.ok) {
+    c.detail = golden.detail;
+    c.verdict = golden.verdict;
     return c;
   }
 
@@ -245,7 +325,8 @@ CosimVerification cosimAgainstGoldenModel(const Workload &workload,
   vsim::CosimOptions copts;
   copts.engine = engine;
   copts.budget = budget;
-  vsim::CosimResult r = cosim.run(args, copts);
+  vsim::CosimResult r = cosim.run(
+      argBits(goldenProgram, workload.top, workload.args), copts);
   c.cycles = r.cycles;
   c.degradation = r.degradation;
   c.engine =
@@ -257,43 +338,23 @@ CosimVerification cosimAgainstGoldenModel(const Workload &workload,
     return c;
   }
 
-  const ast::FuncDecl *fn = goldenProgram.findFunction(workload.top);
-  bool hasReturn = fn && !fn->returnType->isVoid();
-  unsigned retWidth = hasReturn ? fn->returnType->bitWidth() : 1;
-  if (hasReturn &&
-      !(r.returnValue.resize(retWidth, false) ==
-        golden.returnValue.resize(retWidth, false))) {
+  if (!sameReturn(returnWidth(goldenProgram, workload.top),
+                  golden.returnValue, r.returnValue)) {
     c.detail = "vsim return value mismatch: golden " +
                golden.returnValue.toStringHex() + " vs vsim " +
                r.returnValue.toStringHex();
     return c;
   }
-  if (r.cycles != fsmd.cycles) {
-    c.detail = "cycle count mismatch: fsmd " +
-               std::to_string(fsmd.cycles) + " vs vsim " +
-               std::to_string(r.cycles);
+  if (r.cycles != fsmdCycles) {
+    c.detail = "cycle count mismatch: fsmd " + std::to_string(fsmdCycles) +
+               " vs vsim " + std::to_string(r.cycles);
     return c;
   }
-  for (const auto &name : workload.checkGlobals) {
-    auto gi = interp.readGlobal(name);
-    auto gv = cosim.readGlobal(name);
-    if (gi.size() != gv.size()) {
-      c.detail = "global '" + name + "' size mismatch under vsim";
-      return c;
-    }
-    const ast::VarDecl *decl = goldenProgram.findGlobal(name);
-    const Type *leaf = decl ? scalarLeaf(decl->type) : nullptr;
-    bool isSigned = leaf && leaf->isSigned();
-    for (std::size_t i = 0; i < gi.size(); ++i) {
-      if (!(gi[i] == gv[i].resize(gi[i].width(), isSigned))) {
-        c.detail = "global '" + name + "[" + std::to_string(i) +
-                   "]' mismatch: golden " + gi[i].toStringHex() +
-                   " vs vsim " + gv[i].toStringHex();
-        return c;
-      }
-    }
-  }
-  c.ok = true;
+  c.detail = globalMismatch(
+      workload, goldenProgram, golden,
+      [&](const std::string &name) { return cosim.readGlobal(name); },
+      "vsim", " under vsim");
+  c.ok = c.detail.empty();
   return c;
 }
 

@@ -217,6 +217,24 @@ TEST(Async, BudgetEnforced) {
   o.maxOperations = 1000;
   auto r = async::simulateAsync(*w->module, "f", {}, w->lib, o);
   EXPECT_FALSE(r.ok);
+  // The operation limit is a resource limit with a structured verdict.
+  EXPECT_EQ(r.verdict.kind, guard::Kind::StepLimit);
+  EXPECT_EQ(r.verdict.stage, "async.sim");
+  EXPECT_TRUE(r.verdict.isResourceLimit());
+}
+
+TEST(Async, SharedMeterDeadlineIsPolled) {
+  auto w = lowered("int f() { while (true) { } return 0; }");
+  guard::ExecBudget meter;
+  meter.cancel();
+  async::AsyncSimOptions o;
+  o.budget = &meter;
+  auto r = async::simulateAsync(*w->module, "f", {}, w->lib, o);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.verdict.kind, guard::Kind::Cancelled);
+  EXPECT_EQ(r.verdict.stage, "async.sim");
+  // Polled every 1024 operations, far below the default operation limit.
+  EXPECT_LT(r.operations, 2048u);
 }
 
 } // namespace

@@ -126,6 +126,47 @@ TEST(Verify, ZeroExtendsNarrowedUnsignedGlobals) {
   EXPECT_TRUE(v.ok) << v.detail;
 }
 
+TEST(Verify, HandedInGoldenRunIsCheckedNotTrusted) {
+  // The engine verifies every flow of a workload against one golden run.
+  // The design's simulation is still compared with it on every field: a
+  // flipped return value or global element is a mismatch.
+  const core::Workload &w = core::findWorkload("fir");
+  TypeContext types;
+  DiagnosticEngine diags;
+  auto program = frontend(w.source, types, diags);
+  ASSERT_TRUE(program) << diags.str();
+  auto result = flows::runFlow(*flows::findFlow("bachc"), w.source, w.top);
+  ASSERT_TRUE(result.ok) << result.error;
+  const core::GoldenRun golden = core::runGoldenModel(w, *program);
+  ASSERT_TRUE(golden.ok) << golden.detail;
+  core::Verification v =
+      core::verifyAgainstGoldenModel(w, result, *program, golden);
+  EXPECT_TRUE(v.ok) << v.detail;
+  EXPECT_EQ(v.cycles, core::verifyAgainstGoldenModel(w, result).cycles);
+
+  core::GoldenRun lie = golden;
+  lie.returnValue = golden.returnValue.bitNot();
+  v = core::verifyAgainstGoldenModel(w, result, *program, lie);
+  EXPECT_FALSE(v.ok);
+  EXPECT_NE(v.detail.find("return value mismatch"), std::string::npos)
+      << v.detail;
+
+  lie = golden;
+  lie.globals.at(0).at(7) = golden.globals[0][7].bitNot();
+  v = core::verifyAgainstGoldenModel(w, result, *program, lie);
+  EXPECT_FALSE(v.ok);
+  EXPECT_NE(v.detail.find("global 'y[7]' mismatch"), std::string::npos)
+      << v.detail;
+  EXPECT_NE(v.detail.find("vs rtl"), std::string::npos) << v.detail;
+
+  // A failed golden run is reported as the verification's failure.
+  core::GoldenRun failed;
+  failed.detail = "interpreter: deliberate";
+  v = core::verifyAgainstGoldenModel(w, result, *program, failed);
+  EXPECT_FALSE(v.ok);
+  EXPECT_EQ(v.detail, "interpreter: deliberate");
+}
+
 TEST(Verify, ArgBitsUsesParameterWidths) {
   TypeContext types;
   DiagnosticEngine diags;

@@ -13,6 +13,7 @@
 #include "analysis/lints.h"
 #include "analysis/range.h"
 #include "core/engine.h"
+#include "serve/protocol.h"
 #include "opt/astclone.h"
 #include "support/guard.h"
 #include "support/threadpool.h"
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <regex>
 #include <set>
 #include <stdexcept>
 
@@ -235,6 +237,215 @@ TEST(Engine, RangeSolverRunsOncePerDistinctModule) {
   ASSERT_EQ(serialRows.size(), parallelRows.size());
   for (std::size_t i = 0; i < serialRows.size(); ++i)
     expectRowsEqual(serialRows[i], parallelRows[i]);
+}
+
+TEST(Engine, GoldenModelRunsOncePerWorkload) {
+  // One cosim pass over the registry runs the golden model once per
+  // workload, not once per verified cell plus once per cosim cell, and the
+  // FSMD simulator once per synchronous cell: cosim takes both witnesses
+  // from the verify step.  Both counts are deterministic for any jobs.
+  const std::vector<core::Workload> &suite = core::standardWorkloads();
+  core::EngineOptions options;
+  options.cosim = true;
+  for (unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    core::CompareEngine engine(options); // fresh: nothing carried over
+    flows::FlowTuning tuning;
+    tuning.jobs = jobs;
+    std::uint64_t goldenBefore = core::goldenModelRuns();
+    std::uint64_t fsmdBefore = core::verifyFsmdRuns();
+    auto rows = engine.compareMatrix(suite, tuning);
+    std::uint64_t golden = core::goldenModelRuns() - goldenBefore;
+    std::uint64_t fsmd = core::verifyFsmdRuns() - fsmdBefore;
+    std::uint64_t syncCells = 0;
+    for (const auto &workloadRows : rows)
+      for (const auto &r : workloadRows) {
+        if (!r.accepted)
+          continue;
+        EXPECT_TRUE(r.verified) << r.flowId << ": " << r.note;
+        if (r.asyncNs == 0) {
+          ++syncCells;
+          EXPECT_TRUE(r.cosimOk) << r.flowId << ": " << r.cosimNote;
+        }
+      }
+    RecordProperty("golden_runs_jobs" + std::to_string(jobs),
+                   std::to_string(golden));
+    RecordProperty("fsmd_runs_jobs" + std::to_string(jobs),
+                   std::to_string(fsmd));
+    EXPECT_EQ(suite.size(), 18u);
+    EXPECT_EQ(golden, suite.size());
+    EXPECT_GT(syncCells, 0u);
+    EXPECT_EQ(fsmd, syncCells);
+  }
+}
+
+TEST(Engine, StepBudgetRowsMatchForAnyJobs) {
+  // A cell whose meter limits steps runs its own golden model, so which
+  // rows trip during verification, and what they charged, never depends on
+  // which cell ran first.  At this budget every accepted fir cell trips in
+  // the interpreter and every gcd cell verifies and co-simulates.  The
+  // expected text is what this budget produced before the cells of a
+  // workload shared one golden run.
+  static const char *const kExpected =
+    R"r([{"flow":"cones","accepted":false,"verified":false,"cycles":0,"a)r"
+    R"r(rea":0.0,"fmax":0.0,"note":"Cones rejects mutable global state ()r"
+    R"r(no state: inputs map combinationally to outputs; used at 3:5, 4:)r"
+    R"r(5)","cosimRan":false,"cosimOk":false,"cosimCycles":0,"engine":"")r"
+    R"r(,"fallback":"","degradation":""},{"flow":"hardwarec","accepted":)r"
+    R"r(true,"verified":false,"cycles":0,"area":1120.2,"fmax":444.4,"not)r"
+    R"r(e":"interpreter: interpreter step budget exceeded (possible infi)r"
+    R"r(nite loop): STEP_LIMIT at interp (steps=8192, cycles=0, allocByt)r"
+    R"r(es=5600, wallMs=_)","cosimRan":false,"cosimOk":false,"cosimCycle)r"
+    R"r(s":0,"engine":"","fallback":"","degradation":"","verdict":{"kind)r"
+    R"r(":"STEP_LIMIT","stage":"interp","site":""}},{"flow":"transmogrif)r"
+    R"r(ier","accepted":true,"verified":false,"cycles":0,"area":942.0,"f)r"
+    R"r(max":142.9,"note":"interpreter: interpreter step budget exceeded)r"
+    R"r( (possible infinite loop): STEP_LIMIT at interp (steps=8192, cyc)r"
+    R"r(les=0, allocBytes=5600, wallMs=_)","cosimRan":false,"cosimOk":fa)r"
+    R"r(lse,"cosimCycles":0,"engine":"","fallback":"","degradation":"",")r"
+    R"r(verdict":{"kind":"STEP_LIMIT","stage":"interp","site":""}},{"flo)r"
+    R"r(w":"handelc","accepted":true,"verified":false,"cycles":0,"area":)r"
+    R"r(1288.0,"fmax":444.4,"note":"interpreter: interpreter step budget)r"
+    R"r( exceeded (possible infinite loop): STEP_LIMIT at interp (steps=)r"
+    R"r(8192, cycles=0, allocBytes=5600, wallMs=_)","cosimRan":false,"co)r"
+    R"r(simOk":false,"cosimCycles":0,"engine":"","fallback":"","degradat)r"
+    R"r(ion":"","verdict":{"kind":"STEP_LIMIT","stage":"interp","site":")r"
+    R"r("}},{"flow":"ocapi","accepted":true,"verified":false,"cycles":0,)r"
+    R"r("area":1288.0,"fmax":444.4,"note":"interpreter: interpreter step)r"
+    R"r( budget exceeded (possible infinite loop): STEP_LIMIT at interp )r"
+    R"r((steps=8192, cycles=0, allocBytes=5600, wallMs=_)","cosimRan":fa)r"
+    R"r(lse,"cosimOk":false,"cosimCycles":0,"engine":"","fallback":"","d)r"
+    R"r(egradation":"","verdict":{"kind":"STEP_LIMIT","stage":"interp",")r"
+    R"r(site":""}},{"flow":"c2verilog","accepted":true,"verified":false,)r"
+    R"r("cycles":0,"area":1225.8,"fmax":444.4,"note":"interpreter: inter)r"
+    R"r(preter step budget exceeded (possible infinite loop): STEP_LIMIT)r"
+    R"r( at interp (steps=8192, cycles=0, allocBytes=5600, wallMs=_)","c)r"
+    R"r(osimRan":false,"cosimOk":false,"cosimCycles":0,"engine":"","fall)r"
+    R"r(back":"","degradation":"","verdict":{"kind":"STEP_LIMIT","stage")r"
+    R"r(:"interp","site":""}},{"flow":"cyber","accepted":true,"verified")r"
+    R"r(:false,"cycles":0,"area":1120.2,"fmax":444.4,"note":"interpreter)r"
+    R"r(: interpreter step budget exceeded (possible infinite loop): STE)r"
+    R"r(P_LIMIT at interp (steps=8192, cycles=0, allocBytes=5600, wallMs)r"
+    R"r(=_)","cosimRan":false,"cosimOk":false,"cosimCycles":0,"engine":")r"
+    R"r(","fallback":"","degradation":"","verdict":{"kind":"STEP_LIMIT",)r"
+    R"r("stage":"interp","site":""}},{"flow":"systemc","accepted":true,")r"
+    R"r(verified":false,"cycles":0,"area":1120.2,"fmax":444.4,"note":"in)r"
+    R"r(terpreter: interpreter step budget exceeded (possible infinite l)r"
+    R"r(oop): STEP_LIMIT at interp (steps=8192, cycles=0, allocBytes=560)r"
+    R"r(0, wallMs=_)","cosimRan":false,"cosimOk":false,"cosimCycles":0,")r"
+    R"r(engine":"","fallback":"","degradation":"","verdict":{"kind":"STE)r"
+    R"r(P_LIMIT","stage":"interp","site":""}},{"flow":"specc","accepted")r"
+    R"r(:true,"verified":false,"cycles":0,"area":1120.2,"fmax":444.4,"no)r"
+    R"r(te":"interpreter: interpreter step budget exceeded (possible inf)r"
+    R"r(inite loop): STEP_LIMIT at interp (steps=8192, cycles=0, allocBy)r"
+    R"r(tes=5600, wallMs=_)","cosimRan":false,"cosimOk":false,"cosimCycl)r"
+    R"r(es":0,"engine":"","fallback":"","degradation":"","verdict":{"kin)r"
+    R"r(d":"STEP_LIMIT","stage":"interp","site":""}},{"flow":"bachc","ac)r"
+    R"r(cepted":true,"verified":false,"cycles":0,"area":1120.2,"fmax":44)r"
+    R"r(4.4,"note":"interpreter: interpreter step budget exceeded (possi)r"
+    R"r(ble infinite loop): STEP_LIMIT at interp (steps=8192, cycles=0, )r"
+    R"r(allocBytes=5600, wallMs=_)","cosimRan":false,"cosimOk":false,"co)r"
+    R"r(simCycles":0,"engine":"","fallback":"","degradation":"","verdict)r"
+    R"r(":{"kind":"STEP_LIMIT","stage":"interp","site":""}},{"flow":"cas)r"
+    R"r(h","accepted":true,"verified":false,"cycles":0,"area":1271.6,"fm)r"
+    R"r(ax":0.0,"note":"interpreter: interpreter step budget exceeded (p)r"
+    R"r(ossible infinite loop): STEP_LIMIT at interp (steps=8192, cycles)r"
+    R"r(=0, allocBytes=5600, wallMs=_)","cosimRan":false,"cosimOk":false)r"
+    R"r(,"cosimCycles":0,"engine":"","fallback":"","degradation":"","ver)r"
+    R"r(dict":{"kind":"STEP_LIMIT","stage":"interp","site":""}}])r" "\n"
+    R"r([{"flow":"cones","accepted":false,"verified":false,"cycles":0,"a)r"
+    R"r(rea":0.0,"fmax":0.0,"note":"Cones rejects data-dependent loops ()r"
+    R"r(loops must have static bounds to flatten; used at 3:3)","cosimRa)r"
+    R"r(n":false,"cosimOk":false,"cosimCycles":0,"engine":"","fallback":)r"
+    R"r("","degradation":""},{"flow":"hardwarec","accepted":true,"verifi)r"
+    R"r(ed":true,"cycles":57,"area":231.4,"fmax":1176.5,"note":"","cosim)r"
+    R"r(Ran":true,"cosimOk":true,"cosimCycles":57,"engine":"compiled","f)r"
+    R"r(allback":"","degradation":""},{"flow":"transmogrifier","accepted)r"
+    R"r(":false,"verified":false,"cycles":0,"area":0.0,"fmax":0.0,"note")r"
+    R"r(:"Transmogrifier C rejects division/modulo (no divider support; )r"
+    R"r(used at 3:37)","cosimRan":false,"cosimOk":false,"cosimCycles":0,)r"
+    R"r("engine":"","fallback":"","degradation":""},{"flow":"handelc","a)r"
+    R"r(ccepted":false,"verified":false,"cycles":0,"area":0.0,"fmax":0.0)r"
+    R"r(,"note":"Handel-C rejects division/modulo (Handel-C has no divis)r"
+    R"r(ion/modulo operators; used at 3:37)","cosimRan":false,"cosimOk":)r"
+    R"r(false,"cosimCycles":0,"engine":"","fallback":"","degradation":"")r"
+    R"r(},{"flow":"ocapi","accepted":true,"verified":true,"cycles":62,"a)r"
+    R"r(rea":233.8,"fmax":1176.5,"note":"","cosimRan":true,"cosimOk":tru)r"
+    R"r(e,"cosimCycles":62,"engine":"compiled","fallback":"","degradatio)r"
+    R"r(n":""},{"flow":"c2verilog","accepted":true,"verified":true,"cycl)r"
+    R"r(es":57,"area":231.4,"fmax":1176.5,"note":"","cosimRan":true,"cos)r"
+    R"r(imOk":true,"cosimCycles":57,"engine":"compiled","fallback":"","d)r"
+    R"r(egradation":""},{"flow":"cyber","accepted":true,"verified":true,)r"
+    R"r("cycles":57,"area":231.4,"fmax":1176.5,"note":"","cosimRan":true)r"
+    R"r(,"cosimOk":true,"cosimCycles":57,"engine":"compiled","fallback":)r"
+    R"r("","degradation":""},{"flow":"systemc","accepted":true,"verified)r"
+    R"r(":true,"cycles":57,"area":231.4,"fmax":1176.5,"note":"","cosimRa)r"
+    R"r(n":true,"cosimOk":true,"cosimCycles":57,"engine":"compiled","fal)r"
+    R"r(lback":"","degradation":""},{"flow":"specc","accepted":true,"ver)r"
+    R"r(ified":true,"cycles":57,"area":231.4,"fmax":1176.5,"note":"","co)r"
+    R"r(simRan":true,"cosimOk":true,"cosimCycles":57,"engine":"compiled")r"
+    R"r(,"fallback":"","degradation":""},{"flow":"bachc","accepted":true)r"
+    R"r(,"verified":true,"cycles":57,"area":231.4,"fmax":1176.5,"note":")r"
+    R"r(","cosimRan":true,"cosimOk":true,"cosimCycles":57,"engine":"comp)r"
+    R"r(iled","fallback":"","degradation":""},{"flow":"cash","accepted":)r"
+    R"r(true,"verified":true,"cycles":0,"area":126.2,"fmax":0.0,"asyncNs)r"
+    R"r(":30.9,"note":"","cosimRan":false,"cosimOk":false,"cosimCycles":)r"
+    R"r(0,"engine":"","fallback":"","degradation":""}])r" "\n";
+
+  std::vector<core::Workload> suite = {core::findWorkload("fir"),
+                                       core::findWorkload("gcd")};
+  core::EngineOptions options;
+  options.cosim = true;
+  flows::FlowTuning tuning;
+  tuning.budget.maxSteps = 6000;
+  for (unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    core::CompareEngine engine(options);
+    tuning.jobs = jobs;
+    std::string text;
+    for (const auto &rows : engine.compareMatrix(suite, tuning))
+      text += serve::serializeRows(rows, true) + "\n";
+    // A verdict's consumed wall time is the one host-dependent field.
+    text = std::regex_replace(text, std::regex("wallMs=[0-9]+"), "wallMs=_");
+    EXPECT_EQ(text, kExpected);
+  }
+}
+
+TEST(Engine, StepLimitedCellsRunTheirOwnGoldenModel) {
+  // Cones unrolls the 600-step loop, charging 600 + 40 steps before
+  // verification; HardwareC charges none.  Each cell's golden run charges
+  // 8192 more (the interpreter charges in batches of 4096), so at this
+  // budget only the cones cell trips.  It runs after the HardwareC cell,
+  // whose golden run completed: had it read that run instead of making its
+  // own, it would have verified.
+  core::Workload w;
+  w.name = "unrolled";
+  w.source = R"(
+int main() {
+  int s = 0;
+  for (int i = 0; i < 600; i = i + 1) { s = s + i * 3; }
+  int t = 0;
+  for (int j = 0; j < 40; j = j + 1) { t = t ^ (s + j); }
+  return s + t;
+}
+)";
+  w.top = "main";
+  const std::vector<flows::FlowSpec> specs = {*flows::findFlow("hardwarec"),
+                                              *flows::findFlow("cones")};
+  flows::FlowTuning tuning;
+  tuning.budget.maxSteps = 8192 + 320;
+  for (unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    core::CompareEngine engine;
+    tuning.jobs = jobs;
+    auto rows = engine.compareFlows(w, specs, tuning);
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_TRUE(rows[0].verified) << rows[0].note;
+    EXPECT_TRUE(rows[1].accepted) << rows[1].note;
+    EXPECT_FALSE(rows[1].verified);
+    EXPECT_EQ(rows[1].verdict.kind, guard::Kind::StepLimit) << rows[1].note;
+    EXPECT_EQ(rows[1].verdict.stage, "interp");
+  }
 }
 
 TEST(FrontendCache, CompilesOncePerSourceTopPair) {

@@ -342,6 +342,51 @@ TEST(VsimCosim, ThreeModelVerdictViaVerify) {
   EXPECT_EQ(cv.cycles, v.cycles);
 }
 
+// The engine hands cosim the verify step's witnesses instead of re-running
+// them.  Cosim must still catch a lie in any of them: a wrong FSMD cycle
+// count, a wrong golden return value, a wrong golden global element.
+TEST(VsimCosim, HandedInWitnessesAreStillChecked) {
+  const core::Workload &w = core::findWorkload("fir");
+  TypeContext types;
+  DiagnosticEngine diags;
+  auto program = frontend(w.source, types, diags);
+  ASSERT_TRUE(program) << diags.str();
+  auto r = flows::runFlow(*flows::findFlow("handelc"), w.source, w.top);
+  ASSERT_TRUE(r.ok) << r.error;
+  const core::GoldenRun golden = core::runGoldenModel(w, *program);
+  ASSERT_TRUE(golden.ok) << golden.detail;
+  ASSERT_EQ(golden.globals.size(), 1u); // fir checks y[32]
+  ASSERT_EQ(golden.globals[0].size(), 32u);
+  core::Verification v =
+      core::verifyAgainstGoldenModel(w, r, *program, golden);
+  ASSERT_TRUE(v.ok) << v.detail;
+  auto cosim = [&](const core::GoldenRun &g, std::uint64_t fsmdCycles) {
+    return core::cosimAgainstGoldenModel(w, r, *program, g, fsmdCycles);
+  };
+
+  core::CosimVerification honest = cosim(golden, v.cycles);
+  EXPECT_TRUE(honest.ok) << honest.detail;
+  EXPECT_EQ(honest.cycles, v.cycles);
+
+  core::CosimVerification cycles = cosim(golden, v.cycles + 1);
+  EXPECT_TRUE(cycles.ran);
+  EXPECT_FALSE(cycles.ok);
+  EXPECT_TRUE(contains(cycles.detail, "cycle count mismatch")) << cycles.detail;
+
+  core::GoldenRun lie = golden;
+  lie.returnValue = golden.returnValue.bitNot();
+  core::CosimVerification ret = cosim(lie, v.cycles);
+  EXPECT_FALSE(ret.ok);
+  EXPECT_TRUE(contains(ret.detail, "vsim return value mismatch")) << ret.detail;
+
+  lie = golden;
+  lie.globals[0][5] = golden.globals[0][5].bitNot();
+  core::CosimVerification global = cosim(lie, v.cycles);
+  EXPECT_FALSE(global.ok);
+  EXPECT_TRUE(contains(global.detail, "global 'y[5]' mismatch")) << global.detail;
+  EXPECT_TRUE(contains(global.detail, "vs vsim")) << global.detail;
+}
+
 TEST(VsimCosim, AsyncDesignsReportNotRun) {
   const core::Workload &w = core::findWorkload("gcd");
   auto r = flows::runFlow(*flows::findFlow("cash"), w.source, w.top);

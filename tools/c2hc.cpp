@@ -83,6 +83,7 @@
 #include "analysis/diagnostic.h"
 #include "core/c2h.h"
 #include "core/engine.h"
+#include "opt/astclone.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "support/guard.h"
@@ -395,8 +396,20 @@ int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
   // One meter for the whole invocation: pipeline, verification, cosim.
   guard::ExecBudget meter(options.budget);
   tuning.meter = &meter;
-  flows::FlowResult result =
-      flows::runFlow(spec, workload.source, workload.top, tuning);
+  // Compile once: the flow mutates a private clone, and the golden model
+  // reads the pristine program.
+  TypeContext types;
+  DiagnosticEngine diags;
+  std::unique_ptr<ast::Program> goldenProgram =
+      frontend(workload.source, types, diags);
+  flows::FlowResult result;
+  if (!goldenProgram) {
+    result.error = "frontend: " + diags.str();
+  } else {
+    std::unique_ptr<ast::Program> program = opt::cloneProgram(*goldenProgram);
+    result =
+        flows::runFlowChecked(spec, *program, types, workload.top, tuning);
+  }
 
   std::cout << "== " << spec.info.displayName << " ("
             << spec.info.timingModel << ")\n";
@@ -431,9 +444,18 @@ int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
   if (options.printIr)
     std::cout << result.module->str();
 
+  // One golden run and one design simulation serve both the verify step
+  // (skipped by --no-sim) and --cosim, as in the engine's cells.
+  core::GoldenRun golden;
+  core::Verification v;
+  bool cosimRuns = options.cosim && result.design && !result.asyncInfo;
+  if (options.simulate || cosimRuns) {
+    golden = core::runGoldenModel(workload, *goldenProgram, &meter);
+    v = core::verifyAgainstGoldenModel(workload, result, *goldenProgram,
+                                       golden, &meter);
+  }
+
   if (options.simulate) {
-    core::Verification v =
-        core::verifyAgainstGoldenModel(workload, result, &meter);
     if (!v.ok) {
       std::cout << "   VERIFY FAILED: " << v.detail << "\n";
       return v.verdict.isResourceLimit() ? kExitResource : kExitRejected;
@@ -447,8 +469,17 @@ int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
   }
 
   if (options.cosim) {
-    core::CosimVerification cv = core::cosimAgainstGoldenModel(
-        workload, result, options.vsimEngine, &meter);
+    core::CosimVerification cv;
+    if (cosimRuns && golden.ok && !v.ok) {
+      // Under --no-sim, a failed verify step is reported by cosim.
+      cv.ran = true;
+      cv.detail = v.detail;
+      cv.verdict = v.verdict;
+    } else {
+      cv = core::cosimAgainstGoldenModel(workload, result, *goldenProgram,
+                                         golden, v.cycles, options.vsimEngine,
+                                         &meter);
+    }
     if (!cv.degradation.empty())
       std::cout << "   cosim   : degraded (" << cv.degradation << ")\n";
     if (!cv.fallback.empty())
@@ -473,18 +504,15 @@ int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
 
   if (options.testbenchOut && result.design) {
     // Expected value from the golden model.
-    TypeContext types;
-    DiagnosticEngine diags;
-    auto program = frontend(workload.source, types, diags);
-    auto args = core::argBits(*program, workload.top, workload.args);
-    Interpreter interp(*program);
-    auto golden = interp.call(workload.top, args);
-    if (!golden.ok) {
-      std::cerr << "cannot produce testbench: " << golden.error << "\n";
+    auto args = core::argBits(*goldenProgram, workload.top, workload.args);
+    Interpreter interp(*goldenProgram);
+    auto expected = interp.call(workload.top, args);
+    if (!expected.ok) {
+      std::cerr << "cannot produce testbench: " << expected.error << "\n";
       return kExitRejected;
     }
     std::string tb = rtl::emitTestbench(*result.design, args,
-                                        golden.returnValue);
+                                        expected.returnValue);
     if (*options.testbenchOut == "-") {
       std::cout << tb;
     } else {
