@@ -3,7 +3,6 @@
 #include "analysis/analyzer.h"
 #include "flows/prefix.h"
 #include "opt/astclone.h"
-#include "support/text.h"
 #include "support/threadpool.h"
 
 #include <algorithm>
@@ -13,10 +12,10 @@ namespace c2h::core {
 
 namespace {
 
-std::uint64_t hashKey(const std::string &source, const std::string &top) {
-  std::uint64_t h = fnv1a(source);
-  h = fnv1a("\x1f", h); // separator: hash(source, top) != hash(source+top)
-  return fnv1a(top, h);
+// The top's length prefix keeps (source, top) pairs apart whatever bytes
+// either one holds.
+std::string cacheKey(const std::string &source, const std::string &top) {
+  return std::to_string(top.size()) + ':' + top + source;
 }
 
 // Fires at the top of every (flow, workload) cell — the chaos suite's
@@ -67,16 +66,10 @@ std::unique_ptr<ast::Program> FrontendCache::Entry::cloneAst() const {
 
 std::shared_ptr<FrontendCache::Entry>
 FrontendCache::get(const std::string &source, const std::string &top) {
-  std::uint64_t key = hashKey(source, top);
+  support::LruKey key = cacheKey(source, top);
   std::lock_guard<std::mutex> lock(mutex_);
-  auto &bucket = buckets_[key];
-  for (const auto &entry : bucket)
-    if (entry->source == source && entry->top == top) {
-      ++hits_;
-      touchLocked(entry);
-      return entry;
-    }
-  ++misses_;
+  if (std::shared_ptr<Entry> *hit = lru_.find(key))
+    return *hit;
   auto entry = std::make_shared<Entry>();
   entry->source = source;
   entry->top = top;
@@ -127,25 +120,16 @@ FrontendCache::get(const std::string &source, const std::string &top) {
   // later call may run disarmed or with a larger budget.  Return the failed
   // entry to this caller but never cache it, so one faulted run can't
   // poison the shared cache for clean runs that follow.
-  if (entry->verdict.ok()) {
-    bucket.push_back(entry);
-    lru_.push_front(entry);
-    sizeBytes_ += entryCost(*entry);
-    enforceCapLocked();
-  }
+  if (entry->verdict.ok())
+    lru_.insert(std::move(key), entry, entryCost(*entry));
   return entry;
 }
 
 bool FrontendCache::contains(const std::string &source,
                              const std::string &top) const {
+  support::LruKey key = cacheKey(source, top);
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = buckets_.find(hashKey(source, top));
-  if (it == buckets_.end())
-    return false;
-  for (const auto &entry : it->second)
-    if (entry->source == source && entry->top == top)
-      return true;
-  return false;
+  return lru_.contains(key);
 }
 
 std::uint64_t FrontendCache::entryCost(const Entry &entry) {
@@ -157,63 +141,12 @@ std::uint64_t FrontendCache::entryCost(const Entry &entry) {
 
 void FrontendCache::setCapacityBytes(std::uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  capacityBytes_ = bytes;
-  enforceCapLocked();
+  lru_.setCapacity(bytes);
 }
 
-void FrontendCache::touchLocked(const std::shared_ptr<Entry> &entry) {
-  for (auto it = lru_.begin(); it != lru_.end(); ++it)
-    if (it->get() == entry.get()) {
-      lru_.splice(lru_.begin(), lru_, it);
-      return;
-    }
-}
-
-void FrontendCache::enforceCapLocked() {
-  if (capacityBytes_ == 0)
-    return;
-  while (sizeBytes_ > capacityBytes_ && !lru_.empty()) {
-    std::shared_ptr<Entry> victim = lru_.back();
-    lru_.pop_back();
-    sizeBytes_ -= std::min(sizeBytes_, entryCost(*victim));
-    ++evictions_;
-    auto bucketIt = buckets_.find(hashKey(victim->source, victim->top));
-    if (bucketIt == buckets_.end())
-      continue;
-    auto &bucket = bucketIt->second;
-    for (auto it = bucket.begin(); it != bucket.end(); ++it)
-      if (it->get() == victim.get()) {
-        bucket.erase(it);
-        break;
-      }
-    if (bucket.empty())
-      buckets_.erase(bucketIt);
-  }
-}
-
-std::uint64_t FrontendCache::hits() const {
+support::CacheStats FrontendCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t FrontendCache::misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::uint64_t FrontendCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
-}
-
-std::uint64_t FrontendCache::sizeBytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sizeBytes_;
-}
-
-std::uint64_t FrontendCache::capacityBytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return capacityBytes_;
+  return lru_.stats();
 }
 
 CompareEngine::CompareEngine(EngineOptions options)

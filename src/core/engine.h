@@ -32,12 +32,11 @@
 #define C2H_CORE_ENGINE_H
 
 #include "core/c2h.h"
+#include "support/lru.h"
 #include "support/threadpool.h"
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,7 +44,7 @@
 
 namespace c2h::core {
 
-// Compile-once cache for the front end, keyed by hash(source, top).
+// Compile-once cache for the front end, keyed by (source, top).
 // Entries are immutable after creation except for their TypeContext, whose
 // interning is internally synchronized (flows intern types while inlining).
 //
@@ -54,11 +53,14 @@ namespace c2h::core {
 // is what lets a long-lived `c2hc --serve` daemon hold the hot working set
 // without growing forever.  Evicted entries stay alive for whoever still
 // holds the shared_ptr; a later get() for the same key simply recompiles
-// (a miss), so eviction is always safe, never wrong.
+// (a miss), so eviction is always safe, never wrong.  The recency, cost and
+// counter bookkeeping is support::LruCache's; this class adds the compile,
+// which runs under the cache's mutex so concurrent gets of one source
+// compile it once.
 class FrontendCache {
 public:
   struct Entry {
-    std::string source, top; // full key, checked against hash collisions
+    std::string source, top; // the key (entryCost reads its size)
     std::string error;       // frontend diagnostics when compilation failed
     // Structured cause when the frontend stopped on a guard event (budget
     // trip or injected frontend.parse/frontend.sema fault); kind None for
@@ -97,26 +99,19 @@ public:
   // accountant.
   static std::uint64_t entryCost(const Entry &entry);
 
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::uint64_t evictions() const;
-  std::uint64_t sizeBytes() const;
-  std::uint64_t capacityBytes() const;
+  // Counters and sizes, read at one instant.  Thread-safe.
+  support::CacheStats stats() const;
+  std::uint64_t hits() const { return stats().hits; }
+  std::uint64_t misses() const { return stats().misses; }
+  std::uint64_t evictions() const { return stats().evictions; }
+  std::uint64_t sizeBytes() const { return stats().size; }
+  std::uint64_t capacityBytes() const { return stats().capacity; }
 
 private:
-  void touchLocked(const std::shared_ptr<Entry> &entry);
-  void enforceCapLocked();
-
   mutable std::mutex mutex_;
-  // 64-bit FNV-1a of (source, top) -> entries; the vector absorbs hash
-  // collisions (entries verify the full key).
-  std::map<std::uint64_t, std::vector<std::shared_ptr<Entry>>> buckets_;
-  // Most-recently-used first.  Only cached (non-guard-event) entries are
-  // listed; sizeBytes_ is the sum of their entryCost.
-  std::list<std::shared_ptr<Entry>> lru_;
-  std::uint64_t capacityBytes_ = 0; // 0 = unbounded
-  std::uint64_t sizeBytes_ = 0;
-  std::uint64_t hits_ = 0, misses_ = 0, evictions_ = 0;
+  // Only cached (non-guard-event) entries are resident; each costs
+  // entryCost.
+  support::LruCache<std::shared_ptr<Entry>> lru_;
 };
 
 struct EngineOptions {

@@ -63,9 +63,9 @@ const char *engineName(vsim::SimEngine engine) {
 } // namespace
 
 CosimService::CosimService(ServiceOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)), modelCache_(options_.modelCacheEntries),
+      responses_(options_.responseCacheBytes) {
   engine_.cache().setCapacityBytes(options_.frontendCacheBytes);
-  modelCache_.setCapacity(options_.modelCacheEntries);
   pool_ = std::make_unique<ThreadPool>(options_.jobs);
 }
 
@@ -94,32 +94,38 @@ std::string CosimService::errorResponse(const std::string &id,
   return out;
 }
 
+bool CosimService::parseLine(const std::string &line, Request &request,
+                             std::string &response) {
+  JsonValue json = JsonValue::makeNull();
+  std::string error;
+  try {
+    siteParse.hit();
+    if (parseJson(line, json, error) && parseRequest(json, request, error))
+      return true;
+  } catch (const guard::InjectedFault &e) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++received_;
+    ++errorCount_;
+    response = errorResponse("", "error", e.what(), &e.verdict);
+    return false;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++received_;
+  ++invalidCount_;
+  response = errorResponse(json.isObject() ? json.stringOr("id", "") : "",
+                           "invalid_request",
+                           error.empty() ? "malformed request" : error);
+  return false;
+}
+
 void CosimService::submitAsync(std::string line,
                                std::function<void(std::string)> done) {
   auto start = std::chrono::steady_clock::now();
   Request request;
-  {
-    JsonValue json = JsonValue::makeNull();
-    std::string error;
-    try {
-      siteParse.hit();
-      if (!parseJson(line, json, error) ||
-          !parseRequest(json, request, error)) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++received_;
-        ++invalidCount_;
-        error = error.empty() ? "malformed request" : error;
-        done(errorResponse(json.isObject() ? json.stringOr("id", "") : "",
-                           "invalid_request", error));
-        return;
-      }
-    } catch (const guard::InjectedFault &e) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++received_;
-      ++errorCount_;
-      done(errorResponse("", "error", e.what(), &e.verdict));
-      return;
-    }
+  std::string response;
+  if (!parseLine(line, request, response)) {
+    done(std::move(response));
+    return;
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -153,25 +159,10 @@ void CosimService::submitAsync(std::string line,
 }
 
 std::string CosimService::handleLine(const std::string &line) {
-  JsonValue json = JsonValue::makeNull();
   Request request;
-  std::string error;
-  try {
-    siteParse.hit();
-    if (!parseJson(line, json, error) || !parseRequest(json, request, error)) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++received_;
-      ++invalidCount_;
-      return errorResponse(json.isObject() ? json.stringOr("id", "") : "",
-                           "invalid_request",
-                           error.empty() ? "malformed request" : error);
-    }
-  } catch (const guard::InjectedFault &e) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++received_;
-    ++errorCount_;
-    return errorResponse("", "error", e.what(), &e.verdict);
-  }
+  std::string response;
+  if (!parseLine(line, request, response))
+    return response;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++received_;
@@ -236,48 +227,6 @@ std::string CosimService::cacheKey(const Request &request) const {
       "/" + std::to_string(budget.maxAllocBytes) + "/" +
       std::to_string(budget.wallMs));
   return key;
-}
-
-bool CosimService::cacheLookup(const std::string &key, std::string &body) {
-  std::uint64_t hash = fnv1a(key);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = responseIndex_.find(hash);
-  if (it == responseIndex_.end() || it->second->key != key) {
-    ++responseMisses_;
-    return false;
-  }
-  ++responseHits_;
-  responseLru_.splice(responseLru_.begin(), responseLru_, it->second);
-  body = it->second->body;
-  return true;
-}
-
-void CosimService::cacheStore(const std::string &key, const std::string &body) {
-  std::uint64_t hash = fnv1a(key);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto existing = responseIndex_.find(hash);
-  if (existing != responseIndex_.end()) {
-    responseBytes_ -= std::min(responseBytes_, existing->second->bytes);
-    responseLru_.erase(existing->second);
-    responseIndex_.erase(existing);
-  }
-  CacheEntry entry;
-  entry.key = key;
-  entry.body = body;
-  entry.bytes = key.size() + body.size() + 128;
-  responseBytes_ += entry.bytes;
-  responseLru_.push_front(std::move(entry));
-  responseIndex_[hash] = responseLru_.begin();
-  if (options_.responseCacheBytes == 0)
-    return;
-  while (responseBytes_ > options_.responseCacheBytes &&
-         !responseLru_.empty()) {
-    const CacheEntry &victim = responseLru_.back();
-    responseBytes_ -= std::min(responseBytes_, victim.bytes);
-    responseIndex_.erase(fnv1a(victim.key));
-    responseLru_.pop_back();
-    ++responseEvictions_;
-  }
 }
 
 std::string CosimService::handleComparison(const Request &request,
@@ -377,23 +326,21 @@ std::string CosimService::statsBody() {
   out += ",\"over_budget\":" + std::to_string(overBudgetCount_);
   out += ",\"errors\":" + std::to_string(errorCount_);
   out += ",\"in_flight\":" + std::to_string(inFlight_);
-  const core::FrontendCache &cache = engine_.cache();
-  out += ",\"frontend_cache\":{\"hits\":" + std::to_string(cache.hits()) +
-         ",\"misses\":" + std::to_string(cache.misses()) +
-         ",\"evictions\":" + std::to_string(cache.evictions()) +
-         ",\"size_bytes\":" + std::to_string(cache.sizeBytes()) +
-         ",\"capacity_bytes\":" + std::to_string(cache.capacityBytes()) + "}";
-  const vsim::ModelCache::Stats mc = modelCache_.stats();
+  // The byte-capped caches share one shape; the model cache counts entries.
+  auto byteCache = [](const support::CacheStats &c) {
+    return "{\"hits\":" + std::to_string(c.hits) +
+           ",\"misses\":" + std::to_string(c.misses) +
+           ",\"evictions\":" + std::to_string(c.evictions) +
+           ",\"size_bytes\":" + std::to_string(c.size) +
+           ",\"capacity_bytes\":" + std::to_string(c.capacity) + "}";
+  };
+  out += ",\"frontend_cache\":" + byteCache(engine_.cache().stats());
+  const support::CacheStats mc = modelCache_.stats();
   out += ",\"model_cache\":{\"hits\":" + std::to_string(mc.hits) +
          ",\"misses\":" + std::to_string(mc.misses) +
          ",\"entries\":" + std::to_string(mc.entries) +
          ",\"capacity\":" + std::to_string(mc.capacity) + "}";
-  out += ",\"response_cache\":{\"hits\":" + std::to_string(responseHits_) +
-         ",\"misses\":" + std::to_string(responseMisses_) +
-         ",\"evictions\":" + std::to_string(responseEvictions_) +
-         ",\"size_bytes\":" + std::to_string(responseBytes_) +
-         ",\"capacity_bytes\":" + std::to_string(options_.responseCacheBytes) +
-         "}";
+  out += ",\"response_cache\":" + byteCache(responses_.stats());
   out += ",\"clients\":[";
   bool first = true;
   for (const auto &[name, stats] : clients_) {
@@ -455,8 +402,16 @@ std::string CosimService::handle(const Request &request, double queueMs) {
         ++invalidCount_;
         return errorResponse(request.id, "invalid_request", error);
       }
-      std::string key = cacheKey(request);
-      if (!request.noCache && cacheLookup(key, body)) {
+      support::LruKey key = cacheKey(request);
+      bool hit = false;
+      if (!request.noCache) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (const std::string *cached = responses_.find(key)) {
+          body = *cached;
+          hit = true;
+        }
+      }
+      if (hit) {
         responseCache = "hit";
       } else {
         frontendCache =
@@ -474,7 +429,9 @@ std::string CosimService::handle(const Request &request, double queueMs) {
         if (request.noCache) {
           responseCache = "bypass";
         } else if (cacheable) {
-          cacheStore(key, body);
+          std::uint64_t cost = key.text().size() + body.size() + 128;
+          std::lock_guard<std::mutex> lock(mutex_);
+          responses_.insert(std::move(key), body, cost);
           responseCache = "store";
         } else {
           responseCache = "skip";

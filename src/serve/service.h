@@ -1,10 +1,12 @@
 // CosimService: the persistent, multi-tenant heart of `c2hc --serve`.
 //
 // One service owns one CompareEngine — and therefore ONE front-end cache
-// (LRU byte-capped), ONE persistent worker pool, and one response cache —
-// shared by every request for the daemon's lifetime.  A warm repeat request
-// (same op/source/top/args/engine/budget) is answered from the response
-// cache: zero front-end parsing, zero flow synthesis, zero simulation.
+// and ONE persistent worker pool — plus one response cache and one vsim
+// model cache, shared by every request for the daemon's lifetime.  All
+// three caches are support::LruCache instances with their owner's cost
+// and cap (ServiceOptions).  A warm repeat request (same
+// op/source/top/args/engine/budget) is answered from the response cache:
+// zero front-end parsing, zero flow synthesis, zero simulation.
 //
 // Scheduling: requests are admitted (or rejected, structurally) at
 // submitAsync time, then run as one task each on the service's ThreadPool.
@@ -25,13 +27,13 @@
 
 #include "core/engine.h"
 #include "serve/protocol.h"
+#include "support/lru.h"
 #include "support/threadpool.h"
 #include "vsim/cosim.h"
 
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -110,12 +112,12 @@ private:
     std::size_t inFlight = 0;
   };
 
-  struct CacheEntry {
-    std::string key;  // canonical request key (verified on hit)
-    std::string body; // response core: op/status/exit_code/rows|report
-    std::uint64_t bytes = 0;
-  };
-
+  // Parse one request line.  A line that is not a request is counted as
+  // received and as invalid (or, for an injected serve.parse fault, as an
+  // error) and returns false with its error response in `response`; the
+  // caller counts a parsed request as received itself.
+  bool parseLine(const std::string &line, Request &request,
+                 std::string &response);
   // Handle a parsed request; returns the serialized response.
   std::string handle(const Request &request, double queueMs);
   std::string handleComparison(const Request &request, std::string &body,
@@ -127,8 +129,6 @@ private:
                        std::string &error) const;
   guard::BudgetSpec effectiveBudget(const Request &request) const;
   std::string cacheKey(const Request &request) const;
-  bool cacheLookup(const std::string &key, std::string &body);
-  void cacheStore(const std::string &key, const std::string &body);
   std::string finishResponse(const Request &request, const std::string &body,
                              const char *frontendCache,
                              const char *responseCache, double queueMs,
@@ -150,12 +150,10 @@ private:
   std::map<std::string, ClientStats> clients_;
   std::uint64_t received_ = 0, completed_ = 0, rejectedCount_ = 0,
                 invalidCount_ = 0, overBudgetCount_ = 0, errorCount_ = 0;
-  // Response cache: LRU by bytes, most-recent first.
-  std::list<CacheEntry> responseLru_;
-  std::map<std::uint64_t, std::list<CacheEntry>::iterator> responseIndex_;
-  std::uint64_t responseBytes_ = 0;
-  std::uint64_t responseHits_ = 0, responseMisses_ = 0,
-                responseEvictions_ = 0;
+  // Response cache: canonical request key -> response core (op, status,
+  // exit_code, rows or report), byte-capped at responseCacheBytes; an
+  // entry costs its key and body plus 128 bytes.
+  support::LruCache<std::string> responses_;
 };
 
 } // namespace c2h::serve

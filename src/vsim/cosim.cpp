@@ -108,45 +108,20 @@ struct ModelCache::Entry {
   std::shared_ptr<InitImage> eventImage;
 };
 
-void ModelCache::setCapacity(std::size_t n) {
+support::CacheStats ModelCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = n;
-  while (lru_.size() > capacity_)
-    lru_.pop_back();
-}
-
-ModelCache::Stats ModelCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.entries = lru_.size();
-  s.capacity = capacity_;
-  return s;
-}
-
-void ModelCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  lru_.clear();
+  return lru_.stats();
 }
 
 std::shared_ptr<ModelCache::Entry>
-ModelCache::acquire(const std::string &key) {
+ModelCache::acquire(const support::LruKey &key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (capacity_ == 0)
+  if (lru_.stats().capacity == 0)
     return nullptr;
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    if (it->first == key) {
-      ++hits_;
-      lru_.splice(lru_.begin(), lru_, it);
-      return lru_.front().second;
-    }
-  }
-  ++misses_;
+  if (std::shared_ptr<Entry> *hit = lru_.find(key))
+    return *hit;
   auto entry = std::make_shared<Entry>();
-  lru_.emplace_front(key, entry);
-  while (lru_.size() > capacity_)
-    lru_.pop_back();
+  lru_.insert(key, entry, 1);
   return entry;
 }
 

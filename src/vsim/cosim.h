@@ -14,10 +14,10 @@
 
 #include "rtl/fsmd.h"
 #include "support/guard.h"
+#include "support/lru.h"
 #include "vsim/engine.h"
 #include "vsim/sim.h"
 
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -64,34 +64,27 @@ struct CosimResult {
 // artifact a Cosimulation would otherwise rebuild per request — the
 // elaborated Model, the lazily compiled CompiledModel (which carries the
 // post-`initial` init image the bytecode VM restores from), the event
-// engine's InitImage snapshot, and the recorded fallback note.  Entries hold no run state, so concurrent requests share one
-// safely; eviction is LRU by entry count.  Lookups and stores are bypassed
+// engine's InitImage snapshot, and the recorded fallback note.  Entries
+// hold no run state, so concurrent requests share one safely.  Recency and
+// counters are a support::LruCache's, capped by entry count (each entry
+// costs 1); capacity 0 disables it.  Lookups and stores are bypassed
 // entirely while a guard fault is armed, so chaos runs can neither poison
 // the cache nor be masked by it.
 class ModelCache {
 public:
-  explicit ModelCache(std::size_t capacity = 16) : capacity_(capacity) {}
+  explicit ModelCache(std::size_t capacity = 16) : lru_(capacity) {}
 
-  void setCapacity(std::size_t n);
-
-  struct Stats {
-    std::uint64_t hits = 0, misses = 0;
-    std::size_t entries = 0, capacity = 0;
-  };
-  Stats stats() const;
-  void clear();
+  support::CacheStats stats() const;
 
 private:
   friend class Cosimulation;
   struct Entry;
-  // Returns the entry for `key`, creating (and registering) it on a miss.
-  std::shared_ptr<Entry> acquire(const std::string &key);
+  // Returns the entry for `key`, creating (and registering) it on a miss;
+  // null while the cache is disabled.
+  std::shared_ptr<Entry> acquire(const support::LruKey &key);
 
   mutable std::mutex mutex_;
-  // Most-recently-used first; capacities are small, so a scan suffices.
-  std::list<std::pair<std::string, std::shared_ptr<Entry>>> lru_;
-  std::size_t capacity_;
-  std::uint64_t hits_ = 0, misses_ = 0;
+  support::LruCache<std::shared_ptr<Entry>> lru_;
 };
 
 // Emits and elaborates once; run() starts a fresh Simulation each time, so

@@ -299,6 +299,15 @@ int main(int argc, char **argv) {
       "rangebugs_json_golden",
       c2hc + " " + fx + "/rangebugs.uc --analyze --diag-format=json", 1,
       fx + "/rangebugs_analyze.json", ++n);
+  // An output file that cannot be written is a failure, never a "wrote".
+  expectExit("unwritable_testbench_path",
+             c2hc + " --workload=fir --flow=bachc --no-sim"
+                    " --tb=/nonexistent_dir/x_tb.v",
+             1, ++n, "cannot write");
+  expectExit("unwritable_verilog_path",
+             c2hc + " --workload=fir --flow=bachc --no-sim"
+                    " --verilog=/nonexistent_dir/x.v",
+             1, ++n, "cannot write");
   expectExit("unbounded_loop_under_cones",
              c2hc + " " + fx + "/unbounded.uc --flow=cones", 1, ++n);
 

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <mutex>
 #include <vector>
@@ -164,6 +165,49 @@ TEST(ServeService, WarmRepeatIsServedFromTheResponseCache) {
   EXPECT_NE(warm.find("\"response\":\"hit\""), std::string::npos) << warm;
   EXPECT_NE(cold.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_EQ(stripCache(cold), stripCache(warm));
+}
+
+// One counter of the `stats` op's response_cache object.
+std::int64_t responseCacheStat(CosimService &service, const char *field) {
+  std::string stats =
+      service.handleLine(R"({"id":"s","op":"stats","timing":false})");
+  JsonValue json = JsonValue::makeNull();
+  std::string error;
+  EXPECT_TRUE(serve::parseJson(stats, json, error)) << error;
+  const JsonValue *cache = json.find("stats")->find("response_cache");
+  EXPECT_NE(cache, nullptr) << stats;
+  return cache ? cache->find(field)->intValue() : -1;
+}
+
+TEST(ServeService, ResponseCacheCapHoldingOneResponseEvicts) {
+  const std::string a =
+      R"({"id":"a","op":"cosim","workload":"gcd","timing":false})";
+  const std::string b =
+      R"({"id":"b","op":"cosim","workload":"fir","timing":false})";
+  // Each response's cost, read off an unbounded cache.
+  std::int64_t costA, costB;
+  {
+    ServiceOptions unbounded;
+    unbounded.responseCacheBytes = 0;
+    CosimService probe(unbounded);
+    probe.handleLine(a);
+    costA = responseCacheStat(probe, "size_bytes");
+    probe.handleLine(b);
+    costB = responseCacheStat(probe, "size_bytes") - costA;
+  }
+  ASSERT_GT(costA, 0);
+  ASSERT_GT(costB, 0);
+  ServiceOptions options;
+  options.responseCacheBytes = std::max(costA, costB);
+  CosimService service(options);
+  for (const std::string &line : {a, b, a}) {
+    std::string response = service.handleLine(line);
+    EXPECT_NE(response.find("\"response\":\"store\""), std::string::npos)
+        << response;
+  }
+  EXPECT_GE(responseCacheStat(service, "evictions"), 1);
+  EXPECT_EQ(responseCacheStat(service, "hits"), 0);
+  EXPECT_EQ(responseCacheStat(service, "size_bytes"), costA);
 }
 
 TEST(ServeService, CosimCompileWarmsALaterAnalyze) {

@@ -1,7 +1,10 @@
 #include "support/diagnostics.h"
+#include "support/lru.h"
 #include "support/text.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 namespace c2h {
 namespace {
@@ -91,6 +94,112 @@ TEST(Diagnostics, ClearResets) {
 TEST(SourceLoc, InvalidPrintsPlaceholder) {
   EXPECT_EQ(SourceLoc{}.str(), "<no-loc>");
   EXPECT_EQ((SourceLoc{4, 2}).str(), "4:2");
+}
+
+using support::LruCache;
+using namespace std::string_literals;
+
+TEST(LruCache, FindMakesAnEntryMostRecent) {
+  LruCache<int> cache(2);
+  cache.insert("a"s, 1, 1);
+  cache.insert("b"s, 2, 1);
+  ASSERT_NE(cache.find("a"s), nullptr); // "b" is now least recent
+  cache.insert("c"s, 3, 1);
+  EXPECT_TRUE(cache.contains("a"s));
+  EXPECT_FALSE(cache.contains("b"s));
+  EXPECT_TRUE(cache.contains("c"s));
+  EXPECT_EQ(*cache.find("a"s), 1);
+  EXPECT_EQ(cache.find("b"s), nullptr);
+  support::CacheStats s = cache.stats();
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.entries, 2u);
+}
+
+TEST(LruCache, ContainsNeitherTouchesNorCounts) {
+  LruCache<int> cache(2);
+  cache.insert("a"s, 1, 1);
+  cache.insert("b"s, 2, 1);
+  EXPECT_TRUE(cache.contains("a"s)); // "a" stays least recent
+  EXPECT_FALSE(cache.contains("z"s));
+  cache.insert("c"s, 3, 1);
+  EXPECT_FALSE(cache.contains("a"s));
+  EXPECT_TRUE(cache.contains("b"s));
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+}
+
+TEST(LruCache, CostCapEvictsLeastRecentFirst) {
+  LruCache<std::string> cache(100);
+  cache.insert("a"s, "A", 40);
+  cache.insert("b"s, "B", 40);
+  cache.insert("c"s, "C", 10);
+  EXPECT_EQ(cache.stats().size, 90u);
+  // 60 more must displace "a" and then "b", the two least recent.
+  cache.insert("d"s, "D", 60);
+  EXPECT_FALSE(cache.contains("a"s));
+  EXPECT_FALSE(cache.contains("b"s));
+  EXPECT_TRUE(cache.contains("c"s));
+  EXPECT_TRUE(cache.contains("d"s));
+  support::CacheStats s = cache.stats();
+  EXPECT_EQ(s.size, 70u);
+  EXPECT_EQ(s.evictions, 2u);
+  // An entry costlier than the whole cap is admitted and evicted at once.
+  cache.insert("huge"s, "H", 101);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().size, 0u);
+}
+
+TEST(LruCache, ReplacingAKeyKeepsSizeExact) {
+  LruCache<std::string> cache(100);
+  cache.insert("a"s, "old", 30);
+  cache.insert("b"s, "B", 30);
+  cache.insert("a"s, "new", 50); // replaced in place, now most recent
+  support::CacheStats s = cache.stats();
+  EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(s.size, 80u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(*cache.find("a"s), "new");
+  cache.insert("c"s, "C", 30); // "b" is the least recent
+  EXPECT_FALSE(cache.contains("b"s));
+  EXPECT_EQ(cache.stats().size, 80u);
+}
+
+TEST(LruCache, CapacityZeroIsUnbounded) {
+  LruCache<int> cache;
+  for (int i = 0; i < 100; ++i)
+    cache.insert(std::to_string(i), i, 1u << 20);
+  support::CacheStats s = cache.stats();
+  EXPECT_EQ(s.capacity, 0u);
+  EXPECT_EQ(s.entries, 100u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.size, 100u << 20);
+}
+
+TEST(LruCache, ShrinkingEvictsAtOnce) {
+  LruCache<int> cache;
+  cache.insert("a"s, 1, 10);
+  cache.insert("b"s, 2, 10);
+  cache.insert("c"s, 3, 10);
+  cache.setCapacity(15);
+  support::CacheStats s = cache.stats();
+  EXPECT_EQ(s.capacity, 15u);
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.size, 10u);
+  EXPECT_EQ(s.evictions, 2u);
+  EXPECT_TRUE(cache.contains("c"s));
+}
+
+TEST(LruCache, EvictedSharedValueStaysValidForItsHolder) {
+  LruCache<std::shared_ptr<std::string>> cache(1);
+  cache.insert("a"s, std::make_shared<std::string>("payload"), 1);
+  std::shared_ptr<std::string> held = *cache.find("a"s);
+  cache.insert("b"s, std::make_shared<std::string>("other"), 1);
+  EXPECT_FALSE(cache.contains("a"s));
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(*held, "payload");
+  EXPECT_EQ(held.use_count(), 1);
 }
 
 } // namespace

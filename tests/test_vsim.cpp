@@ -616,6 +616,32 @@ TEST(VsimCompiled, RepeatedRunsAreDeterministic) {
   }
 }
 
+// A one-entry model cache over two designs: A, B, A are three misses, and
+// only the last design stays resident.
+TEST(VsimCosim, ModelCacheOfOneEvictsTheOtherDesign) {
+  vsim::ModelCache cache(1);
+  auto cosimOnce = [&cache](const char *name) {
+    const core::Workload &w = core::findWorkload(name);
+    auto r = flows::runFlow(*flows::findFlow("bachc"), w.source, w.top);
+    ASSERT_TRUE(r.ok) << r.error;
+    TypeContext types;
+    DiagnosticEngine diags;
+    auto program = frontend(w.source, types, diags);
+    ASSERT_NE(program, nullptr) << diags.str();
+    vsim::Cosimulation cosim(*r.design, &cache);
+    auto result = cosim.run(core::argBits(*program, w.top, w.args));
+    EXPECT_TRUE(result.ok) << name << ": " << result.error;
+  };
+  cosimOnce("gcd");
+  cosimOnce("fir");
+  cosimOnce("gcd");
+  support::CacheStats s = cache.stats();
+  EXPECT_EQ(s.misses, 3u);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.capacity, 1u);
+}
+
 // Testbench-style models (a delay loop driving its own clock) used to be
 // outside the compiled subset; they now compile in behavioral mode.  The
 // compiled subset equals the event subset — only a combinational loop or

@@ -340,12 +340,46 @@ std::string workloadStem(const core::Workload &workload) {
   return stem.empty() ? "program" : stem;
 }
 
+// Write `text` to `path` ('-' = stdout) and report it under `label`, padded
+// to the width of "verilog".  A file that cannot be written is exit 1.
+int writeOutput(const std::string &path, const std::string &text,
+                const char *label) {
+  if (path == "-") {
+    std::cout << text;
+    return kExitOk;
+  }
+  std::ofstream out(path);
+  out << text;
+  out.close();
+  if (!out) {
+    std::cerr << "cannot write " << path << "\n";
+    return kExitRejected;
+  }
+  std::cout << "   " << label << " : wrote " << path << "\n";
+  return kExitOk;
+}
+
+// A self-checking testbench for `design` that drives the workload's
+// arguments and expects the golden model's return value.
+int writeTestbench(const std::string &path, const rtl::Design &design,
+                   const core::Workload &workload, const ast::Program &program,
+                   const core::GoldenRun &golden) {
+  if (!golden.ok) {
+    std::cerr << "cannot produce testbench: " << golden.detail << "\n";
+    return kExitRejected;
+  }
+  auto args = core::argBits(program, workload.top, workload.args);
+  return writeOutput(path,
+                     rtl::emitTestbench(design, args, golden.returnValue),
+                     "tb     ");
+}
+
 // `--emit-verilog=<dir>`: write `<flow>_<workload>.v` plus a self-checking
-// `<flow>_<workload>_tb.v` whose expected value comes from the golden-model
-// interpreter.
+// `<flow>_<workload>_tb.v`.
 int emitDesignFiles(const std::string &dir, const flows::FlowSpec &spec,
-                    const core::Workload &workload,
-                    const flows::FlowResult &result) {
+                    const core::Workload &workload, const rtl::Design &design,
+                    const ast::Program &program,
+                    const core::GoldenRun &golden) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -353,39 +387,11 @@ int emitDesignFiles(const std::string &dir, const flows::FlowSpec &spec,
     return kExitRejected;
   }
   std::string stem = spec.info.id + "_" + workloadStem(workload);
-  std::filesystem::path vPath = std::filesystem::path(dir) / (stem + ".v");
-  std::ofstream vOut(vPath);
-  if (!vOut) {
-    std::cerr << "cannot write " << vPath.string() << "\n";
-    return kExitRejected;
-  }
-  vOut << rtl::emitVerilog(*result.design);
-  std::cout << "   verilog : wrote " << vPath.string() << "\n";
-
-  TypeContext types;
-  DiagnosticEngine diags;
-  auto program = frontend(workload.source, types, diags);
-  if (!program) {
-    std::cerr << "cannot produce testbench: " << diags.str() << "\n";
-    return kExitRejected;
-  }
-  auto args = core::argBits(*program, workload.top, workload.args);
-  Interpreter interp(*program);
-  auto golden = interp.call(workload.top, args);
-  if (!golden.ok) {
-    std::cerr << "cannot produce testbench: " << golden.error << "\n";
-    return kExitRejected;
-  }
-  std::filesystem::path tbPath =
-      std::filesystem::path(dir) / (stem + "_tb.v");
-  std::ofstream tbOut(tbPath);
-  if (!tbOut) {
-    std::cerr << "cannot write " << tbPath.string() << "\n";
-    return kExitRejected;
-  }
-  tbOut << rtl::emitTestbench(*result.design, args, golden.returnValue);
-  std::cout << "   tb      : wrote " << tbPath.string() << "\n";
-  return kExitOk;
+  std::string base = (std::filesystem::path(dir) / stem).string();
+  int rc = writeOutput(base + ".v", rtl::emitVerilog(design), "verilog");
+  if (rc != kExitOk)
+    return rc;
+  return writeTestbench(base + "_tb.v", design, workload, program, golden);
 }
 
 int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
@@ -445,11 +451,13 @@ int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
     std::cout << result.module->str();
 
   // One golden run and one design simulation serve both the verify step
-  // (skipped by --no-sim) and --cosim, as in the engine's cells.
+  // (skipped by --no-sim) and --cosim, as in the engine's cells; the same
+  // golden run gives the testbenches their expected value.
   core::GoldenRun golden;
   core::Verification v;
   bool cosimRuns = options.cosim && result.design && !result.asyncInfo;
-  if (options.simulate || cosimRuns) {
+  bool goldenRan = options.simulate || cosimRuns;
+  if (goldenRan) {
     golden = core::runGoldenModel(workload, *goldenProgram, &meter);
     v = core::verifyAgainstGoldenModel(workload, result, *goldenProgram,
                                        golden, &meter);
@@ -496,45 +504,22 @@ int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
     }
   }
 
-  if (options.emitVerilogDir && result.design) {
-    int rc = emitDesignFiles(*options.emitVerilogDir, spec, workload, result);
+  if (result.design && (options.emitVerilogDir || options.testbenchOut)) {
+    if (!goldenRan)
+      golden = core::runGoldenModel(workload, *goldenProgram);
+    int rc = kExitOk;
+    if (options.emitVerilogDir)
+      rc = emitDesignFiles(*options.emitVerilogDir, spec, workload,
+                           *result.design, *goldenProgram, golden);
+    if (rc == kExitOk && options.testbenchOut)
+      rc = writeTestbench(*options.testbenchOut, *result.design, workload,
+                          *goldenProgram, golden);
     if (rc != kExitOk)
       return rc;
   }
-
-  if (options.testbenchOut && result.design) {
-    // Expected value from the golden model.
-    auto args = core::argBits(*goldenProgram, workload.top, workload.args);
-    Interpreter interp(*goldenProgram);
-    auto expected = interp.call(workload.top, args);
-    if (!expected.ok) {
-      std::cerr << "cannot produce testbench: " << expected.error << "\n";
-      return kExitRejected;
-    }
-    std::string tb = rtl::emitTestbench(*result.design, args,
-                                        expected.returnValue);
-    if (*options.testbenchOut == "-") {
-      std::cout << tb;
-    } else {
-      std::ofstream out(*options.testbenchOut);
-      out << tb;
-      std::cout << "   tb      : wrote " << *options.testbenchOut << "\n";
-    }
-  }
-  if (options.verilogOut && result.design) {
-    std::string verilog = rtl::emitVerilog(*result.design);
-    if (*options.verilogOut == "-") {
-      std::cout << verilog;
-    } else {
-      std::ofstream out(*options.verilogOut);
-      if (!out) {
-        std::cerr << "cannot write " << *options.verilogOut << "\n";
-        return kExitRejected;
-      }
-      out << verilog;
-      std::cout << "   verilog : wrote " << *options.verilogOut << "\n";
-    }
-  }
+  if (options.verilogOut && result.design)
+    return writeOutput(*options.verilogOut, rtl::emitVerilog(*result.design),
+                       "verilog");
   return kExitOk;
 }
 
@@ -592,8 +577,13 @@ int runAll(const core::Workload &workload, const Options &options) {
     std::cout << serve::serializeRows(rows, true) << "\n";
 
   // `--emit-verilog` under 'all': one (design, testbench) pair per
-  // accepted synchronous flow.
-  if (options.emitVerilogDir) {
+  // accepted synchronous flow, every testbench expecting one golden run
+  // over the engine's cached compile.
+  auto entry = options.emitVerilogDir
+                   ? engine.cache().get(workload.source, workload.top)
+                   : nullptr;
+  if (entry && entry->ok()) {
+    core::GoldenRun golden = core::runGoldenModel(workload, *entry->program);
     for (const auto &spec : flows::allFlows()) {
       if (spec.asyncDataflow)
         continue;
@@ -602,8 +592,8 @@ int runAll(const core::Workload &workload, const Options &options) {
       if (!result.ok || !result.design)
         continue;
       std::cout << "== " << spec.info.id << "\n";
-      int rc =
-          emitDesignFiles(*options.emitVerilogDir, spec, workload, result);
+      int rc = emitDesignFiles(*options.emitVerilogDir, spec, workload,
+                               *result.design, *entry->program, golden);
       if (rc != kExitOk)
         exitCode = rc;
     }
