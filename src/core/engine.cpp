@@ -80,10 +80,7 @@ FrontendCache::get(const std::string &source, const std::string &top) {
   // workloads are untouched, and the cache itself stays consistent.
   try {
     entry->program = frontend(source, entry->types, diags);
-  } catch (const guard::BudgetExceeded &e) {
-    entry->verdict = e.verdict;
-    entry->error = e.verdict.str();
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::GuardEvent &e) {
     entry->verdict = e.verdict;
     entry->error = e.verdict.str();
   } catch (const std::exception &e) {
@@ -246,13 +243,7 @@ FlowComparison CompareEngine::runCell(const flows::FlowSpec &spec,
       row.fmaxMHz = result.timing.fmaxMHz;
     }
     return row;
-  } catch (const guard::BudgetExceeded &e) {
-    row = FlowComparison{};
-    row.flowId = spec.info.id;
-    row.verdict = e.verdict;
-    row.note = e.verdict.str();
-    return row;
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::GuardEvent &e) {
     row = FlowComparison{};
     row.flowId = spec.info.id;
     row.verdict = e.verdict;
@@ -304,39 +295,23 @@ CompareEngine::requestMemo(const FrontendCache::Entry &entry,
 std::vector<FlowComparison>
 CompareEngine::compareFlowsImpl(const Workload &workload,
                                 const std::vector<flows::FlowSpec> &specs,
-                                const flows::FlowTuning &callTuning,
+                                const flows::FlowTuning &tuning,
                                 const EngineOptions &options) {
-  std::shared_ptr<FrontendCache::Entry> entry =
-      cache_.get(workload.source, workload.top);
-  flows::FlowTuning tuning = callTuning;
-  std::unique_ptr<flows::PrefixMemo> memo =
-      requestMemo(*entry, workload.top, tuning);
-  GoldenMemo golden(workload, entry->program.get());
-  std::vector<FlowComparison> rows(specs.size());
-  unsigned jobs = resolveJobs(tuning);
-  if (jobs <= 1 || specs.size() <= 1) {
-    for (std::size_t i = 0; i < specs.size(); ++i)
-      rows[i] = runCell(specs[i], workload, *entry, tuning, options, golden);
-    return rows;
-  }
-  // The persistent pool outlives this call; the group scopes the wait to
-  // this batch so concurrent callers (service requests) never block on each
-  // other's cells.
-  TaskGroup group(sharedPool(static_cast<unsigned>(
-      std::min<std::size_t>(jobs, specs.size()))));
-  for (std::size_t i = 0; i < specs.size(); ++i)
-    group.submit([this, &rows, &specs, &workload, &entry, &tuning, &options,
-                  &golden, i] {
-      rows[i] = runCell(specs[i], workload, *entry, tuning, options, golden);
-    });
-  group.wait();
-  return rows;
+  return std::move(
+      compareCells({&workload, 1}, specs, tuning, options).front());
 }
 
 std::vector<std::vector<FlowComparison>>
 CompareEngine::compareMatrix(const std::vector<Workload> &workloads,
                              const flows::FlowTuning &tuning) {
-  const std::vector<flows::FlowSpec> &specs = flows::allFlows();
+  return compareCells(workloads, flows::allFlows(), tuning, options_);
+}
+
+std::vector<std::vector<FlowComparison>>
+CompareEngine::compareCells(std::span<const Workload> workloads,
+                            const std::vector<flows::FlowSpec> &specs,
+                            const flows::FlowTuning &tuning,
+                            const EngineOptions &options) {
   // Compile every workload up front: deterministic cache fill, and workers
   // never contend on the compile lock.  Each workload gets its own prefix
   // memo and golden run, as if it were a request of its own.
@@ -344,33 +319,35 @@ CompareEngine::compareMatrix(const std::vector<Workload> &workloads,
   std::vector<std::unique_ptr<flows::PrefixMemo>> memos;
   std::vector<std::unique_ptr<GoldenMemo>> goldens;
   std::vector<flows::FlowTuning> tunings(workloads.size(), tuning);
-  entries.reserve(workloads.size());
+  std::vector<std::vector<FlowComparison>> rows(workloads.size());
   for (std::size_t w = 0; w < workloads.size(); ++w) {
     entries.push_back(cache_.get(workloads[w].source, workloads[w].top));
     memos.push_back(requestMemo(*entries[w], workloads[w].top, tunings[w]));
     goldens.push_back(std::make_unique<GoldenMemo>(
         workloads[w], entries[w]->program.get()));
+    rows[w].resize(specs.size());
   }
+  auto cell = [&](std::size_t w, std::size_t f) {
+    rows[w][f] = runCell(specs[f], workloads[w], *entries[w], tunings[w],
+                         options, *goldens[w]);
+  };
 
-  std::vector<std::vector<FlowComparison>> rows(workloads.size());
-  for (auto &r : rows)
-    r.resize(specs.size());
-  unsigned jobs = resolveJobs(tuning);
-  if (jobs <= 1) {
+  const std::size_t cells = workloads.size() * specs.size();
+  const unsigned jobs = resolveJobs(tuning);
+  if (jobs <= 1 || cells <= 1) {
     for (std::size_t w = 0; w < workloads.size(); ++w)
       for (std::size_t f = 0; f < specs.size(); ++f)
-        rows[w][f] = runCell(specs[f], workloads[w], *entries[w], tunings[w],
-                             options_, *goldens[w]);
+        cell(w, f);
     return rows;
   }
-  TaskGroup group(sharedPool(jobs));
+  // The persistent pool outlives this call; the group scopes the wait to
+  // this batch so concurrent callers (service requests) never block on each
+  // other's cells.
+  TaskGroup group(
+      sharedPool(static_cast<unsigned>(std::min<std::size_t>(jobs, cells))));
   for (std::size_t w = 0; w < workloads.size(); ++w)
     for (std::size_t f = 0; f < specs.size(); ++f)
-      group.submit([this, &rows, &specs, &workloads, &entries, &tunings,
-                    &goldens, w, f] {
-        rows[w][f] = runCell(specs[f], workloads[w], *entries[w], tunings[w],
-                             options_, *goldens[w]);
-      });
+      group.submit([&cell, w, f] { cell(w, f); });
   group.wait();
   return rows;
 }

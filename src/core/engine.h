@@ -18,7 +18,7 @@
 //     analysis runs once per workload, and the range gate and the
 //     optimize/prune step once per distinct lowered module, whose optimized
 //     form the flows share read-only.  Callers outside the engine (runFlow,
-//     the CLI's single-flow path) pass a null memo and compute every stage.
+//     the CLI's single-flow path) pass none, and each call makes its own.
 //     Verification shares work the same way: the golden model runs once
 //     per workload of a call (GoldenMemo; only a run no guard event stopped
 //     is kept, and a cell with a step, cycle or alloc limit runs its own),
@@ -39,6 +39,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -176,9 +177,16 @@ private:
                          FrontendCache::Entry &entry,
                          const flows::FlowTuning &tuning,
                          const EngineOptions &options, GoldenMemo &golden);
+  // One workload's row of compareCells.
   std::vector<FlowComparison> compareFlowsImpl(
       const Workload &workload, const std::vector<flows::FlowSpec> &specs,
       const flows::FlowTuning &tuning, const EngineOptions &options);
+  // Every (workload, spec) cell; result[i] is workloads[i]'s rows in `specs`
+  // order.  Runs serially at one job or one cell, else on the shared pool.
+  std::vector<std::vector<FlowComparison>>
+  compareCells(std::span<const Workload> workloads,
+               const std::vector<flows::FlowSpec> &specs,
+               const flows::FlowTuning &tuning, const EngineOptions &options);
   // A fresh prefix memo for one workload of a request, installed in
   // `tuning.prefix`; null (and no memo) when the front end failed.
   static std::unique_ptr<flows::PrefixMemo>

@@ -329,8 +329,7 @@ CosimVerification cosimAgainstGoldenModel(const Workload &workload,
       argBits(goldenProgram, workload.top, workload.args), copts);
   c.cycles = r.cycles;
   c.degradation = r.degradation;
-  c.engine =
-      cosim.engineUsed() == vsim::SimEngine::Event ? "event" : "compiled";
+  c.engine = vsim::engineName(r.engine);
   c.fallback = cosim.compileNote();
   if (!r.ok) {
     c.detail = r.error;

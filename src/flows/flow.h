@@ -90,7 +90,7 @@ struct FlowTuning {
   guard::ExecBudget *meter = nullptr;
   // Request-scoped memo of the pipeline prefix the flows share (non-owning;
   // see flows/prefix.h).  The engine sets one per workload in a request, the
-  // way it sets `meter`; null computes every stage for this call alone.
+  // way it sets `meter`; null gives the call a memo of its own.
   PrefixMemo *prefix = nullptr;
 };
 
@@ -132,11 +132,11 @@ FlowResult runFlow(const FlowSpec &spec, const std::string &source,
 // `program` (inlining, unrolling), so never pass a shared AST; `types`
 // must be the context the program's Type pointers live in.
 //
-// With `tuning.prefix` set, the pre-flight analysis, the range gate and the
-// optimize/prune step come from that request memo, and the result's module
-// may be shared read-only with other flows of the request.  The engine sets
-// it; runFlow, the CLI's single-flow path and other direct callers pass
-// null and compute every stage themselves.
+// The pre-flight analysis, the range gate and the optimize/prune step come
+// from a PrefixMemo, and the result's module may be shared read-only with
+// the memo's other flows.  The engine sets `tuning.prefix` to its request
+// memo; with it null (runFlow, the CLI's single-flow path and other direct
+// callers) the call makes a memo of its own.
 FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
                           TypeContext &types, const std::string &top,
                           const FlowTuning &tuning = {});

@@ -1,8 +1,6 @@
 #include "flows/flow.h"
 
-#include "analysis/analyzer.h"
 #include "analysis/lints.h"
-#include "analysis/range.h"
 #include "flows/prefix.h"
 #include "frontend/parser.h"
 #include "ir/lower.h"
@@ -300,15 +298,17 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
   // 1b. Pre-flight synthesizability analysis: a provable par race or channel
   //     deadlock means the program is wrong in any language that accepts the
   //     constructs — reject with the precise sites instead of synthesizing a
-  //     broken circuit.
-  analysis::Report preflight =
-      tuning.prefix ? tuning.prefix->preflight()
-                    : analysis::preflightFlow(program, top, false);
+  //     broken circuit.  A call without a request memo makes its own here,
+  //     while `program` is still the unmutated AST the memo reads.
+  std::optional<PrefixMemo> localPrefix;
+  PrefixMemo &prefix =
+      tuning.prefix ? *tuning.prefix : localPrefix.emplace(program, top);
+  const analysis::Report &preflight = prefix.preflight();
   if (preflight.hasErrors()) {
     for (const auto &d : preflight.diagnostics())
       result.rejections.push_back(std::string(spec.info.displayName) +
                                   " rejects the program: " + d.oneLine());
-    result.analysisFindings = std::move(preflight);
+    result.analysisFindings = preflight;
     return result;
   }
   result.accepted = true;
@@ -375,11 +375,9 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
   //     access or division by zero is wrong in every backend, and it must be
   //     caught before optimization constant-folds the offending operation
   //     into its (defined but surprising) hardware result.
-  PrefixMemo::Lowered *shared =
-      tuning.prefix ? &tuning.prefix->lowered(*module) : nullptr;
+  PrefixMemo::Lowered &shared = prefix.lowered(*module);
   {
-    analysis::Report ranges =
-        shared ? shared->ranges(*module) : analysis::checkRanges(*module);
+    const analysis::Report &ranges = shared.ranges(*module);
     if (ranges.hasErrors()) {
       result.accepted = false;
       analysis::Report errors;
@@ -399,16 +397,12 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
   //     share one optimized module read-only; flows that rewrite it further
   //     take a private clone.
   if (spec.optimizeIr) {
-    if (shared) {
-      std::shared_ptr<const ir::Module> optimized =
-          shared->optimized(std::move(module));
-      if (spec.stackifyRecursion || spec.ifConvertBranches)
-        module = ir::cloneModule(*optimized);
-      else // FlowResult and the design only ever read the module.
-        result.module = std::const_pointer_cast<ir::Module>(optimized);
-    } else {
-      optimizeAndPrune(*module);
-    }
+    std::shared_ptr<const ir::Module> optimized =
+        shared.optimized(std::move(module));
+    if (spec.stackifyRecursion || spec.ifConvertBranches)
+      module = ir::cloneModule(*optimized);
+    else // FlowResult and the design only ever read the module.
+      result.module = std::const_pointer_cast<ir::Module>(optimized);
   }
   if (module) {
     if (spec.stackifyRecursion && opt::stackifyRecursion(*module))
@@ -461,12 +455,7 @@ FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
   result.ok = true;
   return result;
 
-  } catch (const guard::BudgetExceeded &e) {
-    result.ok = false;
-    result.verdict = e.verdict;
-    result.error = e.verdict.str();
-    return result;
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::GuardEvent &e) {
     result.ok = false;
     result.verdict = e.verdict;
     result.error = e.verdict.str();

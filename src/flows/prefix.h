@@ -7,7 +7,8 @@
 // work on identical input, and range analysis dominates a cold request.
 //
 // The CompareEngine makes one PrefixMemo per workload in a request and hands
-// it to runFlowChecked through FlowTuning::prefix.  It holds
+// it to runFlowChecked through FlowTuning::prefix; a call without one makes
+// a memo for itself, so every flow computes these stages one way.  It holds
 //  * the pre-flight analysis, computed once from the request's pristine AST
 //    (at that step every flow's clone is still identical to it), and
 //  * per distinct lowered module, keyed by ir::fingerprint and confirmed by a

@@ -712,9 +712,7 @@ struct Interpreter::Impl {
                  "control flow may not leave a par branch");
         } catch (RuntimeError &e) {
           errors[i] = std::move(e);
-        } catch (const guard::BudgetExceeded &e) {
-          guardErrors[i] = e.verdict;
-        } catch (const guard::InjectedFault &e) {
+        } catch (const guard::GuardEvent &e) {
           guardErrors[i] = e.verdict;
         }
       });

@@ -101,13 +101,13 @@ bool parseRequest(const JsonValue &json, Request &out, std::string &error) {
         return false;
       out.budgetSet = true;
     } else if (key == "vsim_engine") {
-      if (!value.isString() || (value.stringValue() != "compiled" &&
-                                value.stringValue() != "compiled-strict" &&
-                                value.stringValue() != "event")) {
+      out.vsimEngine = value.isString()
+                           ? vsim::parseEngine(value.stringValue())
+                           : std::nullopt;
+      if (!out.vsimEngine) {
         error = "'vsim_engine' must be compiled, compiled-strict, or event";
         return false;
       }
-      out.vsimEngine = value.stringValue();
     } else if (key == "jobs") {
       if (!value.isNumber() || value.numberValue() < 0) {
         error = "'jobs' must be a non-negative integer";

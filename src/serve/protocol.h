@@ -15,6 +15,7 @@
 #include "serve/json.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,8 +37,8 @@ struct Request {
   // Per-request admission budget; unset fields inherit the server default.
   guard::BudgetSpec budget;
   bool budgetSet = false;
-  // vsim backend: "" = server default, else compiled|compiled-strict|event.
-  std::string vsimEngine;
+  // vsim backend; unset = server default.
+  std::optional<vsim::SimEngine> vsimEngine;
   unsigned jobs = 0;   // per-request flow parallelism; 0 = server default
   bool timing = true;  // false suppresses the timing object (golden tests)
   bool noCache = false; // bypass the response cache (bench cold mixes)

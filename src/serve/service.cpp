@@ -29,17 +29,6 @@ std::string verdictJson(const guard::Verdict &verdict) {
          "\",\"site\":\"" + analysis::jsonEscape(verdict.site) + "\"}";
 }
 
-vsim::SimEngine resolveEngine(const Request &request,
-                              vsim::SimEngine fallback) {
-  if (request.vsimEngine == "event")
-    return vsim::SimEngine::Event;
-  if (request.vsimEngine == "compiled")
-    return vsim::SimEngine::Compiled;
-  if (request.vsimEngine == "compiled-strict")
-    return vsim::SimEngine::CompiledStrict;
-  return fallback;
-}
-
 // Report::renderJson ends with a newline (it's a whole-document renderer);
 // embedded in a one-line response that newline would split the line protocol.
 std::string inlineJson(std::string text) {
@@ -47,17 +36,6 @@ std::string inlineJson(std::string text) {
                            text.back() == ' '))
     text.pop_back();
   return text;
-}
-
-const char *engineName(vsim::SimEngine engine) {
-  switch (engine) {
-  case vsim::SimEngine::Event:
-    return "event";
-  case vsim::SimEngine::CompiledStrict:
-    return "compiled-strict";
-  default:
-    return "compiled";
-  }
 }
 
 } // namespace
@@ -222,7 +200,8 @@ std::string CosimService::cacheKey(const Request &request) const {
   for (std::int64_t a : w.args)
     args += std::to_string(a) + ",";
   add(args);
-  add(engineName(resolveEngine(request, options_.vsimEngine)));
+  add(std::string(
+      vsim::engineName(request.vsimEngine.value_or(options_.vsimEngine))));
   add(std::to_string(budget.maxSteps) + "/" + std::to_string(budget.maxCycles) +
       "/" + std::to_string(budget.maxAllocBytes) + "/" +
       std::to_string(budget.wallMs));
@@ -240,7 +219,7 @@ std::string CosimService::handleComparison(const Request &request,
   bool cosim = request.op == "cosim";
   core::EngineOptions callOptions;
   callOptions.cosim = cosim;
-  callOptions.vsimEngine = resolveEngine(request, options_.vsimEngine);
+  callOptions.vsimEngine = request.vsimEngine.value_or(options_.vsimEngine);
   callOptions.modelCache = &modelCache_;
 
   flows::FlowTuning tuning;

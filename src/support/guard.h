@@ -72,18 +72,23 @@ struct Verdict {
 // Exceptions thrown *inside* stages, caught at stage boundaries.
 // ---------------------------------------------------------------------------
 
-class BudgetExceeded : public std::runtime_error {
+// A guard event: either exception below, for boundaries that treat both
+// alike.
+class GuardEvent : public std::runtime_error {
 public:
-  explicit BudgetExceeded(Verdict v)
+  explicit GuardEvent(Verdict v)
       : std::runtime_error(v.str()), verdict(std::move(v)) {}
   Verdict verdict;
 };
 
-class InjectedFault : public std::runtime_error {
+class BudgetExceeded : public GuardEvent {
 public:
-  explicit InjectedFault(Verdict v)
-      : std::runtime_error(v.str()), verdict(std::move(v)) {}
-  Verdict verdict;
+  using GuardEvent::GuardEvent;
+};
+
+class InjectedFault : public GuardEvent {
+public:
+  using GuardEvent::GuardEvent;
 };
 
 // ---------------------------------------------------------------------------

@@ -973,6 +973,26 @@ compileModel(std::shared_ptr<const Model> model, std::string &whyNot) {
   return cm;
 }
 
+std::shared_ptr<const CompiledModel>
+selectEngine(const std::shared_ptr<const Model> &model, SimEngine engine,
+             CompileAttempt &attempt, std::string &strictError) {
+  if (engine == SimEngine::Event)
+    return nullptr;
+  if (!attempt.tried) {
+    attempt.tried = true;
+    try {
+      attempt.compiled = compileModel(model, attempt.note);
+    } catch (const guard::InjectedFault &e) {
+      // An injected compile fault behaves like a refused compile.
+      attempt.note = e.verdict.str();
+      attempt.verdict = e.verdict;
+    }
+  }
+  if (!attempt.compiled && engine == SimEngine::CompiledStrict)
+    strictError = "vsim: compiled-strict: " + attempt.note;
+  return attempt.compiled;
+}
+
 const char *opName(Op op) {
   static const char *const names[] = {
       "ConstW",  "ConstV",   "LoadNet",    "LoadWire",   "LoadMem",

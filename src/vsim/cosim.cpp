@@ -102,9 +102,7 @@ struct ModelCache::Entry {
   bool elaborated = false;
   std::string error;
   std::shared_ptr<Model> model;
-  bool triedCompile = false;
-  std::shared_ptr<const CompiledModel> compiled;
-  std::string compileNote;
+  CompileAttempt compile;
   std::shared_ptr<InitImage> eventImage;
 };
 
@@ -136,9 +134,7 @@ void Cosimulation::cacheAdopt() {
     return;
   model_ = e.model;
   error_ = e.error;
-  triedCompile_ = e.triedCompile;
-  compiled_ = e.compiled;
-  compileNote_ = e.compileNote;
+  compile_ = e.compile;
   eventImage_ = e.eventImage;
 }
 
@@ -154,21 +150,29 @@ void Cosimulation::cachePublish() {
     e.model = model_;
     e.error = error_;
   }
-  if (triedCompile_ && !e.triedCompile) {
-    e.triedCompile = true;
-    e.compiled = compiled_;
-    e.compileNote = compileNote_;
-  }
+  if (compile_.tried && !e.compile.tried)
+    e.compile = compile_;
   if (eventImage_ && !e.eventImage)
     e.eventImage = eventImage_;
 }
 
 Cosimulation::Cosimulation(const rtl::Design &design, ModelCache *cache)
     : design_(&design) {
+  load(cache);
+}
+
+Cosimulation::Cosimulation(std::string verilogText, std::string topModule)
+    : verilog_(std::move(verilogText)), topModule_(std::move(topModule)) {
+  load(nullptr);
+}
+
+void Cosimulation::load(ModelCache *cache) {
   try {
-    siteEmit.hit();
-    verilog_ = rtl::emitVerilog(design);
-    topModule_ = "c2h_" + rtl::verilogIdent(design.top);
+    if (design_) {
+      siteEmit.hit();
+      verilog_ = rtl::emitVerilog(*design_);
+      topModule_ = "c2h_" + rtl::verilogIdent(design_->top);
+    }
     if (cache && !guard::anyFaultArmed())
       cacheEntry_ = cache->acquire(verilog_ + '\x1f' + topModule_);
     if (cacheEntry_) {
@@ -204,6 +208,8 @@ void Cosimulation::seedGlobal(const std::string &name,
 }
 
 template <class Sim> void Cosimulation::seedInto(Sim &sim) {
+  if (!design_)
+    return;
   for (const auto &[name, cells] : seeds_) {
     const ir::GlobalSlot *slot = design_->module->findGlobal(name);
     if (!slot)
@@ -226,70 +232,52 @@ CosimResult Cosimulation::run(const std::vector<BitVector> &args,
   }
   // Resize arguments like Simulator::run: to the declared parameter width.
   std::vector<BitVector> sized = args;
-  if (const ir::Function *top = design_->module->findFunction(design_->top))
-    for (std::size_t i = 0;
-         i < sized.size() && i < top->params().size(); ++i)
-      sized[i] = sized[i].resize(top->params()[i].width, false);
+  if (design_)
+    if (const ir::Function *top = design_->module->findFunction(design_->top))
+      for (std::size_t i = 0;
+           i < sized.size() && i < top->params().size(); ++i)
+        sized[i] = sized[i].resize(top->params()[i].width, false);
 
-  const bool strict = options.engine == SimEngine::CompiledStrict;
-  bool useCompiled = false;
-  if (options.engine != SimEngine::Event) {
-    if (!triedCompile_) {
-      triedCompile_ = true;
-      std::string why;
-      try {
-        compiled_ = compileModel(model_, why);
-      } catch (const guard::InjectedFault &e) {
-        // An injected compile fault behaves like a failed compile: under
-        // Compiled it silently falls back to the event engine (the
-        // degradation ladder's first rung); under CompiledStrict it is an
-        // error like any other fallback.
-        compiled_ = nullptr;
-        why = e.verdict.str();
-        compileVerdict_ = e.verdict;
-      }
-      if (!compiled_)
-        compileNote_ = why;
-      cachePublish();
-    }
-    useCompiled = compiled_ != nullptr;
-    if (!useCompiled && strict) {
-      result.error = "vsim: compiled-strict: " + compileNote_;
-      result.verdict = compileVerdict_;
-      return result;
-    }
+  const bool compiledBefore = compile_.tried;
+  const bool useCompiled =
+      selectEngine(model_, options.engine, compile_, result.error) != nullptr;
+  if (compile_.tried != compiledBefore)
+    cachePublish();
+  if (!result.error.empty()) {
+    result.verdict = compile_.verdict;
+    return result;
   }
   if (!useCompiled)
     return runEvent(sized, options);
   result = runCompiled(sized, options);
-  if (!result.ok && !result.verdict.ok() && !strict) {
+  result.engine = SimEngine::Compiled;
+  if (!result.ok && !result.verdict.ok() &&
+      options.engine != SimEngine::CompiledStrict) {
     // Guard event (budget trip / injected fault) on the compiled engine:
     // retry once on the event engine with whatever budget headroom remains.
     // Strict mode skips the retry — the failure surfaces as-is.
     std::string first = result.error;
-    CosimResult retry = runEvent(sized, options);
-    retry.degradation = "compiled engine: " + first +
-                        "; retried on event engine";
-    return retry;
+    result = runEvent(sized, options);
+    result.degradation = "compiled engine: " + first +
+                         "; retried on event engine";
   }
   return result;
 }
 
 CosimResult Cosimulation::runCompiled(const std::vector<BitVector> &args,
                                       const CosimOptions &options) {
-  engineUsed_ = SimEngine::Compiled;
   sim_.reset();
   // The CompiledModel carries the post-`initial` image, so no settle is
   // needed before seeding; later runs restore it in place.
   if (csim_)
     csim_->reset();
   else
-    csim_ = std::make_unique<CompiledSimulation>(compiled_);
+    csim_ = std::make_unique<CompiledSimulation>(compile_.compiled);
   // Behavioral models run their `initial` threads live; settle them before
   // seeding so seeded globals are not clobbered — the same order as
   // runEvent's construct-settle-seed sequence (and like there, the initial
   // execution is not charged to the budget).
-  if (compiled_->behavioral)
+  if (compile_.compiled->behavioral)
     csim_->settle();
   csim_->setBudget(options.budget);
   try {
@@ -306,7 +294,6 @@ CosimResult Cosimulation::runCompiled(const std::vector<BitVector> &args,
 
 CosimResult Cosimulation::runEvent(const std::vector<BitVector> &args,
                                    const CosimOptions &options) {
-  engineUsed_ = SimEngine::Event;
   csim_.reset();
   if (eventImage_) {
     sim_ = std::make_unique<Simulation>(model_, *eventImage_);
@@ -359,47 +346,8 @@ CosimResult cosimulateSource(const std::string &verilogText,
                              const std::string &topModule,
                              const std::vector<BitVector> &args,
                              const CosimOptions &options) {
-  CosimResult result;
-  ParseDiagnostic diag;
-  std::shared_ptr<SourceUnit> unit = parseVerilog(verilogText, diag);
-  if (!unit) {
-    result.error = "vsim parse: " + diag.str();
-    return result;
-  }
-  std::string elabError;
-  std::shared_ptr<Model> model = elaborate(std::move(unit), topModule,
-                                           elabError);
-  if (!model) {
-    result.error = "vsim elaborate: " + elabError;
-    return result;
-  }
-  if (options.engine != SimEngine::Event) {
-    std::string why;
-    std::shared_ptr<const CompiledModel> compiled;
-    guard::Verdict compileVerdict;
-    try {
-      compiled = compileModel(model, why);
-    } catch (const guard::InjectedFault &e) {
-      why = e.verdict.str();
-      compileVerdict = e.verdict;
-    }
-    if (compiled) {
-      CompiledSimulation sim(compiled);
-      if (compiled->behavioral)
-        sim.settle();
-      sim.setBudget(options.budget);
-      return runHandshake(sim, args, options.maxCycles, options.budget);
-    }
-    if (options.engine == SimEngine::CompiledStrict) {
-      result.error = "vsim: compiled-strict: " + why;
-      result.verdict = compileVerdict;
-      return result;
-    }
-  }
-  Simulation sim(std::move(model));
-  sim.settle();
-  sim.setBudget(options.budget);
-  return runHandshake(sim, args, options.maxCycles, options.budget);
+  Cosimulation cosim(verilogText, topModule);
+  return cosim.run(args, options);
 }
 
 } // namespace c2h::vsim

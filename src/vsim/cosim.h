@@ -27,14 +27,13 @@
 
 namespace c2h::vsim {
 
-struct CompiledModel;
 class CompiledSimulation;
 
 struct CosimOptions {
   std::uint64_t maxCycles = 2'000'000;
   // Which backend executes the elaborated model.  Compiled is the default
-  // and falls back to Event when compilation fails (engineUsed() reports
-  // the actual choice); CompiledStrict turns any fallback — compile
+  // and falls back to Event when compilation fails (CosimResult::engine
+  // reports the actual choice); CompiledStrict turns any fallback — compile
   // failure or guard-triggered event-engine retry — into an error, which
   // is how bench_cosim and CI enforce that the compiled subset stays
   // equal to the event subset.
@@ -57,6 +56,10 @@ struct CosimResult {
   // Set when the compiled engine failed on a guard event and the run was
   // retried once on the event engine (records the first failure).
   std::string degradation;
+  // Backend that produced this result: Compiled may fall back to Event
+  // (Cosimulation::compileNote() then says why) or retry on it
+  // (`degradation`).
+  SimEngine engine = SimEngine::Event;
 };
 
 // Cross-request model cache (the serve layer's init-image reuse): keyed by
@@ -92,6 +95,10 @@ private:
 class Cosimulation {
 public:
   explicit Cosimulation(const rtl::Design &design, ModelCache *cache = nullptr);
+  // Arbitrary Verilog text whose `topModule` exposes the clk/rst/start/done
+  // protocol.  Without a design, run() passes arguments through unresized
+  // and seedGlobal/readGlobal have no globals to reach.
+  Cosimulation(std::string verilogText, std::string topModule);
   ~Cosimulation();
 
   bool valid() const { return error_.empty(); }
@@ -100,10 +107,8 @@ public:
   // cosim.emit/parse/elab fault site); kind None otherwise.
   const guard::Verdict &verdict() const { return verdict_; }
   const std::string &verilog() const { return verilog_; }
-  // Backend that actually executed the last run() (Compiled may fall back
-  // to Event; compileNote() then says why).
-  SimEngine engineUsed() const { return engineUsed_; }
-  const std::string &compileNote() const { return compileNote_; }
+  // Why the model did not compile, once a run asked for it to.
+  const std::string &compileNote() const { return compile_.note; }
 
   // Seed a source-level global (through the module's GlobalSlot map)
   // before the next run — the vsim analogue of Simulator::writeGlobal.
@@ -116,6 +121,8 @@ public:
   std::vector<BitVector> readGlobal(const std::string &name) const;
 
 private:
+  // Emit (with a design), then parse and elaborate unless `cache` has it.
+  void load(ModelCache *cache);
   template <class Sim> void seedInto(Sim &sim);
   void cacheAdopt();   // copy an elaborated entry's artifacts in
   void cachePublish(); // write lazily built artifacts back (idempotent)
@@ -124,7 +131,7 @@ private:
   CosimResult runEvent(const std::vector<BitVector> &args,
                        const CosimOptions &options);
 
-  const rtl::Design *design_ = nullptr;
+  const rtl::Design *design_ = nullptr; // null over Verilog text
   std::string verilog_, topModule_, error_;
   guard::Verdict verdict_;
   std::shared_ptr<Model> model_;
@@ -132,11 +139,7 @@ private:
   std::unique_ptr<CompiledSimulation> csim_; // last compiled run's state
   std::map<std::string, std::vector<BitVector>> seeds_;
   // Compile once per model (lazily, on the first Compiled-engine run).
-  std::shared_ptr<const CompiledModel> compiled_;
-  bool triedCompile_ = false;
-  std::string compileNote_;
-  guard::Verdict compileVerdict_; // injected vsim.compile fault, if any
-  SimEngine engineUsed_ = SimEngine::Event;
+  CompileAttempt compile_;
   // Post-`initial` snapshot for the event engine, so repeated runs don't
   // re-execute ROM init blocks (the crc8small outlier fix).  Shared so a
   // ModelCache entry can reuse it across requests.
@@ -149,10 +152,11 @@ CosimResult cosimulate(const rtl::Design &design,
                        const std::vector<BitVector> &args,
                        const CosimOptions &options = {});
 
-// Drive the handshake against arbitrary Verilog text (the module must
-// expose the clk/rst/start/done protocol).  This is how the intentional-
-// mismatch tests corrupt an emitted design and prove the differential
-// harness actually fails.
+// One run of a Cosimulation over arbitrary Verilog text (the module must
+// expose the clk/rst/start/done protocol), so it takes the same engine
+// ladder, mid-run retry included.  This is how the intentional-mismatch
+// tests corrupt an emitted design and prove the differential harness
+// actually fails.
 CosimResult cosimulateSource(const std::string &verilogText,
                              const std::string &topModule,
                              const std::vector<BitVector> &args,

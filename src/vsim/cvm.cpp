@@ -730,10 +730,7 @@ void CompiledSimulation::settleTb() {
     return;
   try {
     runDeltaTb();
-  } catch (const guard::BudgetExceeded &e) {
-    recordFailure(e.verdict);
-    stop_ = true;
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::GuardEvent &e) {
     recordFailure(e.verdict);
     stop_ = true;
   } catch (const std::exception &e) {
@@ -759,9 +756,7 @@ void CompiledSimulation::runToFinish(std::uint64_t maxTime) {
       }
       runDeltaTb();
     }
-  } catch (const guard::BudgetExceeded &e) {
-    recordFailure(e.verdict);
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::GuardEvent &e) {
     recordFailure(e.verdict);
   } catch (const std::exception &e) {
     if (error_.empty())
@@ -911,12 +906,28 @@ void CompiledSimulation::tick(const std::string &clk) {
 
 // ------------------------------------------------------- testbench run --
 
+namespace {
+
+template <class Sim>
+TestbenchResult finishTestbench(Sim &sim, std::uint64_t maxTime) {
+  TestbenchResult result;
+  sim.runToFinish(maxTime);
+  result.finished = sim.finished();
+  result.output = sim.displayed();
+  result.timeUnits = sim.now();
+  if (!sim.ok())
+    result.error = sim.error();
+  else if (!sim.finished())
+    result.error = "simulation went quiescent without $finish";
+  return result;
+}
+
+} // namespace
+
 TestbenchResult runTestbench(const std::string &source,
                              const std::string &topModule,
                              std::uint64_t maxTime, SimEngine engine,
                              std::string *fallbackNote) {
-  if (engine == SimEngine::Event)
-    return runTestbench(source, topModule, maxTime);
   TestbenchResult result;
   ParseDiagnostic diag;
   std::shared_ptr<SourceUnit> unit = parseVerilog(source, diag);
@@ -930,32 +941,21 @@ TestbenchResult runTestbench(const std::string &source,
     result.error = "elaborate: " + elabError;
     return result;
   }
-  std::string whyNot;
-  std::shared_ptr<const CompiledModel> cm;
-  try {
-    cm = compileModel(model, whyNot);
-  } catch (const guard::InjectedFault &e) {
-    whyNot = e.verdict.str();
+  CompileAttempt attempt;
+  std::shared_ptr<const CompiledModel> cm =
+      selectEngine(model, engine, attempt, result.error);
+  if (fallbackNote && attempt.tried && !cm)
+    *fallbackNote = attempt.note;
+  if (!result.error.empty())
+    return result;
+  if (cm) {
+    CompiledSimulation sim(std::move(cm));
+    result = finishTestbench(sim, maxTime);
+    result.engine = SimEngine::Compiled;
+    return result;
   }
-  if (!cm) {
-    if (fallbackNote)
-      *fallbackNote = whyNot;
-    if (engine == SimEngine::CompiledStrict) {
-      result.error = "vsim: compiled-strict: " + whyNot;
-      return result;
-    }
-    return runTestbench(source, topModule, maxTime);
-  }
-  CompiledSimulation sim(std::move(cm));
-  sim.runToFinish(maxTime);
-  result.finished = sim.finished();
-  result.output = sim.displayed();
-  result.timeUnits = sim.now();
-  if (!sim.ok())
-    result.error = sim.error();
-  else if (!sim.finished())
-    result.error = "simulation went quiescent without $finish";
-  return result;
+  Simulation sim(std::move(model));
+  return finishTestbench(sim, maxTime);
 }
 
 } // namespace c2h::vsim

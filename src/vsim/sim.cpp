@@ -1,6 +1,5 @@
 #include "vsim/sim.h"
 
-#include "vsim/parser.h"
 #include "vsim/readmem.h"
 
 #include <algorithm>
@@ -554,9 +553,7 @@ void Simulation::settle() {
     return;
   try {
     runDelta();
-  } catch (const guard::BudgetExceeded &e) {
-    recordGuardFailure(e.verdict);
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::GuardEvent &e) {
     recordGuardFailure(e.verdict);
   } catch (const std::exception &e) {
     error_ = e.what();
@@ -671,9 +668,7 @@ void Simulation::runToFinish(std::uint64_t maxTime) {
                         " time units");
       runDelta();
     }
-  } catch (const guard::BudgetExceeded &e) {
-    recordGuardFailure(e.verdict);
-  } catch (const guard::InjectedFault &e) {
+  } catch (const guard::GuardEvent &e) {
     recordGuardFailure(e.verdict);
   } catch (const std::exception &e) {
     error_ = e.what();
@@ -730,34 +725,6 @@ std::string Simulation::formatDisplay(const Stmt *s) const {
     }
   }
   return out;
-}
-
-TestbenchResult runTestbench(const std::string &source,
-                             const std::string &topModule,
-                             std::uint64_t maxTime) {
-  TestbenchResult result;
-  ParseDiagnostic diag;
-  std::shared_ptr<SourceUnit> unit = parseVerilog(source, diag);
-  if (!unit) {
-    result.error = "parse: " + diag.str();
-    return result;
-  }
-  std::string elabError;
-  std::shared_ptr<Model> model = elaborate(unit, topModule, elabError);
-  if (!model) {
-    result.error = "elaborate: " + elabError;
-    return result;
-  }
-  Simulation sim(std::move(model));
-  sim.runToFinish(maxTime);
-  result.finished = sim.finished();
-  result.output = sim.displayed();
-  result.timeUnits = sim.now();
-  if (!sim.ok())
-    result.error = sim.error();
-  else if (!sim.finished())
-    result.error = "simulation went quiescent without $finish";
-  return result;
 }
 
 } // namespace c2h::vsim

@@ -164,20 +164,19 @@ struct TestbenchResult {
   std::string error;      // lex/parse/elab/runtime failure
   std::vector<std::string> output; // $display lines in order
   std::uint64_t timeUnits = 0;
+  SimEngine engine = SimEngine::Event; // backend that ran it
 };
 
-// Parse + elaborate + run `topModule` (a zero-port testbench) from source.
+// Parse + elaborate + run `topModule` (a zero-port testbench) from source
+// (defined in cvm.cpp).  The engine ladder (selectEngine) picks the
+// backend: compiled engines run the testbench on the bytecode VM's thread
+// scheduler; when compilation fails the reason lands in *fallbackNote (if
+// given) and Compiled falls back to the event engine while CompiledStrict
+// returns the failure as an error.
 TestbenchResult runTestbench(const std::string &source,
                              const std::string &topModule,
-                             std::uint64_t maxTime = 20'000'000);
-
-// Engine-selecting variant (defined in cvm.cpp).  Compiled engines run the
-// testbench on the bytecode VM's thread scheduler; when compilation fails
-// the reason lands in *fallbackNote (if given) and Compiled falls back to
-// the event engine while CompiledStrict returns the failure as an error.
-TestbenchResult runTestbench(const std::string &source,
-                             const std::string &topModule,
-                             std::uint64_t maxTime, SimEngine engine,
+                             std::uint64_t maxTime = 20'000'000,
+                             SimEngine engine = SimEngine::Event,
                              std::string *fallbackNote = nullptr);
 
 } // namespace c2h::vsim

@@ -318,6 +318,13 @@ int main(int argc, char **argv) {
              c2hc + " " + fx + "/good.uc --flow=bachc --args=3"
                     " --budget-ms=-3",
              2, ++n, "invalid value for --budget-ms");
+  // --jobs is digits only and must fit `unsigned`: "-3" used to wrap to
+  // 4294967293 worker threads.
+  expectExit("negative_jobs", c2hc + " " + fx + "/good.uc --flow=all --jobs=-3",
+             2, ++n, "invalid value for --jobs");
+  expectExit("oversized_jobs",
+             c2hc + " " + fx + "/good.uc --flow=all --jobs=4294967296", 2, ++n,
+             "invalid value for --jobs");
   expectExit("unknown_fault_site",
              c2hc + " " + fx + "/good.uc --flow=bachc --args=3"
                     " --inject-fault=bogus.site",

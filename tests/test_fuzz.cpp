@@ -301,9 +301,10 @@ TEST_P(FuzzParity, FiveWayAgreement) {
         vopts.engine = engine;
         auto v = cosim->run(args, vopts);
         ASSERT_TRUE(v.ok) << v.error;
-        if (engine == vsim::SimEngine::Compiled)
-          ASSERT_EQ(cosim->engineUsed(), vsim::SimEngine::Compiled)
+        if (engine == vsim::SimEngine::Compiled) {
+          ASSERT_EQ(v.engine, vsim::SimEngine::Compiled)
               << "compiled engine fell back: " << cosim->compileNote();
+        }
         EXPECT_EQ(golden.returnValue.resize(32, false).toStringHex(),
                   v.returnValue.resize(32, false).toStringHex())
             << "vsim divergence";
@@ -416,9 +417,10 @@ TEST_P(ConcurrentFuzz, InterpreterAndRtlAgree) {
       vopts.engine = engine;
       auto r2 = cosim.run(args, vopts);
       ASSERT_TRUE(r2.ok) << r2.error;
-      if (engine == vsim::SimEngine::Compiled)
-        ASSERT_EQ(cosim.engineUsed(), vsim::SimEngine::Compiled)
+      if (engine == vsim::SimEngine::Compiled) {
+        ASSERT_EQ(r2.engine, vsim::SimEngine::Compiled)
             << "compiled engine fell back: " << cosim.compileNote();
+      }
       EXPECT_EQ(r0.returnValue.resize(32, false).toStringHex(),
                 r2.returnValue.resize(32, false).toStringHex())
           << "vsim divergence";

@@ -27,6 +27,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <optional>
 
 namespace c2h {
 namespace {
@@ -518,10 +521,10 @@ TEST(VsimCompiled, AgreesWithEventEngineAcrossRegistry) {
     cp.engine = vsim::SimEngine::Compiled;
     auto re = cosim.run(args, ev);
     ASSERT_TRUE(re.ok) << w.name << ": " << re.error;
-    EXPECT_EQ(cosim.engineUsed(), vsim::SimEngine::Event);
+    EXPECT_EQ(re.engine, vsim::SimEngine::Event);
     auto rc = cosim.run(args, cp);
     ASSERT_TRUE(rc.ok) << w.name << ": " << rc.error;
-    ASSERT_EQ(cosim.engineUsed(), vsim::SimEngine::Compiled)
+    ASSERT_EQ(rc.engine, vsim::SimEngine::Compiled)
         << w.name << " fell back: " << cosim.compileNote();
     ++compiled;
     EXPECT_EQ(re.returnValue.resize(32, false).toStringHex(),
@@ -586,6 +589,11 @@ TEST(VsimCompiled, StolenDoneIsCaught) {
       text, "c2h_" + rtl::verilogIdent(r.design->top), args, opts);
   EXPECT_FALSE(c.ok);
   EXPECT_TRUE(contains(c.error, "cycle")) << c.error;
+  // The event-engine retry failed too; the compiled engine's own trip is
+  // what the degradation records.
+  EXPECT_TRUE(contains(c.degradation,
+                       "compiled engine: vsim: cycle budget exceeded"))
+      << c.degradation;
 }
 
 // Repeated runs through one Cosimulation reuse the compiled model and
@@ -686,7 +694,7 @@ TEST(VsimCompiled, InjectedCompileFaultIsTheOnlyFallback) {
     auto res = cosim.run(args, opts);
     guard::disarmFaults();
     ASSERT_TRUE(res.ok) << res.error; // graceful: event engine took over
-    EXPECT_EQ(cosim.engineUsed(), vsim::SimEngine::Event);
+    EXPECT_EQ(res.engine, vsim::SimEngine::Event);
     EXPECT_TRUE(contains(cosim.compileNote(), "INJECTED_FAULT"))
         << cosim.compileNote();
   }
@@ -1041,6 +1049,175 @@ TEST(VsimCosim, SeededGlobalsRoundTrip) {
   core::CosimVerification cv = core::cosimAgainstGoldenModel(w, r);
   EXPECT_TRUE(cv.ran);
   EXPECT_TRUE(cv.ok) << cv.detail;
+}
+
+// --------------------------------------------------------------------------
+// The engine ladder: every vsim entry point takes the one selectEngine
+// decision, so each (engine, fault) pair behaves the same through all three
+// --------------------------------------------------------------------------
+
+// What one run reports about the ladder.  `ok` also requires the right
+// answer.  A field an entry point does not report stays unset and is not
+// compared.
+struct LadderRun {
+  bool ok = false;
+  std::string error;
+  vsim::SimEngine backend = vsim::SimEngine::Event;
+  std::optional<guard::Kind> verdict;
+  std::optional<std::string> fallback;
+};
+
+struct LadderDesign {
+  TbRun tb = buildGcd();
+  std::string top = "c2h_" + rtl::verilogIdent(tb.flow.design->top);
+  std::string text = rtl::emitVerilog(*tb.flow.design);
+};
+
+using LadderEntryPoint =
+    std::function<LadderRun(const LadderDesign &, vsim::SimEngine)>;
+
+bool returnsGolden(const vsim::CosimResult &r, const LadderDesign &d) {
+  return r.ok && r.returnValue.resize(32, false).toStringHex() ==
+                     d.tb.golden.resize(32, false).toStringHex();
+}
+
+const std::vector<std::pair<std::string, LadderEntryPoint>> kLadderEntries = {
+    {"Cosimulation::run",
+     [](const LadderDesign &d, vsim::SimEngine engine) {
+       vsim::Cosimulation cosim(*d.tb.flow.design);
+       vsim::CosimOptions opts;
+       opts.engine = engine;
+       vsim::CosimResult r = cosim.run(d.tb.args, opts);
+       return LadderRun{returnsGolden(r, d), r.error, r.engine,
+                        r.verdict.kind, cosim.compileNote()};
+     }},
+    {"cosimulateSource",
+     [](const LadderDesign &d, vsim::SimEngine engine) {
+       vsim::CosimOptions opts;
+       opts.engine = engine;
+       vsim::CosimResult r =
+           vsim::cosimulateSource(d.text, d.top, d.tb.args, opts);
+       return LadderRun{returnsGolden(r, d), r.error, r.engine,
+                        r.verdict.kind, std::nullopt};
+     }},
+    {"runTestbench",
+     [](const LadderDesign &d, vsim::SimEngine engine) {
+       std::string src = d.text + "\n" +
+                         rtl::emitTestbench(*d.tb.flow.design, d.tb.args,
+                                            d.tb.golden);
+       std::string note;
+       vsim::TestbenchResult r =
+           vsim::runTestbench(src, "c2h_main_tb", 20'000'000, engine, &note);
+       bool ok = r.error.empty() && r.finished && !r.output.empty() &&
+                 contains(r.output.front(), "PASS");
+       return LadderRun{ok, r.error, r.engine, std::nullopt, note};
+     }},
+};
+
+// The ladder's rule: compile unless Event was asked for; a refused compile
+// falls back to the event engine with the reason recorded, or is an error
+// under CompiledStrict.
+LadderRun expectedLadderRun(vsim::SimEngine engine, bool compileFaulted) {
+  guard::Verdict fault;
+  fault.kind = guard::Kind::InjectedFault;
+  fault.stage = fault.site = "vsim.compile";
+  const bool compiles = engine != vsim::SimEngine::Event;
+  LadderRun run;
+  run.verdict = guard::Kind::None;
+  run.fallback = compiles && compileFaulted ? fault.str() : "";
+  if (engine == vsim::SimEngine::CompiledStrict && compileFaulted) {
+    run.error = "vsim: compiled-strict: " + fault.str();
+    run.verdict = guard::Kind::InjectedFault;
+    return run;
+  }
+  run.ok = true;
+  if (compiles && !compileFaulted)
+    run.backend = vsim::SimEngine::Compiled;
+  return run;
+}
+
+TEST(VsimEngineLadder, EveryEntryPointTakesTheSameRung) {
+  LadderDesign d;
+  ASSERT_TRUE(d.tb.flow.ok);
+  for (const auto &[entryName, entry] : kLadderEntries)
+    for (vsim::SimEngine engine :
+         {vsim::SimEngine::Event, vsim::SimEngine::Compiled,
+          vsim::SimEngine::CompiledStrict})
+      for (bool compileFaulted : {false, true}) {
+        SCOPED_TRACE(entryName + " engine=" +
+                     std::string(vsim::engineName(engine)) +
+                     (compileFaulted ? " vsim.compile armed" : " clean"));
+        if (compileFaulted)
+          guard::armFault("vsim.compile");
+        LadderRun got = entry(d, engine);
+        guard::disarmFaults();
+        LadderRun want = expectedLadderRun(engine, compileFaulted);
+        EXPECT_EQ(got.ok, want.ok);
+        EXPECT_EQ(got.error, want.error);
+        EXPECT_EQ(vsim::engineName(got.backend),
+                  vsim::engineName(want.backend));
+        if (got.verdict) {
+          EXPECT_EQ(guard::kindName(*got.verdict),
+                    guard::kindName(*want.verdict));
+        }
+        if (got.fallback) {
+          EXPECT_EQ(*got.fallback, *want.fallback);
+        }
+      }
+}
+
+// A guard trip in the middle of a compiled run retries once on the event
+// engine and records the compiled engine's failure, through the
+// text-driven entry point as well; CompiledStrict surfaces the trip as-is.
+TEST(VsimEngineLadder, MidRunCycleLimitRetriesOnEventEngine) {
+  LadderDesign d;
+  ASSERT_TRUE(d.tb.flow.ok);
+  std::string text = d.text;
+  std::size_t pos = text.find("done <= 1'b1");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, std::string("done <= 1'b1").size(), "done <= 1'b0");
+  const std::string trip =
+      "vsim: cycle budget exceeded (1000 cycles without done)";
+  vsim::CosimOptions opts;
+  opts.maxCycles = 1'000;
+
+  opts.engine = vsim::SimEngine::Compiled;
+  vsim::CosimResult c = vsim::cosimulateSource(text, d.top, d.tb.args, opts);
+  EXPECT_FALSE(c.ok);
+  EXPECT_EQ(c.error, trip);
+  EXPECT_EQ(c.verdict.kind, guard::Kind::CycleLimit);
+  EXPECT_EQ(c.engine, vsim::SimEngine::Event);
+  EXPECT_EQ(c.degradation,
+            "compiled engine: " + trip + "; retried on event engine");
+
+  opts.engine = vsim::SimEngine::CompiledStrict;
+  vsim::CosimResult s = vsim::cosimulateSource(text, d.top, d.tb.args, opts);
+  EXPECT_FALSE(s.ok);
+  EXPECT_EQ(s.error, trip);
+  EXPECT_EQ(s.verdict.kind, guard::Kind::CycleLimit);
+  EXPECT_EQ(s.engine, vsim::SimEngine::Compiled);
+  EXPECT_EQ(s.degradation, "");
+}
+
+// One table names the engines on every surface: each engine round-trips
+// through it, and nothing else parses.
+TEST(VsimEngineLadder, EngineNamesRoundTrip) {
+  const vsim::SimEngine engines[] = {vsim::SimEngine::Event,
+                                     vsim::SimEngine::Compiled,
+                                     vsim::SimEngine::CompiledStrict};
+  EXPECT_EQ(std::size(vsim::kSimEngineNames), std::size(engines));
+  for (vsim::SimEngine engine : engines) {
+    std::string_view name = vsim::engineName(engine);
+    ASSERT_FALSE(name.empty());
+    EXPECT_EQ(vsim::parseEngine(name), engine) << name;
+  }
+  EXPECT_EQ(vsim::engineName(vsim::SimEngine::Event), "event");
+  EXPECT_EQ(vsim::engineName(vsim::SimEngine::Compiled), "compiled");
+  EXPECT_EQ(vsim::engineName(vsim::SimEngine::CompiledStrict),
+            "compiled-strict");
+  for (const char *unknown :
+       {"", "native", "Event", "compiled-", "strict", "event "})
+    EXPECT_FALSE(vsim::parseEngine(unknown).has_value()) << unknown;
 }
 
 } // namespace

@@ -92,6 +92,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 using namespace c2h;
@@ -190,11 +191,12 @@ bool parseArgs(int argc, char **argv, Options &options) {
         return badNumber("--clock", *v);
       }
     } else if (auto v = valueOf("--jobs=")) {
-      try {
-        options.jobs = static_cast<unsigned>(std::stoul(*v));
-      } catch (const std::exception &) {
+      std::uint64_t jobs = 0;
+      if (!parseCount("--jobs", *v, jobs))
+        return false;
+      if (jobs > std::numeric_limits<unsigned>::max())
         return badNumber("--jobs", *v);
-      }
+      options.jobs = static_cast<unsigned>(jobs);
     } else if (auto v = valueOf("--emit-verilog=")) {
       options.emitVerilogDir = *v;
     } else if (auto v = valueOf("--verilog=")) {
@@ -212,12 +214,8 @@ bool parseArgs(int argc, char **argv, Options &options) {
         return false;
       }
     } else if (auto v = valueOf("--vsim-engine=")) {
-      if (*v == "compiled") {
-        options.vsimEngine = vsim::SimEngine::Compiled;
-      } else if (*v == "compiled-strict") {
-        options.vsimEngine = vsim::SimEngine::CompiledStrict;
-      } else if (*v == "event") {
-        options.vsimEngine = vsim::SimEngine::Event;
+      if (std::optional<vsim::SimEngine> engine = vsim::parseEngine(*v)) {
+        options.vsimEngine = *engine;
       } else {
         std::cerr << "invalid value for --vsim-engine: '" << *v
                   << "' (expected event, compiled, or compiled-strict)\n";
