@@ -202,6 +202,9 @@ cosimAgainstGoldenModel(const Workload &workload,
                         guard::ExecBudget *budget = nullptr,
                         vsim::ModelCache *modelCache = nullptr);
 
+// Why `result` has no synchronous RTL to co-simulate; null when it has.
+const char *cosimSkipReason(const flows::FlowResult &result);
+
 // One row of a cross-flow comparison.
 struct FlowComparison {
   std::string flowId;
@@ -232,8 +235,8 @@ struct FlowComparison {
   std::string cosimEngine;
   std::string cosimFallback;
   // Workload-level analyzer findings (shared across this workload's rows;
-  // computed once per cached frontend compile).  May be null when the
-  // frontend failed or the row came from a path without the engine cache.
+  // computed once per cached frontend compile).  Null when the frontend
+  // failed or the cell contained a throw.
   std::shared_ptr<const analysis::Report> analysis;
 };
 

@@ -6,7 +6,6 @@
 #include "support/threadpool.h"
 
 #include <algorithm>
-#include <optional>
 
 namespace c2h::core {
 
@@ -38,26 +37,30 @@ public:
   GoldenMemo(const Workload &workload, const ast::Program *program)
       : workload_(workload), program_(program) {}
 
-  // The golden run for a cell metered by `meter`.  A run that is not
-  // shared lands in `local`, which must outlive the returned reference.
-  const GoldenRun &get(guard::ExecBudget *meter, GoldenRun &local) {
+  // The golden run for a cell metered by `meter`.
+  std::shared_ptr<const GoldenRun> get(guard::ExecBudget *meter) {
     const guard::BudgetSpec &spec = meter->spec();
     if (spec.maxSteps || spec.maxCycles || spec.maxAllocBytes)
-      return local = runGoldenModel(workload_, *program_, meter);
+      return run(meter);
     std::lock_guard<std::mutex> lock(mutex_);
     if (value_)
-      return *value_;
-    GoldenRun run = runGoldenModel(workload_, *program_, meter);
-    if (!run.verdict.ok())
-      return local = std::move(run);
-    return value_.emplace(std::move(run));
+      return value_;
+    std::shared_ptr<const GoldenRun> golden = run(meter);
+    if (golden->verdict.ok())
+      value_ = golden;
+    return golden;
   }
 
 private:
+  std::shared_ptr<const GoldenRun> run(guard::ExecBudget *meter) const {
+    return std::make_shared<const GoldenRun>(
+        runGoldenModel(workload_, *program_, meter));
+  }
+
   const Workload &workload_;
   const ast::Program *program_; // the front-end cache's AST; null on failure
   std::mutex mutex_;
-  std::optional<GoldenRun> value_;
+  std::shared_ptr<const GoldenRun> value_;
 };
 
 std::unique_ptr<ast::Program> FrontendCache::Entry::cloneAst() const {
@@ -173,113 +176,149 @@ ThreadPool &CompareEngine::sharedPool(unsigned jobs) {
   return *pool_;
 }
 
-FlowComparison CompareEngine::runCell(const flows::FlowSpec &spec,
-                                      const Workload &workload,
-                                      FrontendCache::Entry &entry,
-                                      const flows::FlowTuning &tuning,
-                                      const EngineOptions &options,
-                                      GoldenMemo &goldenMemo) {
-  FlowComparison row;
-  row.flowId = spec.info.id;
+Cell CompareEngine::runCell(const flows::FlowSpec &spec,
+                            const Workload &workload,
+                            FrontendCache::Entry &entry,
+                            const flows::FlowTuning &tuning,
+                            const EngineOptions &options, GoldenMemo *golden) {
   // One meter per cell, shared by the pipeline, golden-model verification,
   // and co-simulation — so a cell's budget is truly per-cell and a runaway
   // flow can never starve a sibling.
   guard::ExecBudget localMeter(tuning.budget);
   flows::FlowTuning cellTuning = tuning;
-  guard::ExecBudget *meter = tuning.meter ? tuning.meter : &localMeter;
-  cellTuning.meter = meter;
+  cellTuning.meter = tuning.meter ? tuning.meter : &localMeter;
+  Cell failed;
   try {
-    siteCell.hit();
-    if (!entry.ok()) {
-      row.note = "frontend: " + entry.error;
-      row.verdict = entry.verdict;
-      return row;
-    }
-    std::unique_ptr<ast::Program> program = entry.cloneAst();
-    flows::FlowResult result =
-        runner_(spec, *program, entry.types, workload.top, cellTuning);
-    row.analysis = entry.analysis;
-    row.accepted = result.accepted;
-    if (!result.accepted) {
-      row.note = result.rejections.empty() ? "rejected"
-                                           : result.rejections.front();
-      return row;
-    }
-    if (!result.ok) {
-      row.note = result.error;
-      row.verdict = result.verdict;
-      return row;
-    }
-    GoldenRun local;
-    const GoldenRun &golden = goldenMemo.get(meter, local);
-    Verification v = verifyAgainstGoldenModel(workload, result, *entry.program,
-                                              golden, meter);
-    row.verified = v.ok;
-    if (!v.ok) {
-      row.note = v.detail;
-      row.verdict = v.verdict;
-    }
-    row.cycles = v.cycles;
-    row.asyncNs = v.asyncNs;
-    if (options.cosim && v.ok && result.design && !result.asyncInfo) {
-      CosimVerification cv = cosimAgainstGoldenModel(
-          workload, result, *entry.program, golden, v.cycles,
-          options.vsimEngine, meter, options.modelCache);
-      row.cosimRan = cv.ran;
-      row.cosimOk = cv.ok;
-      row.cosimCycles = cv.cycles;
-      row.degradation = cv.degradation;
-      row.cosimEngine = cv.engine;
-      row.cosimFallback = cv.fallback;
-      if (cv.ran && !cv.ok) {
-        row.cosimNote = cv.detail;
-        row.verdict = cv.verdict;
-      }
-    }
-    if (result.asyncInfo) {
-      row.areaTotal = result.asyncInfo->area;
-    } else {
-      row.areaTotal = result.area.total();
-      row.fmaxMHz = result.timing.fmaxMHz;
-    }
-    return row;
+    Cell cell = synthesizeCell(spec, workload, entry, cellTuning);
+    if (golden && cell.result && cell.result->ok)
+      checkCell(cell, workload, entry, cellTuning.meter, options, *golden);
+    return cell;
   } catch (const guard::GuardEvent &e) {
-    row = FlowComparison{};
-    row.flowId = spec.info.id;
-    row.verdict = e.verdict;
-    row.note = e.verdict.str();
-    return row;
+    failed.row.verdict = e.verdict;
+    failed.row.note = e.verdict.str();
   } catch (const std::exception &e) {
-    row = FlowComparison{};
-    row.flowId = spec.info.id;
-    row.note = std::string("internal error: ") + e.what();
-    return row;
+    failed.row.note = std::string("internal error: ") + e.what();
   } catch (...) {
-    row = FlowComparison{};
-    row.flowId = spec.info.id;
-    row.note = "internal error: non-standard exception";
-    return row;
+    failed.row.note = "internal error: non-standard exception";
   }
+  failed.row.flowId = spec.info.id;
+  return failed;
+}
+
+Cell CompareEngine::synthesizeCell(const flows::FlowSpec &spec,
+                                   const Workload &workload,
+                                   FrontendCache::Entry &entry,
+                                   const flows::FlowTuning &tuning) {
+  Cell cell;
+  FlowComparison &row = cell.row;
+  row.flowId = spec.info.id;
+  siteCell.hit();
+  if (!entry.ok()) {
+    row.note = "frontend: " + entry.error;
+    row.verdict = entry.verdict;
+    return cell;
+  }
+  std::unique_ptr<ast::Program> program = entry.cloneAst();
+  const flows::FlowResult &result = cell.result.emplace(
+      runner_(spec, *program, entry.types, workload.top, tuning));
+  row.analysis = entry.analysis;
+  row.accepted = result.accepted;
+  if (!result.accepted) {
+    row.note =
+        result.rejections.empty() ? "rejected" : result.rejections.front();
+  } else if (!result.ok) {
+    row.note = result.error;
+    row.verdict = result.verdict;
+  } else if (result.asyncInfo) {
+    row.areaTotal = result.asyncInfo->area;
+  } else {
+    row.areaTotal = result.area.total();
+    row.fmaxMHz = result.timing.fmaxMHz;
+  }
+  return cell;
+}
+
+void CompareEngine::checkCell(Cell &cell, const Workload &workload,
+                              const FrontendCache::Entry &entry,
+                              guard::ExecBudget *meter,
+                              const EngineOptions &options,
+                              GoldenMemo &goldenMemo) {
+  const flows::FlowResult &result = *cell.result;
+  FlowComparison &row = cell.row;
+  cell.golden = goldenMemo.get(meter);
+  Verification v = verifyAgainstGoldenModel(workload, result, *entry.program,
+                                            *cell.golden, meter);
+  row.verified = v.ok;
+  if (!v.ok) {
+    row.note = v.detail;
+    row.verdict = v.verdict;
+  }
+  row.cycles = v.cycles;
+  row.asyncNs = v.asyncNs;
+  if (options.cosim && v.ok && result.design && !result.asyncInfo) {
+    CosimVerification cv = cosimAgainstGoldenModel(
+        workload, result, *entry.program, *cell.golden, v.cycles,
+        options.vsimEngine, meter, options.modelCache);
+    row.cosimRan = cv.ran;
+    row.cosimOk = cv.ok;
+    row.cosimCycles = cv.cycles;
+    row.degradation = cv.degradation;
+    row.cosimEngine = cv.engine;
+    row.cosimFallback = cv.fallback;
+    if (cv.ran && !cv.ok) {
+      row.cosimNote = cv.detail;
+      row.verdict = cv.verdict;
+    }
+  }
+}
+
+Cell CompareEngine::synthesize(const flows::FlowSpec &spec,
+                               const Workload &workload,
+                               const flows::FlowTuning &tuning) {
+  std::shared_ptr<FrontendCache::Entry> entry =
+      cache_.get(workload.source, workload.top);
+  return runCell(spec, workload, *entry, tuning, options_, nullptr);
 }
 
 std::vector<FlowComparison>
 CompareEngine::compareFlows(const Workload &workload,
                             const flows::FlowTuning &tuning) {
-  return compareFlowsImpl(workload, flows::allFlows(), tuning, options_);
+  return compareFlows(workload, tuning, options_);
 }
 
 std::vector<FlowComparison>
 CompareEngine::compareFlows(const Workload &workload,
                             const std::vector<flows::FlowSpec> &specs,
                             const flows::FlowTuning &tuning) {
-  return compareFlowsImpl(workload, specs, tuning, options_);
+  return std::move(compareRows({&workload, 1}, specs, tuning, options_)[0]);
 }
 
 std::vector<FlowComparison>
 CompareEngine::compareFlows(const Workload &workload,
                             const flows::FlowTuning &tuning,
                             const EngineOptions &callOptions) {
-  return compareFlowsImpl(workload, flows::allFlows(), tuning, callOptions);
+  return std::move(
+      compareRows({&workload, 1}, flows::allFlows(), tuning, callOptions)[0]);
+}
+
+std::vector<std::vector<FlowComparison>>
+CompareEngine::compareMatrix(const std::vector<Workload> &workloads,
+                             const flows::FlowTuning &tuning) {
+  return compareRows(workloads, flows::allFlows(), tuning, options_);
+}
+
+std::vector<std::vector<FlowComparison>>
+CompareEngine::compareRows(std::span<const Workload> workloads,
+                           std::span<const flows::FlowSpec> specs,
+                           const flows::FlowTuning &tuning,
+                           const EngineOptions &options) {
+  std::vector<std::vector<FlowComparison>> rows(
+      workloads.size(), std::vector<FlowComparison>(specs.size()));
+  compareCells(workloads, specs, tuning, options,
+               [&rows](std::size_t w, std::size_t f, Cell &&cell) {
+                 rows[w][f] = std::move(cell.row);
+               });
+  return rows;
 }
 
 std::unique_ptr<flows::PrefixMemo>
@@ -292,26 +331,11 @@ CompareEngine::requestMemo(const FrontendCache::Entry &entry,
   return memo;
 }
 
-std::vector<FlowComparison>
-CompareEngine::compareFlowsImpl(const Workload &workload,
-                                const std::vector<flows::FlowSpec> &specs,
-                                const flows::FlowTuning &tuning,
-                                const EngineOptions &options) {
-  return std::move(
-      compareCells({&workload, 1}, specs, tuning, options).front());
-}
-
-std::vector<std::vector<FlowComparison>>
-CompareEngine::compareMatrix(const std::vector<Workload> &workloads,
-                             const flows::FlowTuning &tuning) {
-  return compareCells(workloads, flows::allFlows(), tuning, options_);
-}
-
-std::vector<std::vector<FlowComparison>>
-CompareEngine::compareCells(std::span<const Workload> workloads,
-                            const std::vector<flows::FlowSpec> &specs,
-                            const flows::FlowTuning &tuning,
-                            const EngineOptions &options) {
+void CompareEngine::compareCells(std::span<const Workload> workloads,
+                                 std::span<const flows::FlowSpec> specs,
+                                 const flows::FlowTuning &tuning,
+                                 const EngineOptions &options,
+                                 const CellSink &sink) {
   // Compile every workload up front: deterministic cache fill, and workers
   // never contend on the compile lock.  Each workload gets its own prefix
   // memo and golden run, as if it were a request of its own.
@@ -319,26 +343,28 @@ CompareEngine::compareCells(std::span<const Workload> workloads,
   std::vector<std::unique_ptr<flows::PrefixMemo>> memos;
   std::vector<std::unique_ptr<GoldenMemo>> goldens;
   std::vector<flows::FlowTuning> tunings(workloads.size(), tuning);
-  std::vector<std::vector<FlowComparison>> rows(workloads.size());
   for (std::size_t w = 0; w < workloads.size(); ++w) {
     entries.push_back(cache_.get(workloads[w].source, workloads[w].top));
     memos.push_back(requestMemo(*entries[w], workloads[w].top, tunings[w]));
     goldens.push_back(std::make_unique<GoldenMemo>(
         workloads[w], entries[w]->program.get()));
-    rows[w].resize(specs.size());
   }
   auto cell = [&](std::size_t w, std::size_t f) {
-    rows[w][f] = runCell(specs[f], workloads[w], *entries[w], tunings[w],
-                         options, *goldens[w]);
+    sink(w, f,
+         runCell(specs[f], workloads[w], *entries[w], tunings[w], options,
+                 goldens[w].get()));
   };
 
   const std::size_t cells = workloads.size() * specs.size();
   const unsigned jobs = resolveJobs(tuning);
-  if (jobs <= 1 || cells <= 1) {
+  // An armed fault counts hits process-wide, so cells take them in cell
+  // order only when they run one after another — the same rule under which
+  // the caches bypass themselves.
+  if (jobs <= 1 || cells <= 1 || guard::anyFaultArmed()) {
     for (std::size_t w = 0; w < workloads.size(); ++w)
       for (std::size_t f = 0; f < specs.size(); ++f)
         cell(w, f);
-    return rows;
+    return;
   }
   // The persistent pool outlives this call; the group scopes the wait to
   // this batch so concurrent callers (service requests) never block on each
@@ -349,7 +375,6 @@ CompareEngine::compareCells(std::span<const Workload> workloads,
     for (std::size_t f = 0; f < specs.size(); ++f)
       group.submit([&cell, w, f] { cell(w, f); });
   group.wait();
-  return rows;
 }
 
 } // namespace c2h::core

@@ -17,8 +17,9 @@
 //     request-scoped flows::PrefixMemo (FlowTuning::prefix): the pre-flight
 //     analysis runs once per workload, and the range gate and the
 //     optimize/prune step once per distinct lowered module, whose optimized
-//     form the flows share read-only.  Callers outside the engine (runFlow,
-//     the CLI's single-flow path) pass none, and each call makes its own.
+//     form the flows share read-only.  Callers outside the engine (runFlow
+//     and other direct runFlowChecked callers) pass none, and each call
+//     makes its own.
 //     Verification shares work the same way: the golden model runs once
 //     per workload of a call (GoldenMemo; only a run no guard event stopped
 //     is kept, and a cell with a step, cycle or alloc limit runs its own),
@@ -27,7 +28,14 @@
 //  3. Serialism: cells are independent, so the engine runs the
 //     (flow x workload) matrix on a fixed-size ThreadPool.  Results are
 //     written into pre-assigned slots, so row order — and content — is
-//     byte-identical whatever the thread count or completion order.
+//     byte-identical whatever the thread count or completion order.  While
+//     a fault is armed the cells run serially in cell order, so `site:nth`
+//     names the same hit at every thread count.
+//
+// Every comparison and every c2hc synthesis run goes through one cell
+// routine: a pipeline half (front end -> clone -> flow) and a check half
+// (golden run -> verify -> cosim).  Callers that render more than the row
+// take whole Cells through a sink.
 #ifndef C2H_CORE_ENGINE_H
 #define C2H_CORE_ENGINE_H
 
@@ -39,6 +47,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -136,6 +145,15 @@ struct EngineOptions {
   vsim::ModelCache *modelCache = nullptr;
 };
 
+// One (flow, workload) cell: its row and what the row was computed from.
+struct Cell {
+  FlowComparison row;
+  // Empty when the front end failed or the cell contained a throw.
+  std::optional<flows::FlowResult> result;
+  // The golden run the check half verified against; null when none ran.
+  std::shared_ptr<const GoldenRun> golden;
+};
+
 class CompareEngine {
 public:
   explicit CompareEngine(EngineOptions options = {});
@@ -160,6 +178,20 @@ public:
   compareMatrix(const std::vector<Workload> &workloads,
                 const flows::FlowTuning &tuning = {});
 
+  // Takes cell (w, f), workloads[w] under specs[f], once, on the thread
+  // that ran it; calls may be concurrent, so each writes only its own slot.
+  using CellSink =
+      std::function<void(std::size_t w, std::size_t f, Cell &&cell)>;
+  // Every (workload, spec) cell, both halves, each handed to `sink`.
+  // Serial at one job, at one cell, or while a fault is armed.
+  void compareCells(std::span<const Workload> workloads,
+                    std::span<const flows::FlowSpec> specs,
+                    const flows::FlowTuning &tuning,
+                    const EngineOptions &options, const CellSink &sink);
+  // One cell's pipeline half alone (no golden run, verify or cosim).
+  Cell synthesize(const flows::FlowSpec &spec, const Workload &workload,
+                  const flows::FlowTuning &tuning = {});
+
   FrontendCache &cache() { return cache_; }
 
   // Test seam: replaces flows::runFlowChecked for every cell.  A runner
@@ -173,20 +205,25 @@ private:
   // One workload's golden-model run within one call (engine.cpp).
   class GoldenMemo;
 
-  FlowComparison runCell(const flows::FlowSpec &spec, const Workload &workload,
-                         FrontendCache::Entry &entry,
-                         const flows::FlowTuning &tuning,
-                         const EngineOptions &options, GoldenMemo &golden);
-  // One workload's row of compareCells.
-  std::vector<FlowComparison> compareFlowsImpl(
-      const Workload &workload, const std::vector<flows::FlowSpec> &specs,
-      const flows::FlowTuning &tuning, const EngineOptions &options);
-  // Every (workload, spec) cell; result[i] is workloads[i]'s rows in `specs`
-  // order.  Runs serially at one job or one cell, else on the shared pool.
+  // One cell under its own meter and fault isolation: the pipeline half,
+  // then, given a golden memo, the check half.
+  Cell runCell(const flows::FlowSpec &spec, const Workload &workload,
+               FrontendCache::Entry &entry, const flows::FlowTuning &tuning,
+               const EngineOptions &options, GoldenMemo *golden);
+  Cell synthesizeCell(const flows::FlowSpec &spec, const Workload &workload,
+                      FrontendCache::Entry &entry,
+                      const flows::FlowTuning &tuning);
+  // For a cell whose flow succeeded.
+  static void checkCell(Cell &cell, const Workload &workload,
+                        const FrontendCache::Entry &entry,
+                        guard::ExecBudget *meter, const EngineOptions &options,
+                        GoldenMemo &golden);
+  // compareCells keeping only the rows (result[w][f]); the rest of each
+  // cell dies with it.
   std::vector<std::vector<FlowComparison>>
-  compareCells(std::span<const Workload> workloads,
-               const std::vector<flows::FlowSpec> &specs,
-               const flows::FlowTuning &tuning, const EngineOptions &options);
+  compareRows(std::span<const Workload> workloads,
+              std::span<const flows::FlowSpec> specs,
+              const flows::FlowTuning &tuning, const EngineOptions &options);
   // A fresh prefix memo for one workload of a request, installed in
   // `tuning.prefix`; null (and no memo) when the front end failed.
   static std::unique_ptr<flows::PrefixMemo>

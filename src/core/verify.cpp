@@ -59,7 +59,8 @@ std::string globalMismatch(const Workload &workload,
   return {};
 }
 
-// Why `result` has no synchronous RTL to co-simulate; null when it has.
+} // namespace
+
 const char *cosimSkipReason(const flows::FlowResult &result) {
   if (!result.accepted || !result.ok || (!result.asyncInfo && !result.design))
     return "flow produced no design";
@@ -67,8 +68,6 @@ const char *cosimSkipReason(const flows::FlowResult &result) {
     return "asynchronous design (no synchronous RTL to co-simulate)";
   return nullptr;
 }
-
-} // namespace
 
 std::uint64_t goldenModelRuns() {
   return goldenRuns.load(std::memory_order_relaxed);

@@ -135,8 +135,8 @@ FlowResult runFlow(const FlowSpec &spec, const std::string &source,
 // The pre-flight analysis, the range gate and the optimize/prune step come
 // from a PrefixMemo, and the result's module may be shared read-only with
 // the memo's other flows.  The engine sets `tuning.prefix` to its request
-// memo; with it null (runFlow, the CLI's single-flow path and other direct
-// callers) the call makes a memo of its own.
+// memo; with it null (runFlow and other direct callers) the call makes a
+// memo of its own.
 FlowResult runFlowChecked(const FlowSpec &spec, ast::Program &program,
                           TypeContext &types, const std::string &top,
                           const FlowTuning &tuning = {});

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -258,8 +259,21 @@ int runSocketServer(CosimService &service, const std::string &path) {
   }
   std::fprintf(stderr, "c2hc --serve: listening on %s\n", path.c_str());
   std::fflush(stderr);
-  std::vector<std::thread> connections;
+  // A finished connection is joined on the loop's next pass, so its thread
+  // stack is not held until shutdown.  List nodes stay put, so each thread
+  // can set its own `done`.
+  struct Connection {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+  std::list<Connection> connections;
   while (!gStopRequested) {
+    connections.remove_if([](Connection &c) {
+      bool done = c.done.load(); // read once: join exactly what is erased
+      if (done)
+        c.thread.join();
+      return done;
+    });
     struct pollfd pfd{listenFd, POLLIN, 0};
     int ready = poll(&pfd, 1, 100);
     if (ready < 0) {
@@ -272,12 +286,15 @@ int runSocketServer(CosimService &service, const std::string &path) {
     int fd = ::accept(listenFd, nullptr, nullptr);
     if (fd < 0)
       continue;
-    connections.emplace_back(
-        [&service, fd] { serveConnection(service, fd); });
+    Connection &connection = connections.emplace_back();
+    connection.thread = std::thread([&service, fd, &connection] {
+      serveConnection(service, fd);
+      connection.done = true;
+    });
   }
   ::close(listenFd);
-  for (auto &t : connections)
-    t.join(); // each connection drains its own in-flight requests
+  for (auto &c : connections)
+    c.thread.join(); // each connection drains its own in-flight requests
   service.drain();
   ::unlink(path.c_str());
   return 0;

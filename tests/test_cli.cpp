@@ -13,8 +13,10 @@
 // $<TARGET_FILE:c2hc>).
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -203,6 +205,81 @@ void expectCliRowsMatchServe(const std::string &c2hc, int &n) {
             << " workloads)\n";
 }
 
+// Every file under `dir` (relative path -> contents).
+std::map<std::string, std::string> filesUnder(const std::string &dir) {
+  std::map<std::string, std::string> files;
+  std::error_code ec;
+  for (const auto &entry :
+       std::filesystem::recursive_directory_iterator(dir, ec)) {
+    if (!entry.is_regular_file())
+      continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    files[std::filesystem::relative(entry.path(), dir).string()] = ss.str();
+  }
+  return files;
+}
+
+// `--flow=all --emit-verilog` keeps the designs its cells produced; a
+// single-flow `--no-sim --emit-verilog` synthesizes one flow.  Both must
+// write the same `.v` and `_tb.v` files, byte for byte.
+void expectEmitPathsAgree(const std::string &c2hc, const std::string &w,
+                          int &n) {
+  const std::string name = "emit_verilog_all_equals_single_flow (" + w + ")";
+  const std::string all = "test_cli_emit_all", one = "test_cli_emit_one";
+  std::filesystem::remove_all(all);
+  std::filesystem::remove_all(one);
+  std::string output;
+  run(c2hc + " --workload=" + w + " --flow=all --emit-verilog=" + all,
+      output, ++n);
+  std::string usage, flows;
+  run(c2hc, usage, ++n); // the usage text lists every flow id
+  std::stringstream tail(usage.substr(usage.find("\nflows: ") + 8));
+  std::getline(tail, flows);
+  std::stringstream ids(flows);
+  std::string id;
+  while (ids >> id)
+    run(c2hc + " --workload=" + w + " --flow=" + id +
+            " --no-sim --emit-verilog=" + one,
+        output, ++n);
+  auto a = filesUnder(all), b = filesUnder(one);
+  std::filesystem::remove_all(all);
+  std::filesystem::remove_all(one);
+  if (a.empty() || a != b) {
+    std::cerr << "FAIL " << name << ": " << a.size() << " file(s) from "
+              << "--flow=all, " << b.size() << " from single flows\n";
+    for (const auto &[file, text] : a)
+      if (!b.count(file) || b[file] != text)
+        std::cerr << "  differs: " << file << "\n";
+    ++failures;
+    return;
+  }
+  std::cout << "ok   " << name << " (" << a.size() << " files)\n";
+}
+
+// An armed fault's `site:nth` names one hit in cell order, so a faulted
+// --flow=all run prints the same at every --jobs.
+void expectFaultedRunsJobsInvariant(const std::string &c2hc, int &n) {
+  const std::string name = "injected_fault_jobs_invariant";
+  const std::string cmd = c2hc + " --workload=gcd --flow=all --cosim"
+                                 " --inject-fault=vsim.compile";
+  std::string serial;
+  run(cmd + " --jobs=1", serial, ++n);
+  for (int i = 0; i < 10; ++i) {
+    std::string parallel;
+    run(cmd + " --jobs=4", parallel, ++n);
+    if (parallel != serial) {
+      std::cerr << "FAIL " << name << ": run " << i
+                << " at --jobs=4 differs\n--- jobs=1\n" << serial
+                << "--- jobs=4\n" << parallel << "\n";
+      ++failures;
+      return;
+    }
+  }
+  std::cout << "ok   " << name << "\n";
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -271,6 +348,7 @@ int main(int argc, char **argv) {
   std::remove("test_cli_emit_out/bachc_good_tb.v");
   std::remove("test_cli_emit_out");
   expectCliRowsMatchServe(c2hc, n);
+  expectEmitPathsAgree(c2hc, "fir", n);
 
   // --- program errors: exit 1 ---------------------------------------------
   expectExit("race_analyze", c2hc + " " + fx + "/race.uc --analyze", 1, ++n,
@@ -308,6 +386,14 @@ int main(int argc, char **argv) {
              c2hc + " --workload=fir --flow=bachc --no-sim"
                     " --verilog=/nonexistent_dir/x.v",
              1, ++n, "cannot write");
+  // A source that does not compile: the single-flow run prints the front
+  // end's diagnostics, and --flow=all fails like --analyze does.
+  expectExit("syntax_error_single_flow",
+             c2hc + " " + fx + "/syntax_error.uc --flow=bachc", 1, ++n,
+             "expected expression");
+  expectExit("syntax_error_all_flows",
+             c2hc + " " + fx + "/syntax_error.uc --flow=all", 1, ++n,
+             "expected expression");
   expectExit("unbounded_loop_under_cones",
              c2hc + " " + fx + "/unbounded.uc --flow=cones", 1, ++n);
 
@@ -372,6 +458,7 @@ int main(int argc, char **argv) {
                    c2hc + " " + fx + "/good.uc --flow=all --args=3 --jobs=1",
                    c2hc + " " + fx + "/good.uc --flow=all --args=3 --jobs=4",
                    n += 2);
+  expectFaultedRunsJobsInvariant(c2hc, n);
 
   if (failures) {
     std::cerr << failures << " failure(s)\n";

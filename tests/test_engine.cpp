@@ -154,6 +154,75 @@ TEST(Engine, InjectedFaultUnderParallelJobsStaysIsolated) {
         << r.flowId << ": " << r.note;
 }
 
+TEST(Engine, ArmedFaultTakesTheSameCellAtAnyJobs) {
+  // Fault hit counters are process-wide, so while a fault is armed the
+  // engine runs cells serially in cell order: `site:nth` then names the
+  // same cell at every jobs value.
+  guard::disarmFaults();
+  const auto &w = core::findWorkload("gcd");
+  auto armedRun = [&w](unsigned jobs) {
+    core::CompareEngine engine;
+    flows::FlowTuning tuning;
+    tuning.jobs = jobs;
+    guard::armFault("flow.lower", 3);
+    auto rows = engine.compareFlows(w, tuning);
+    guard::disarmFaults();
+    return rows;
+  };
+  auto serial = armedRun(1);
+  std::size_t injected = 0;
+  for (const auto &r : serial)
+    injected += r.verdict.kind == guard::Kind::InjectedFault;
+  EXPECT_EQ(injected, 1u);
+  for (int i = 0; i < 5; ++i) {
+    auto parallel = armedRun(4);
+    expectRowsEqual(serial, parallel);
+    for (std::size_t f = 0; f < serial.size(); ++f)
+      EXPECT_EQ(parallel[f].verdict.kind, serial[f].verdict.kind)
+          << serial[f].flowId;
+  }
+}
+
+TEST(Engine, CellsCarryTheirResultAndGoldenRun) {
+  const auto &w = core::findWorkload("gcd");
+  core::CompareEngine engine;
+  flows::FlowTuning tuning;
+  tuning.jobs = 4;
+  const auto &specs = flows::allFlows();
+  std::vector<core::Cell> cells(specs.size());
+  std::vector<int> calls(specs.size(), 0);
+  engine.compareCells({&w, 1}, specs, tuning, {},
+                      [&](std::size_t wi, std::size_t f, core::Cell &&cell) {
+                        EXPECT_EQ(wi, 0u);
+                        ++calls[f];
+                        cells[f] = std::move(cell);
+                      });
+  std::vector<core::FlowComparison> rows;
+  for (std::size_t f = 0; f < specs.size(); ++f) {
+    EXPECT_EQ(calls[f], 1) << specs[f].info.id;
+    rows.push_back(cells[f].row);
+    const core::Cell &cell = cells[f];
+    ASSERT_TRUE(cell.result) << specs[f].info.id;
+    EXPECT_EQ(cell.result->accepted, cell.row.accepted);
+    // The check half ran exactly for the cells whose flow succeeded.
+    EXPECT_EQ(cell.golden != nullptr, cell.result->ok) << specs[f].info.id;
+    if (cell.row.verified) {
+      EXPECT_TRUE(cell.golden->ok);
+    }
+  }
+  expectRowsEqual(rows, core::CompareEngine().compareFlows(w, tuning));
+
+  // The pipeline half alone synthesizes without any golden run.
+  const std::uint64_t goldenBefore = core::goldenModelRuns();
+  core::Cell synthesized = engine.synthesize(*flows::findFlow("bachc"), w);
+  EXPECT_EQ(core::goldenModelRuns(), goldenBefore);
+  ASSERT_TRUE(synthesized.result);
+  EXPECT_TRUE(synthesized.result->ok);
+  EXPECT_TRUE(synthesized.result->design);
+  EXPECT_FALSE(synthesized.golden);
+  EXPECT_FALSE(synthesized.row.verified);
+}
+
 // One workload's distinct lowered modules as runFlowChecked's stages produce
 // them, computed here from the public stage functions: the raw modules that
 // reach the range gate, and the optimizer outputs that reach dead-branch

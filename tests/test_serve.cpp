@@ -256,6 +256,23 @@ TEST(ServeService, OverBudgetIsStructuredAndNeverCached) {
   EXPECT_NE(clean.find("\"status\":\"ok\""), std::string::npos) << clean;
 }
 
+// A source that does not compile fails the comparison ops, as it fails
+// `analyze` and `c2hc --flow=all`: every row is a front-end failure.
+TEST(ServeService, SourceThatDoesNotCompileFails) {
+  CosimService service;
+  for (const std::string op : {"compare", "cosim"}) {
+    std::string response = service.handleLine(
+        R"({"id":"bad","op":")" + op +
+        R"(","source":"int main(int x) { return x + ; }","timing":false})");
+    EXPECT_NE(response.find("\"status\":\"failed\""), std::string::npos)
+        << response;
+    EXPECT_NE(response.find("\"exit_code\":1,"), std::string::npos)
+        << response;
+    EXPECT_NE(response.find("expected expression"), std::string::npos)
+        << response;
+  }
+}
+
 TEST(ServeService, StatsTracksPerClientMeters) {
   CosimService service;
   service.handleLine(R"({"id":"1","op":"compare","workload":"gcd",)"

@@ -13,7 +13,9 @@
 //    and exits 0;
 //  * a request line past the 1 MiB cap is answered `invalid_request` and
 //    the next line on the stream is still answered, in order;
-//  * AF_UNIX socket mode serves a connection and cleans up the socket file.
+//  * AF_UNIX socket mode serves a connection and cleans up the socket file;
+//  * finished connections are joined while the daemon runs: 200 closed
+//    connections leave its virtual size about where it was.
 //
 // Run as:  test_serve_cli <path-to-c2hc> <fixtures-dir>
 //
@@ -492,6 +494,68 @@ void testPeerDisconnectDoesNotDisturbSiblings(const std::string &c2hc) {
   pass(name);
 }
 
+// The daemon's virtual size in KiB (the VmSize line of
+// /proc/<pid>/status); -1 when it cannot be read.
+long vmSizeKib(pid_t pid) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0)
+      return std::stol(line.substr(7));
+  return -1;
+}
+
+// 200 connections, one at a time, each answered and closed: a finished
+// connection's thread must be joined while the daemon runs, not at
+// shutdown, or every connection leaves its stack mapped.
+void testClosedConnectionsAreReaped(const std::string &c2hc) {
+  const std::string name = "closed_connections_are_reaped";
+#ifndef __linux__
+  std::cout << "skip " << name << " (needs /proc/<pid>/status)\n";
+  return;
+#endif
+  const std::string path = "serve_cli_reap.sock";
+  unlink(path.c_str());
+  Daemon d = spawn(c2hc, {"--serve=" + path, "--jobs=1"});
+  const std::string request =
+      R"({"id":"s","op":"stats","timing":false})"
+      "\n";
+  auto abort = [&](const std::string &why) {
+    kill(d.pid, SIGKILL);
+    d.wait();
+    unlink(path.c_str());
+    return fail(name, why);
+  };
+  long before = -1;
+  for (int i = 0; i <= 200; ++i) {
+    int fd = connectWithRetry(path);
+    if (fd < 0)
+      return abort("could not connect (connection " + std::to_string(i) +
+                   ")");
+    std::string answer;
+    bool answered = write(fd, request.data(), request.size()) ==
+                        static_cast<ssize_t>(request.size()) &&
+                    readSocketLine(fd, answer);
+    close(fd);
+    if (!answered)
+      return abort("no answer on connection " + std::to_string(i));
+    if (i == 0)
+      before = vmSizeKib(d.pid); // after the first connection's warm-up
+  }
+  long after = vmSizeKib(d.pid);
+  if (kill(d.pid, SIGTERM) != 0)
+    return abort("kill failed");
+  int exitCode = d.wait();
+  if (before < 0 || after < 0)
+    return fail(name, "cannot read VmSize");
+  if (after - before >= 256L * 1024)
+    return fail(name, "VmSize grew " + std::to_string((after - before) >> 10) +
+                          " MiB over 200 closed connections");
+  if (exitCode != 0)
+    return fail(name, "exit " + std::to_string(exitCode) + " after SIGTERM");
+  pass(name);
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -510,6 +574,7 @@ int main(int argc, char **argv) {
   testOversizeLineIsRejectedAndReadingResumes(c2hc);
   testSocketModeServesAndCleansUp(c2hc);
   testPeerDisconnectDoesNotDisturbSiblings(c2hc);
+  testClosedConnectionsAreReaped(c2hc);
   if (failures) {
     std::cerr << failures << " serve CLI scenario(s) failed\n";
     return 1;

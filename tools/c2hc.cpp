@@ -83,7 +83,6 @@
 #include "analysis/diagnostic.h"
 #include "core/c2h.h"
 #include "core/engine.h"
-#include "opt/astclone.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "support/guard.h"
@@ -357,16 +356,15 @@ int writeOutput(const std::string &path, const std::string &text,
   return kExitOk;
 }
 
-// A self-checking testbench for `design` that drives the workload's
-// arguments and expects the golden model's return value.
+// A self-checking testbench for `design` that drives `args` and expects the
+// golden model's return value.
 int writeTestbench(const std::string &path, const rtl::Design &design,
-                   const core::Workload &workload, const ast::Program &program,
+                   const std::vector<BitVector> &args,
                    const core::GoldenRun &golden) {
   if (!golden.ok) {
     std::cerr << "cannot produce testbench: " << golden.detail << "\n";
     return kExitRejected;
   }
-  auto args = core::argBits(program, workload.top, workload.args);
   return writeOutput(path,
                      rtl::emitTestbench(design, args, golden.returnValue),
                      "tb     ");
@@ -376,7 +374,7 @@ int writeTestbench(const std::string &path, const rtl::Design &design,
 // `<flow>_<workload>_tb.v`.
 int emitDesignFiles(const std::string &dir, const flows::FlowSpec &spec,
                     const core::Workload &workload, const rtl::Design &design,
-                    const ast::Program &program,
+                    const std::vector<BitVector> &args,
                     const core::GoldenRun &golden) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -389,50 +387,57 @@ int emitDesignFiles(const std::string &dir, const flows::FlowSpec &spec,
   int rc = writeOutput(base + ".v", rtl::emitVerilog(design), "verilog");
   if (rc != kExitOk)
     return rc;
-  return writeTestbench(base + "_tb.v", design, workload, program, golden);
+  return writeTestbench(base + "_tb.v", design, args, golden);
 }
 
+// Exit code of a row that failed: 4 when a resource limit stopped it.
+int failedExit(const core::FlowComparison &row) {
+  return row.verdict.isResourceLimit() ? kExitResource : kExitRejected;
+}
+
+// A single-flow run: one engine cell, rendered.  `--no-sim` without
+// `--cosim` runs only the cell's pipeline half, so it synthesizes only.
 int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
            const Options &options) {
+  core::EngineOptions engineOptions;
+  engineOptions.cosim = options.cosim;
+  engineOptions.vsimEngine = options.vsimEngine;
+  core::CompareEngine engine(engineOptions);
   flows::FlowTuning tuning;
   tuning.clockNs = options.clockNs;
-  tuning.budget = options.budget;
-  // One meter for the whole invocation: pipeline, verification, cosim.
-  guard::ExecBudget meter(options.budget);
-  tuning.meter = &meter;
-  // Compile once: the flow mutates a private clone, and the golden model
-  // reads the pristine program.
-  TypeContext types;
-  DiagnosticEngine diags;
-  std::unique_ptr<ast::Program> goldenProgram =
-      frontend(workload.source, types, diags);
-  flows::FlowResult result;
-  if (!goldenProgram) {
-    result.error = "frontend: " + diags.str();
-  } else {
-    std::unique_ptr<ast::Program> program = opt::cloneProgram(*goldenProgram);
-    result =
-        flows::runFlowChecked(spec, *program, types, workload.top, tuning);
+  tuning.budget = options.budget; // one meter for the whole cell
+  core::Cell cell;
+  if (options.simulate || options.cosim)
+    engine.compareCells({&workload, 1}, {&spec, 1}, tuning, engineOptions,
+                        [&cell](std::size_t, std::size_t, core::Cell &&c) {
+                          cell = std::move(c);
+                        });
+  else
+    cell = engine.synthesize(spec, workload, tuning);
+  const core::FlowComparison &row = cell.row;
+  if (row.note.rfind("internal error:", 0) == 0) {
+    std::cerr << row.note << "\n";
+    return kExitInternal;
   }
 
   std::cout << "== " << spec.info.displayName << " ("
             << spec.info.timingModel << ")\n";
-  if (!result.accepted) {
+  if (!cell.result) { // the front end failed, or a guard event stopped it
+    std::cout << "   failed: " << row.note
+              << (row.note.ends_with('\n') ? "" : "\n");
+    return failedExit(row);
+  }
+  const flows::FlowResult &result = *cell.result;
+  if (!result.accepted || !result.ok) {
     for (const auto &r : result.rejections)
       std::cout << "   rejected: " << r << "\n";
+    if (result.accepted)
+      std::cout << "   failed: " << result.error << "\n";
     if (!result.analysisFindings.empty()) {
       std::cout << "\n";
       printReport(result.analysisFindings, options);
     }
-    return kExitRejected;
-  }
-  if (!result.ok) {
-    std::cout << "   failed: " << result.error << "\n";
-    if (!result.analysisFindings.empty()) {
-      std::cout << "\n";
-      printReport(result.analysisFindings, options);
-    }
-    return result.verdict.isResourceLimit() ? kExitResource : kExitRejected;
+    return failedExit(row);
   }
   for (const auto &v : result.violations)
     std::cout << "   TIMING CONSTRAINT VIOLATED: " << v.str() << "\n";
@@ -448,70 +453,59 @@ int runOne(const flows::FlowSpec &spec, const core::Workload &workload,
   if (options.printIr)
     std::cout << result.module->str();
 
-  // One golden run and one design simulation serve both the verify step
-  // (skipped by --no-sim) and --cosim, as in the engine's cells; the same
-  // golden run gives the testbenches their expected value.
-  core::GoldenRun golden;
-  core::Verification v;
-  bool cosimRuns = options.cosim && result.design && !result.asyncInfo;
-  bool goldenRan = options.simulate || cosimRuns;
-  if (goldenRan) {
-    golden = core::runGoldenModel(workload, *goldenProgram, &meter);
-    v = core::verifyAgainstGoldenModel(workload, result, *goldenProgram,
-                                       golden, &meter);
-  }
-
   if (options.simulate) {
-    if (!v.ok) {
-      std::cout << "   VERIFY FAILED: " << v.detail << "\n";
-      return v.verdict.isResourceLimit() ? kExitResource : kExitRejected;
+    if (!row.verified) {
+      std::cout << "   VERIFY FAILED: " << row.note << "\n";
+      return failedExit(row);
     }
-    std::cout << "   result  : " << v.returnValue.toStringSigned()
+    std::cout << "   result  : " << cell.golden->returnValue.toStringSigned()
               << " (matches the reference interpreter)\n";
     if (result.asyncInfo)
-      std::cout << "   async   : " << formatDouble(v.asyncNs, 1) << " ns\n";
+      std::cout << "   async   : " << formatDouble(row.asyncNs, 1) << " ns\n";
     else
-      std::cout << "   cycles  : " << v.cycles << "\n";
+      std::cout << "   cycles  : " << row.cycles << "\n";
   }
 
   if (options.cosim) {
-    core::CosimVerification cv;
-    if (cosimRuns && golden.ok && !v.ok) {
+    if (const char *why = core::cosimSkipReason(result)) {
+      std::cout << "   cosim   : not run (" << why << ")\n";
+    } else if (!row.verified) {
       // Under --no-sim, a failed verify step is reported by cosim.
-      cv.ran = true;
-      cv.detail = v.detail;
-      cv.verdict = v.verdict;
+      std::cout << "   COSIM FAILED: " << row.note << "\n";
+      return failedExit(row);
     } else {
-      cv = core::cosimAgainstGoldenModel(workload, result, *goldenProgram,
-                                         golden, v.cycles, options.vsimEngine,
-                                         &meter);
-    }
-    if (!cv.degradation.empty())
-      std::cout << "   cosim   : degraded (" << cv.degradation << ")\n";
-    if (!cv.fallback.empty())
-      std::cout << "   cosim   : fallback to " << cv.engine << " engine ("
-                << cv.fallback << ")\n";
-    if (!cv.ran) {
-      std::cout << "   cosim   : not run (" << cv.detail << ")\n";
-    } else if (!cv.ok) {
-      std::cout << "   COSIM FAILED: " << cv.detail << "\n";
-      return cv.verdict.isResourceLimit() ? kExitResource : kExitRejected;
-    } else {
+      if (!row.degradation.empty())
+        std::cout << "   cosim   : degraded (" << row.degradation << ")\n";
+      if (!row.cosimFallback.empty())
+        std::cout << "   cosim   : fallback to " << row.cosimEngine
+                  << " engine (" << row.cosimFallback << ")\n";
+      if (!row.cosimOk) {
+        std::cout << "   COSIM FAILED: " << row.cosimNote << "\n";
+        return failedExit(row);
+      }
       std::cout << "   cosim   : PASS (interpreter == fsmd == vsim, "
-                << cv.cycles << " cycles, " << cv.engine << " engine)\n";
+                << row.cosimCycles << " cycles, " << row.cosimEngine
+                << " engine)\n";
     }
   }
 
   if (result.design && (options.emitVerilogDir || options.testbenchOut)) {
-    if (!goldenRan)
-      golden = core::runGoldenModel(workload, *goldenProgram);
+    auto entry = engine.cache().get(workload.source, workload.top);
+    // Without a check half (--no-sim) the testbenches' expected value
+    // needs a golden run of its own.
+    std::shared_ptr<const core::GoldenRun> golden = cell.golden;
+    if (!golden)
+      golden = std::make_shared<const core::GoldenRun>(
+          core::runGoldenModel(workload, *entry->program));
+    std::vector<BitVector> args =
+        core::argBits(*entry->program, workload.top, workload.args);
     int rc = kExitOk;
     if (options.emitVerilogDir)
       rc = emitDesignFiles(*options.emitVerilogDir, spec, workload,
-                           *result.design, *goldenProgram, golden);
+                           *result.design, args, *golden);
     if (rc == kExitOk && options.testbenchOut)
-      rc = writeTestbench(*options.testbenchOut, *result.design, workload,
-                          *goldenProgram, golden);
+      rc = writeTestbench(*options.testbenchOut, *result.design, args,
+                          *golden);
     if (rc != kExitOk)
       return rc;
   }
@@ -533,7 +527,24 @@ int runAll(const core::Workload &workload, const Options &options) {
   flows::FlowTuning tuning;
   tuning.clockNs = options.clockNs;
   tuning.budget = options.budget; // one fresh ExecBudget per cell
-  auto rows = engine.compareFlows(workload, tuning);
+  const std::vector<flows::FlowSpec> &specs = flows::allFlows();
+  std::vector<core::FlowComparison> rows(specs.size());
+  // `--emit-verilog`: every accepted synchronous design, with the golden
+  // run its cell verified against, which its testbench expects.
+  struct Emitted {
+    rtl::Design design;
+    std::shared_ptr<const core::GoldenRun> golden;
+  };
+  std::vector<std::optional<Emitted>> emitted(specs.size());
+  engine.compareCells(
+      {&workload, 1}, specs, tuning, engineOptions,
+      [&](std::size_t, std::size_t f, core::Cell &&cell) {
+        rows[f] = std::move(cell.row);
+        if (options.emitVerilogDir && cell.result && cell.result->ok &&
+            cell.result->design)
+          emitted[f].emplace(
+              Emitted{std::move(*cell.result->design), std::move(cell.golden)});
+      });
 
   std::vector<std::string> headers{"flow",   "accepted", "verified", "cycles",
                                    "area",   "fmax",     "note"};
@@ -574,24 +585,18 @@ int runAll(const core::Workload &workload, const Options &options) {
   if (options.jsonDiags && options.cosim)
     std::cout << serve::serializeRows(rows, true) << "\n";
 
-  // `--emit-verilog` under 'all': one (design, testbench) pair per
-  // accepted synchronous flow, every testbench expecting one golden run
-  // over the engine's cached compile.
   auto entry = options.emitVerilogDir
                    ? engine.cache().get(workload.source, workload.top)
                    : nullptr;
   if (entry && entry->ok()) {
-    core::GoldenRun golden = core::runGoldenModel(workload, *entry->program);
-    for (const auto &spec : flows::allFlows()) {
-      if (spec.asyncDataflow)
+    std::vector<BitVector> args =
+        core::argBits(*entry->program, workload.top, workload.args);
+    for (std::size_t f = 0; f < specs.size(); ++f) {
+      if (!emitted[f])
         continue;
-      auto result =
-          flows::runFlow(spec, workload.source, workload.top, tuning);
-      if (!result.ok || !result.design)
-        continue;
-      std::cout << "== " << spec.info.id << "\n";
-      int rc = emitDesignFiles(*options.emitVerilogDir, spec, workload,
-                               *result.design, *entry->program, golden);
+      std::cout << "== " << specs[f].info.id << "\n";
+      int rc = emitDesignFiles(*options.emitVerilogDir, specs[f], workload,
+                               emitted[f]->design, args, *emitted[f]->golden);
       if (rc != kExitOk)
         exitCode = rc;
     }
