@@ -78,25 +78,51 @@ struct Verification {
   guard::Verdict verdict;
 };
 
-// The outcome of one golden-model run: `workload.top(workload.args)` on the
-// reference interpreter.  The run is deterministic, so one result serves
-// every flow's verification and co-simulation of the workload.
+// The outcome of one witness run over `workload.top(workload.args)`: the
+// golden model on the reference interpreter, or a synchronous design on the
+// FSMD simulator or under vsim.  Every run is deterministic, so one run
+// serves every cell that runs the same program or the same design.
 struct GoldenRun {
   bool ok = false;
-  std::string detail; // failure reason when !ok ("interpreter: ...")
+  // Failure reason when !ok ("interpreter: ...", "rtl simulation: ...", or
+  // vsim's own message).
+  std::string detail;
   // Structured cause when a resource limit or injected fault stopped the
-  // run; kind None for completed runs and plain interpreter errors.
+  // run; kind None for completed runs and plain simulation errors.
   guard::Verdict verdict;
   BitVector returnValue{1};
   // Final contents of each of workload.checkGlobals, in that order.
   std::vector<std::vector<BitVector>> globals;
+  std::uint64_t cycles = 0; // FSMD and vsim runs
+  // vsim runs only: the backend that ran ("compiled" / "event"), the
+  // compiled engine's guard event when the run was retried on the event
+  // engine, and why a Compiled request fell back to the event engine.
+  std::string engine, degradation, fallback;
 };
 
 // Run the golden model of `workload` over its already-compiled program,
 // charging `budget` (the interpreter's default step limit still applies).
+// A guard event anywhere in the run, the interpreter's global allocation
+// included, becomes the run's verdict.
 GoldenRun runGoldenModel(const Workload &workload,
                          const ast::Program &goldenProgram,
                          guard::ExecBudget *budget = nullptr);
+
+// Run `design` on the FSMD simulator with `workload.args`, charging
+// `budget`; `detail` says "rtl simulation: ..." when the run failed.
+GoldenRun runFsmdModel(const Workload &workload, const rtl::Design &design,
+                       const ast::Program &goldenProgram,
+                       guard::ExecBudget *budget = nullptr);
+
+// Run `design`'s emitted Verilog under vsim with `workload.args` (the
+// engine ladder of vsim::Cosimulation::run).  `verilog` is the design's
+// already-emitted text; when empty, the run emits it.
+GoldenRun runVsimModel(const Workload &workload, const rtl::Design &design,
+                       const ast::Program &goldenProgram,
+                       vsim::SimEngine engine = vsim::SimEngine::Compiled,
+                       guard::ExecBudget *budget = nullptr,
+                       vsim::ModelCache *modelCache = nullptr,
+                       std::string verilog = {});
 
 // Execute `workload` on the reference interpreter and on the synthesized
 // design inside `result` (FSMD simulation or asynchronous dataflow timing),
@@ -124,13 +150,20 @@ Verification verifyAgainstGoldenModel(const Workload &workload,
                                       const GoldenRun &golden,
                                       guard::ExecBudget *budget = nullptr);
 
+// The synchronous verdict from both runs already made: the design's FSMD
+// run (runFsmdModel) against the golden run.  The overloads above end here
+// for a synchronous design; the engine passes runs it shares between cells.
+Verification verifyFsmdRun(const Workload &workload,
+                           const ast::Program &goldenProgram,
+                           const GoldenRun &golden, const GoldenRun &fsmd);
+
 // Golden-model-only execution (reference outputs + a sanity baseline).
 Verification runGoldenModel(const Workload &workload);
 
 // Process-wide work counters (relaxed atomics): golden-model runs made by
-// runGoldenModel, and FSMD simulations made by verification and
-// co-simulation.  Deterministic, so tests bound them where wall time would
-// flake.
+// runGoldenModel, and FSMD simulations made by runFsmdModel (verification
+// and co-simulation).  vsim::runs() counts the third witness.
+// Deterministic, so tests bound them where wall time would flake.
 std::uint64_t goldenModelRuns();
 std::uint64_t verifyFsmdRuns();
 
@@ -192,7 +225,6 @@ cosimAgainstGoldenModel(const Workload &workload,
 // golden run over `goldenProgram` and the FSMD simulator's cycle count
 // (Verification::cycles).  Only vsim runs here; its return value and
 // globals are compared with `golden`, its cycle count with `fsmdCycles`.
-// The engine hands each verified cell's witnesses to this overload.
 CosimVerification
 cosimAgainstGoldenModel(const Workload &workload,
                         const flows::FlowResult &result,
@@ -201,6 +233,14 @@ cosimAgainstGoldenModel(const Workload &workload,
                         vsim::SimEngine engine = vsim::SimEngine::Compiled,
                         guard::ExecBudget *budget = nullptr,
                         vsim::ModelCache *modelCache = nullptr);
+// The verdict from all three runs already made: `vsim` (runVsimModel)
+// against the golden run and the cell's own FSMD cycle count.  The
+// overloads above end here; the engine passes runs it shares between cells.
+CosimVerification verifyVsimRun(const Workload &workload,
+                                const ast::Program &goldenProgram,
+                                const GoldenRun &golden,
+                                std::uint64_t fsmdCycles,
+                                const GoldenRun &vsim);
 
 // Why `result` has no synchronous RTL to co-simulate; null when it has.
 const char *cosimSkipReason(const flows::FlowResult &result);

@@ -4,8 +4,10 @@
 #include "flows/prefix.h"
 #include "opt/astclone.h"
 #include "support/threadpool.h"
+#include "vsim/cosim.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace c2h::core {
 
@@ -24,43 +26,130 @@ guard::FaultSite siteCell("engine.cell");
 
 } // namespace
 
-// The golden model is deterministic, so every cell of a workload in one
-// call can read one run.  The first cell to verify computes it under its
-// own meter while later cells wait, the way flows::PrefixMemo computes a
-// shared prefix.  Only a run that no guard event stopped is kept: a budget
-// trip or injected fault belongs to the cell that hit it, and the next cell
-// runs the model again.  A cell whose meter limits steps, cycles or
-// allocation runs its own model, so what it charges — and any verdict it
-// trips — never depends on which cell came first.
-class CompareEngine::GoldenMemo {
+// Every witness is deterministic, so the cells of a workload in one call
+// share their runs: the golden model runs once per workload, the FSMD
+// simulator once per distinct rtl::fingerprint, and vsim once per distinct
+// (emitted Verilog text, requested engine, global slot map).  Keys are full
+// texts, so a hit is never a mere hash match.  The first cell to need a run
+// computes it under its own meter while later cells wait, the way
+// flows::PrefixMemo computes a shared prefix.  The memo keeps runs, not
+// verdicts: each cell still compares the runs it gets, so a vsim run shared
+// by two designs is checked against each one's own FSMD cycle count.
+//
+// Three rules keep every row independent of which cell ran first:
+//  * only a run that no guard event stopped is kept — a budget trip or an
+//    injected fault belongs to the cell that hit it, and the next cell runs
+//    again;
+//  * a cell whose meter limits steps, cycles or allocation runs its own
+//    witnesses, so what it charges, and any verdict it trips, is its own;
+//  * while a fault is armed the FSMD and vsim runs bypass the memo, as
+//    vsim::ModelCache does, so `site:nth` names the same hit it always has.
+//    The golden run stays shared, as it was before FSMD and vsim runs were.
+class CompareEngine::WitnessMemo {
 public:
-  GoldenMemo(const Workload &workload, const ast::Program *program)
-      : workload_(workload), program_(program) {}
+  WitnessMemo(const Workload &workload, const ast::Program *program,
+              const Emitter &emitter)
+      : workload_(workload), program_(program), emitter_(emitter) {}
 
   // The golden run for a cell metered by `meter`.
-  std::shared_ptr<const GoldenRun> get(guard::ExecBudget *meter) {
-    const guard::BudgetSpec &spec = meter->spec();
-    if (spec.maxSteps || spec.maxCycles || spec.maxAllocBytes)
-      return run(meter);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (value_)
-      return value_;
-    std::shared_ptr<const GoldenRun> golden = run(meter);
-    if (golden->verdict.ok())
-      value_ = golden;
-    return golden;
+  std::shared_ptr<const GoldenRun> golden(guard::ExecBudget *meter) {
+    auto run = [&] {
+      return std::make_shared<const GoldenRun>(
+          runGoldenModel(workload_, *program_, meter));
+    };
+    return ownRun(meter) ? run() : share(golden_, run);
+  }
+
+  // `design`'s FSMD run.
+  std::shared_ptr<const GoldenRun> fsmd(const rtl::Design &design,
+                                        guard::ExecBudget *meter) {
+    auto run = [&] {
+      return std::make_shared<const GoldenRun>(
+          runFsmdModel(workload_, design, *program_, meter));
+    };
+    if (ownRun(meter) || guard::anyFaultArmed())
+      return run();
+    return share(fsmd_.slot(rtl::fingerprint(design).text), run);
+  }
+
+  // `design`'s vsim run on `options`' engine and model cache.
+  std::shared_ptr<const GoldenRun> vsim(const rtl::Design &design,
+                                        const EngineOptions &options,
+                                        guard::ExecBudget *meter) {
+    auto run = [&](std::string verilog) {
+      return std::make_shared<const GoldenRun>(
+          runVsimModel(workload_, design, *program_, options.vsimEngine, meter,
+                       options.modelCache, std::move(verilog)));
+    };
+    // Armed, the run emits the text itself, under its cosim.emit site.
+    if (guard::anyFaultArmed())
+      return run({});
+    std::string verilog = emitter_(design);
+    if (ownRun(meter))
+      return run(std::move(verilog));
+    return share(vsim_.slot(vsimKey(verilog, options.vsimEngine, design)),
+                 [&] { return run(std::move(verilog)); });
   }
 
 private:
-  std::shared_ptr<const GoldenRun> run(guard::ExecBudget *meter) const {
-    return std::make_shared<const GoldenRun>(
-        runGoldenModel(workload_, *program_, meter));
+  // One run, computed at most once while it completes cleanly.
+  struct Slot {
+    std::mutex mutex;
+    std::shared_ptr<const GoldenRun> run;
+  };
+  // Slots by their full key text.
+  class Table {
+  public:
+    Slot &slot(std::string key) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      std::unique_ptr<Slot> &slot = slots_[std::move(key)];
+      if (!slot)
+        slot = std::make_unique<Slot>();
+      return *slot;
+    }
+
+  private:
+    std::mutex mutex_;
+    std::unordered_map<std::string, std::unique_ptr<Slot>> slots_;
+  };
+
+  // What a vsim run depends on besides the fixed top and args: the text it
+  // parses, the engine it asks for, and the slots its globals are read from.
+  static std::string vsimKey(const std::string &verilog,
+                             vsim::SimEngine engine,
+                             const rtl::Design &design) {
+    std::string key = verilog;
+    key += '\x1f';
+    key += vsim::engineName(engine);
+    const ir::Module &module = *design.module;
+    for (const ir::GlobalSlot &g : module.globalMap())
+      key += '\x1f' + g.name + ' ' + module.mems()[g.memId].name + ' ' +
+             std::to_string(g.base) + ' ' + std::to_string(g.words) + ' ' +
+             std::to_string(g.width);
+    return key;
+  }
+
+  static bool ownRun(const guard::ExecBudget *meter) {
+    const guard::BudgetSpec &spec = meter->spec();
+    return spec.maxSteps || spec.maxCycles || spec.maxAllocBytes;
+  }
+
+  template <class Run>
+  static std::shared_ptr<const GoldenRun> share(Slot &slot, Run &&run) {
+    std::lock_guard<std::mutex> lock(slot.mutex);
+    if (slot.run)
+      return slot.run;
+    std::shared_ptr<const GoldenRun> fresh = run();
+    if (fresh->verdict.ok() && fresh->degradation.empty())
+      slot.run = fresh;
+    return fresh;
   }
 
   const Workload &workload_;
   const ast::Program *program_; // the front-end cache's AST; null on failure
-  std::mutex mutex_;
-  std::shared_ptr<const GoldenRun> value_;
+  const Emitter &emitter_;
+  Slot golden_;
+  Table fsmd_, vsim_;
 };
 
 std::unique_ptr<ast::Program> FrontendCache::Entry::cloneAst() const {
@@ -155,10 +244,15 @@ CompareEngine::CompareEngine(EngineOptions options)
                  TypeContext &types, const std::string &top,
                  const flows::FlowTuning &tuning) {
         return flows::runFlowChecked(spec, program, types, top, tuning);
-      }) {}
+      }),
+      emitter_(rtl::emitVerilog) {}
 
 void CompareEngine::setRunnerForTesting(FlowRunner runner) {
   runner_ = std::move(runner);
+}
+
+void CompareEngine::setEmitterForTesting(Emitter emitter) {
+  emitter_ = std::move(emitter);
 }
 
 unsigned CompareEngine::resolveJobs(const flows::FlowTuning &tuning) const {
@@ -180,7 +274,8 @@ Cell CompareEngine::runCell(const flows::FlowSpec &spec,
                             const Workload &workload,
                             FrontendCache::Entry &entry,
                             const flows::FlowTuning &tuning,
-                            const EngineOptions &options, GoldenMemo *golden) {
+                            const EngineOptions &options,
+                            WitnessMemo *witnesses) {
   // One meter per cell, shared by the pipeline, golden-model verification,
   // and co-simulation — so a cell's budget is truly per-cell and a runaway
   // flow can never starve a sibling.
@@ -190,8 +285,8 @@ Cell CompareEngine::runCell(const flows::FlowSpec &spec,
   Cell failed;
   try {
     Cell cell = synthesizeCell(spec, workload, entry, cellTuning);
-    if (golden && cell.result && cell.result->ok)
-      checkCell(cell, workload, entry, cellTuning.meter, options, *golden);
+    if (witnesses && cell.result && cell.result->ok)
+      checkCell(cell, workload, entry, cellTuning.meter, options, *witnesses);
     return cell;
   } catch (const guard::GuardEvent &e) {
     failed.row.verdict = e.verdict;
@@ -242,12 +337,21 @@ void CompareEngine::checkCell(Cell &cell, const Workload &workload,
                               const FrontendCache::Entry &entry,
                               guard::ExecBudget *meter,
                               const EngineOptions &options,
-                              GoldenMemo &goldenMemo) {
+                              WitnessMemo &witnesses) {
   const flows::FlowResult &result = *cell.result;
   FlowComparison &row = cell.row;
-  cell.golden = goldenMemo.get(meter);
-  Verification v = verifyAgainstGoldenModel(workload, result, *entry.program,
-                                            *cell.golden, meter);
+  cell.golden = witnesses.golden(meter);
+  const GoldenRun &golden = *cell.golden;
+  const rtl::Design *design =
+      result.design && !result.asyncInfo ? &*result.design : nullptr;
+  // A synchronous design meets its FSMD run only once the golden run
+  // completed; everything else takes the flow-result path.
+  Verification v =
+      design && golden.ok
+          ? verifyFsmdRun(workload, *entry.program, golden,
+                          *witnesses.fsmd(*design, meter))
+          : verifyAgainstGoldenModel(workload, result, *entry.program, golden,
+                                     meter);
   row.verified = v.ok;
   if (!v.ok) {
     row.note = v.detail;
@@ -255,10 +359,10 @@ void CompareEngine::checkCell(Cell &cell, const Workload &workload,
   }
   row.cycles = v.cycles;
   row.asyncNs = v.asyncNs;
-  if (options.cosim && v.ok && result.design && !result.asyncInfo) {
-    CosimVerification cv = cosimAgainstGoldenModel(
-        workload, result, *entry.program, *cell.golden, v.cycles,
-        options.vsimEngine, meter, options.modelCache);
+  if (options.cosim && v.ok && design) {
+    CosimVerification cv =
+        verifyVsimRun(workload, *entry.program, golden, v.cycles,
+                      *witnesses.vsim(*design, options, meter));
     row.cosimRan = cv.ran;
     row.cosimOk = cv.ok;
     row.cosimCycles = cv.cycles;
@@ -338,21 +442,21 @@ void CompareEngine::compareCells(std::span<const Workload> workloads,
                                  const CellSink &sink) {
   // Compile every workload up front: deterministic cache fill, and workers
   // never contend on the compile lock.  Each workload gets its own prefix
-  // memo and golden run, as if it were a request of its own.
+  // memo and witness memo, as if it were a request of its own.
   std::vector<std::shared_ptr<FrontendCache::Entry>> entries;
   std::vector<std::unique_ptr<flows::PrefixMemo>> memos;
-  std::vector<std::unique_ptr<GoldenMemo>> goldens;
+  std::vector<std::unique_ptr<WitnessMemo>> witnesses;
   std::vector<flows::FlowTuning> tunings(workloads.size(), tuning);
   for (std::size_t w = 0; w < workloads.size(); ++w) {
     entries.push_back(cache_.get(workloads[w].source, workloads[w].top));
     memos.push_back(requestMemo(*entries[w], workloads[w].top, tunings[w]));
-    goldens.push_back(std::make_unique<GoldenMemo>(
-        workloads[w], entries[w]->program.get()));
+    witnesses.push_back(std::make_unique<WitnessMemo>(
+        workloads[w], entries[w]->program.get(), emitter_));
   }
   auto cell = [&](std::size_t w, std::size_t f) {
     sink(w, f,
          runCell(specs[f], workloads[w], *entries[w], tunings[w], options,
-                 goldens[w].get()));
+                 witnesses[w].get()));
   };
 
   const std::size_t cells = workloads.size() * specs.size();

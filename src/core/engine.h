@@ -20,11 +20,17 @@
 //     form the flows share read-only.  Callers outside the engine (runFlow
 //     and other direct runFlowChecked callers) pass none, and each call
 //     makes its own.
-//     Verification shares work the same way: the golden model runs once
-//     per workload of a call (GoldenMemo; only a run no guard event stopped
-//     is kept, and a cell with a step, cycle or alloc limit runs its own),
-//     and cosim takes the cell's golden run and FSMD cycle count from its
-//     verify step, so each witness is computed once per cell at most.
+//     Verification shares work the same way, through a per-workload
+//     witness memo: the golden model runs once per workload of a call, the
+//     FSMD simulator once per distinct design (rtl::fingerprint), and vsim
+//     once per distinct emitted Verilog text (with the requested engine and
+//     the global slot map).  A registry cosim pass makes 18 golden, 51 FSMD
+//     and 51 vsim runs for its 130 synchronous cells.  The memo keeps runs,
+//     not verdicts, and each cell compares its own: vsim against the golden
+//     run and against the cell's own FSMD cycle count.  Only runs that no
+//     guard event stopped are kept; a cell with a step, cycle or alloc limit
+//     runs its own witnesses; and while a fault is armed the FSMD and vsim
+//     runs bypass the memo, so `site:nth` names the same hit as ever.
 //  3. Serialism: cells are independent, so the engine runs the
 //     (flow x workload) matrix on a fixed-size ThreadPool.  Results are
 //     written into pre-assigned slots, so row order — and content — is
@@ -200,16 +206,21 @@ public:
       const flows::FlowSpec &, ast::Program &, TypeContext &,
       const std::string &top, const flows::FlowTuning &)>;
   void setRunnerForTesting(FlowRunner runner);
+  // Test seam: replaces rtl::emitVerilog for every cell's vsim run while no
+  // fault is armed.  An emitter that alters the text proves that each cell
+  // still checks its own vsim run against its own FSMD cycle count.
+  using Emitter = std::function<std::string(const rtl::Design &)>;
+  void setEmitterForTesting(Emitter emitter);
 
 private:
-  // One workload's golden-model run within one call (engine.cpp).
-  class GoldenMemo;
+  // One workload's witness runs within one call (engine.cpp).
+  class WitnessMemo;
 
   // One cell under its own meter and fault isolation: the pipeline half,
-  // then, given a golden memo, the check half.
+  // then, given a witness memo, the check half.
   Cell runCell(const flows::FlowSpec &spec, const Workload &workload,
                FrontendCache::Entry &entry, const flows::FlowTuning &tuning,
-               const EngineOptions &options, GoldenMemo *golden);
+               const EngineOptions &options, WitnessMemo *witnesses);
   Cell synthesizeCell(const flows::FlowSpec &spec, const Workload &workload,
                       FrontendCache::Entry &entry,
                       const flows::FlowTuning &tuning);
@@ -217,7 +228,7 @@ private:
   static void checkCell(Cell &cell, const Workload &workload,
                         const FrontendCache::Entry &entry,
                         guard::ExecBudget *meter, const EngineOptions &options,
-                        GoldenMemo &golden);
+                        WitnessMemo &witnesses);
   // compareCells keeping only the rows (result[w][f]); the rest of each
   // cell dies with it.
   std::vector<std::vector<FlowComparison>>
@@ -240,6 +251,7 @@ private:
   EngineOptions options_;
   FrontendCache cache_;
   FlowRunner runner_;
+  Emitter emitter_;
   std::mutex poolMutex_;
   std::unique_ptr<ThreadPool> pool_;
 };

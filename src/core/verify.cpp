@@ -30,23 +30,46 @@ bool sameReturn(unsigned width, const BitVector &golden, const BitVector &got) {
          got.resize(width, false) == golden.resize(width, false);
 }
 
-// The first checked global on which a witness disagrees with the golden
-// run, as a row note; empty when every global agrees.  Narrower witness
+// How one witness names itself in a mismatch note.
+struct WitnessNames {
+  const char *returnPrefix; // before "return value mismatch"
+  const char *name;         // before the witness's value ("rtl " / "vsim ")
+  const char *sizeSuffix;   // after a global's "size mismatch"
+};
+constexpr WitnessNames kFsmdNames{"", "rtl ", ""};
+constexpr WitnessNames kVsimNames{"vsim ", "vsim ", " under vsim"};
+constexpr WitnessNames kAsyncNames{"async ", "", ""};
+
+std::string returnMismatch(const WitnessNames &names, const BitVector &golden,
+                           const BitVector &got) {
+  return std::string(names.returnPrefix) + "return value mismatch: golden " +
+         golden.toStringHex() + " vs " + names.name + got.toStringHex();
+}
+
+// The first disagreement of a completed witness run with the golden run, as
+// a row note; empty when they agree.  The return value is compared first,
+// then the cycle count when `fsmdCycles` is given (vsim against the FSMD
+// simulator), then every checked global bit for bit.  Narrower witness
 // storage is extended by the *declared* signedness: a negative int<N> value
 // whose storage is narrower than the declared width must be sign-extended,
 // not zero-extended, before the bit-level compare.
-template <class ReadGlobal>
-std::string globalMismatch(const Workload &workload,
-                           const ast::Program &program,
-                           const GoldenRun &golden, ReadGlobal &&read,
-                           const std::string &witness,
-                           const std::string &sizeSuffix) {
+std::string witnessMismatch(const Workload &workload,
+                            const ast::Program &program,
+                            const GoldenRun &golden, const GoldenRun &run,
+                            const WitnessNames &names,
+                            const std::uint64_t *fsmdCycles) {
+  if (!sameReturn(returnWidth(program, workload.top), golden.returnValue,
+                  run.returnValue))
+    return returnMismatch(names, golden.returnValue, run.returnValue);
+  if (fsmdCycles && run.cycles != *fsmdCycles)
+    return "cycle count mismatch: fsmd " + std::to_string(*fsmdCycles) +
+           " vs vsim " + std::to_string(run.cycles);
   for (std::size_t g = 0; g < workload.checkGlobals.size(); ++g) {
     const std::string &name = workload.checkGlobals[g];
     const std::vector<BitVector> &want = golden.globals.at(g);
-    std::vector<BitVector> got = read(name);
+    const std::vector<BitVector> &got = run.globals.at(g);
     if (want.size() != got.size())
-      return "global '" + name + "' size mismatch" + sizeSuffix;
+      return "global '" + name + "' size mismatch" + names.sizeSuffix;
     const ast::VarDecl *decl = program.findGlobal(name);
     const Type *leaf = decl ? scalarLeaf(decl->type) : nullptr;
     bool isSigned = leaf && leaf->isSigned();
@@ -54,9 +77,19 @@ std::string globalMismatch(const Workload &workload,
       if (!(want[i] == got[i].resize(want[i].width(), isSigned)))
         return "global '" + name + "[" + std::to_string(i) +
                "]' mismatch: golden " + want[i].toStringHex() + " vs " +
-               witness + " " + got[i].toStringHex();
+               names.name + got[i].toStringHex();
   }
   return {};
+}
+
+// Each of workload.checkGlobals as `read` reports it after a run.
+template <class ReadGlobal>
+std::vector<std::vector<BitVector>> readGlobals(const Workload &workload,
+                                                ReadGlobal &&read) {
+  std::vector<std::vector<BitVector>> out;
+  for (const auto &name : workload.checkGlobals)
+    out.push_back(read(name));
+  return out;
 }
 
 } // namespace
@@ -101,9 +134,18 @@ GoldenRun runGoldenModel(const Workload &workload,
   // instead of hanging verification.
   InterpOptions iopts;
   iopts.budget = budget;
-  Interpreter interp(goldenProgram, iopts);
-  auto r = interp.call(workload.top,
-                       argBits(goldenProgram, workload.top, workload.args));
+  // The constructor allocates the program's globals, which an alloc budget
+  // or an injected guard.alloc fault can stop; call() contains the rest.
+  std::optional<Interpreter> interp;
+  try {
+    interp.emplace(goldenProgram, iopts);
+  } catch (const guard::GuardEvent &e) {
+    g.detail = "interpreter: " + e.verdict.str();
+    g.verdict = e.verdict;
+    return g;
+  }
+  auto r = interp->call(workload.top,
+                        argBits(goldenProgram, workload.top, workload.args));
   if (!r.ok) {
     g.detail = "interpreter: " + r.error;
     g.verdict = r.verdict;
@@ -111,9 +153,65 @@ GoldenRun runGoldenModel(const Workload &workload,
   }
   g.ok = true;
   g.returnValue = r.returnValue;
-  for (const auto &name : workload.checkGlobals)
-    g.globals.push_back(interp.readGlobal(name));
+  g.globals = readGlobals(
+      workload, [&](const std::string &name) { return interp->readGlobal(name); });
   return g;
+}
+
+GoldenRun runFsmdModel(const Workload &workload, const rtl::Design &design,
+                       const ast::Program &goldenProgram,
+                       guard::ExecBudget *budget) {
+  fsmdRuns.fetch_add(1, std::memory_order_relaxed);
+  GoldenRun run;
+  rtl::SimOptions sopts;
+  sopts.budget = budget;
+  rtl::Simulator sim(design, sopts);
+  rtl::SimResult r =
+      sim.run(argBits(goldenProgram, workload.top, workload.args));
+  if (!r.ok) {
+    run.detail = "rtl simulation: " + r.error;
+    run.verdict = r.verdict;
+    return run;
+  }
+  run.ok = true;
+  run.cycles = r.cycles;
+  run.returnValue = r.returnValue;
+  run.globals = readGlobals(
+      workload, [&](const std::string &name) { return sim.readGlobal(name); });
+  return run;
+}
+
+GoldenRun runVsimModel(const Workload &workload, const rtl::Design &design,
+                       const ast::Program &goldenProgram,
+                       vsim::SimEngine engine, guard::ExecBudget *budget,
+                       vsim::ModelCache *modelCache, std::string verilog) {
+  GoldenRun run;
+  vsim::Cosimulation cosim(design, std::move(verilog), modelCache);
+  if (!cosim.valid()) {
+    run.detail = cosim.error();
+    run.verdict = cosim.verdict();
+    return run;
+  }
+  vsim::CosimOptions copts;
+  copts.engine = engine;
+  copts.budget = budget;
+  vsim::CosimResult r = cosim.run(
+      argBits(goldenProgram, workload.top, workload.args), copts);
+  run.cycles = r.cycles;
+  run.degradation = r.degradation;
+  run.engine = vsim::engineName(r.engine);
+  run.fallback = cosim.compileNote();
+  if (!r.ok) {
+    run.detail = r.error;
+    run.verdict = r.verdict;
+    return run;
+  }
+  run.ok = true;
+  run.returnValue = r.returnValue;
+  run.globals = readGlobals(workload, [&](const std::string &name) {
+    return cosim.readGlobal(name);
+  });
+  return run;
 }
 
 Verification runGoldenModel(const Workload &workload) {
@@ -180,26 +278,23 @@ Verification verifyAgainstGoldenModel(const Workload &workload,
     v.verdict = golden.verdict;
     return v;
   }
-  std::vector<BitVector> args =
-      argBits(goldenProgram, workload.top, workload.args);
-  unsigned width = returnWidth(goldenProgram, workload.top);
 
   // Asynchronous (CASH) designs: event-driven dataflow timing simulation.
   if (result.asyncInfo) {
     sched::TechLibrary lib;
     async::AsyncSimOptions aopts;
     aopts.budget = budget;
-    auto r = async::simulateAsync(*result.module, workload.top, args, lib,
-                                  aopts);
+    auto r = async::simulateAsync(
+        *result.module, workload.top,
+        argBits(goldenProgram, workload.top, workload.args), lib, aopts);
     if (!r.ok) {
       v.detail = "async simulation: " + r.error;
       v.verdict = r.verdict;
       return v;
     }
-    if (!sameReturn(width, golden.returnValue, r.returnValue)) {
-      v.detail = "async return value mismatch: golden " +
-                 golden.returnValue.toStringHex() + " vs " +
-                 r.returnValue.toStringHex();
+    if (!sameReturn(returnWidth(goldenProgram, workload.top),
+                    golden.returnValue, r.returnValue)) {
+      v.detail = returnMismatch(kAsyncNames, golden.returnValue, r.returnValue);
       return v;
     }
     v.ok = true;
@@ -213,30 +308,27 @@ Verification verifyAgainstGoldenModel(const Workload &workload,
     v.detail = "flow produced no design";
     return v;
   }
-  fsmdRuns.fetch_add(1, std::memory_order_relaxed);
-  rtl::SimOptions sopts;
-  sopts.budget = budget;
-  rtl::Simulator sim(*result.design, sopts);
-  auto r = sim.run(args);
-  if (!r.ok) {
-    v.detail = "rtl simulation: " + r.error;
-    v.verdict = r.verdict;
-    return v;
-  }
-  if (!sameReturn(width, golden.returnValue, r.returnValue)) {
-    v.detail = "return value mismatch: golden " +
-               golden.returnValue.toStringHex() + " vs rtl " +
-               r.returnValue.toStringHex();
-    return v;
-  }
-  v.detail = globalMismatch(
+  return verifyFsmdRun(
       workload, goldenProgram, golden,
-      [&](const std::string &name) { return sim.readGlobal(name); }, "rtl",
-      "");
+      runFsmdModel(workload, *result.design, goldenProgram, budget));
+}
+
+Verification verifyFsmdRun(const Workload &workload,
+                           const ast::Program &goldenProgram,
+                           const GoldenRun &golden, const GoldenRun &fsmd) {
+  Verification v;
+  const GoldenRun &failed = golden.ok ? fsmd : golden;
+  if (!failed.ok) {
+    v.detail = failed.detail;
+    v.verdict = failed.verdict;
+    return v;
+  }
+  v.detail = witnessMismatch(workload, goldenProgram, golden, fsmd,
+                             kFsmdNames, nullptr);
   if (!v.detail.empty())
     return v;
   v.ok = true;
-  v.cycles = r.cycles;
+  v.cycles = fsmd.cycles;
   v.returnValue = golden.returnValue;
   return v;
 }
@@ -277,16 +369,12 @@ CosimVerification cosimAgainstGoldenModel(const Workload &workload,
                                    engine, budget, modelCache);
 
   // Witness 2: the FSMD simulator (the cycle count the experiments quote).
-  fsmdRuns.fetch_add(1, std::memory_order_relaxed);
-  rtl::SimOptions sopts;
-  sopts.budget = budget;
-  rtl::Simulator sim(*result.design, sopts);
-  auto fsmd =
-      sim.run(argBits(goldenProgram, workload.top, workload.args));
+  GoldenRun fsmd =
+      runFsmdModel(workload, *result.design, goldenProgram, budget);
   if (!fsmd.ok) {
     CosimVerification c;
     c.ran = true;
-    c.detail = "rtl simulation: " + fsmd.error;
+    c.detail = fsmd.detail;
     c.verdict = fsmd.verdict;
     return c;
   }
@@ -302,56 +390,43 @@ CosimVerification cosimAgainstGoldenModel(const Workload &workload,
                                           vsim::SimEngine engine,
                                           guard::ExecBudget *budget,
                                           vsim::ModelCache *modelCache) {
-  CosimVerification c;
   if (const char *why = cosimSkipReason(result)) {
+    CosimVerification c;
     c.detail = why;
     return c;
   }
+  // Witness 3: the emitted Verilog text, re-executed by vsim — unless the
+  // golden run already failed.
+  return verifyVsimRun(workload, goldenProgram, golden, fsmdCycles,
+                       golden.ok ? runVsimModel(workload, *result.design,
+                                                goldenProgram, engine, budget,
+                                                modelCache)
+                                 : GoldenRun{});
+}
+
+CosimVerification verifyVsimRun(const Workload &workload,
+                                const ast::Program &goldenProgram,
+                                const GoldenRun &golden,
+                                std::uint64_t fsmdCycles,
+                                const GoldenRun &vsim) {
+  CosimVerification c;
   c.ran = true;
   if (!golden.ok) {
     c.detail = golden.detail;
     c.verdict = golden.verdict;
     return c;
   }
-
-  // Witness 3: the emitted Verilog text, re-executed by vsim.
-  vsim::Cosimulation cosim(*result.design, modelCache);
-  if (!cosim.valid()) {
-    c.detail = cosim.error();
-    c.verdict = cosim.verdict();
+  c.cycles = vsim.cycles;
+  c.degradation = vsim.degradation;
+  c.engine = vsim.engine;
+  c.fallback = vsim.fallback;
+  if (!vsim.ok) {
+    c.detail = vsim.detail;
+    c.verdict = vsim.verdict;
     return c;
   }
-  vsim::CosimOptions copts;
-  copts.engine = engine;
-  copts.budget = budget;
-  vsim::CosimResult r = cosim.run(
-      argBits(goldenProgram, workload.top, workload.args), copts);
-  c.cycles = r.cycles;
-  c.degradation = r.degradation;
-  c.engine = vsim::engineName(r.engine);
-  c.fallback = cosim.compileNote();
-  if (!r.ok) {
-    c.detail = r.error;
-    c.verdict = r.verdict;
-    return c;
-  }
-
-  if (!sameReturn(returnWidth(goldenProgram, workload.top),
-                  golden.returnValue, r.returnValue)) {
-    c.detail = "vsim return value mismatch: golden " +
-               golden.returnValue.toStringHex() + " vs vsim " +
-               r.returnValue.toStringHex();
-    return c;
-  }
-  if (r.cycles != fsmdCycles) {
-    c.detail = "cycle count mismatch: fsmd " + std::to_string(fsmdCycles) +
-               " vs vsim " + std::to_string(r.cycles);
-    return c;
-  }
-  c.detail = globalMismatch(
-      workload, goldenProgram, golden,
-      [&](const std::string &name) { return cosim.readGlobal(name); },
-      "vsim", " under vsim");
+  c.detail = witnessMismatch(workload, goldenProgram, golden, vsim,
+                             kVsimNames, &fsmdCycles);
   c.ok = c.detail.empty();
   return c;
 }

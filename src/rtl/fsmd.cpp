@@ -1,6 +1,9 @@
 #include "rtl/fsmd.h"
 
 #include "sched/dfg.h"
+#include "support/text.h"
+
+#include <algorithm>
 
 namespace c2h::rtl {
 
@@ -9,6 +12,55 @@ unsigned Design::totalStates() const {
   for (const auto &[fn, proc] : processes)
     n += proc.stateCount;
   return n;
+}
+
+namespace {
+
+// Appends a number to a fingerprint text; ' ' ends it, as in ir.cpp.
+void put(std::string &text, std::uint64_t n) {
+  text += std::to_string(n);
+  text += ' ';
+}
+
+} // namespace
+
+ir::Fingerprint fingerprint(const Design &design) {
+  ir::Fingerprint fp = ir::fingerprint(*design.module);
+  std::string &text = fp.text;
+  put(text, design.top.size());
+  text += design.top;
+  for (const auto &fn : design.module->functions()) {
+    const FsmdProcess *proc = design.processFor(fn.get());
+    put(text, proc ? 1 : 0);
+    if (!proc)
+      continue;
+    for (const auto &block : fn->blocks()) {
+      auto it = proc->blocks.find(block.get());
+      put(text, it == proc->blocks.end() ? 0 : block->id() + 1);
+      if (it == proc->blocks.end())
+        continue;
+      const FsmdBlock &fb = it->second;
+      const auto &instrs = block->instrs();
+      put(text, fb.length);
+      put(text, fb.ops.size());
+      // buildDesign lists one operation per instruction, in block order;
+      // only an operation out of that order costs a search.
+      std::size_t next = 0;
+      for (const OpSlot &op : fb.ops) {
+        std::size_t index = next;
+        if (index >= instrs.size() || instrs[index].get() != op.instr)
+          index = std::find_if(instrs.begin(), instrs.end(),
+                               [&](const auto &i) { return i.get() == op.instr; }) -
+                  instrs.begin();
+        next = index + 1;
+        put(text, index);
+        put(text, op.start);
+        put(text, op.done);
+      }
+    }
+  }
+  fp.hash = fnv1a(text);
+  return fp;
 }
 
 Design buildDesign(const ir::Module &module, const std::string &top,

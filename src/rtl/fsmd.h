@@ -65,6 +65,14 @@ Design buildDesign(const ir::Module &module, const std::string &top,
                    const sched::TechLibrary &lib,
                    const sched::SchedOptions &options);
 
+// The design's identity as the FSMD simulator sees it: the module's
+// ir::fingerprint, then `top`, then each function's process schedule in
+// module order (per block: its id and length, and per operation its
+// instruction's index in the block, `start` and `done`).  Two designs with
+// equal fingerprints simulate identically.  `hash` is for lookup; compare
+// `text` to confirm a hit.
+ir::Fingerprint fingerprint(const Design &design);
+
 } // namespace c2h::rtl
 
 #endif // C2H_RTL_FSMD_H

@@ -27,9 +27,13 @@ namespace c2h::serve {
 
 namespace {
 
-volatile std::sig_atomic_t gStopRequested = 0;
+// Written by the SIGTERM/SIGINT handler, read by every connection thread.
+// A lock-free atomic is both async-signal-safe and race-free across
+// threads, which a volatile sig_atomic_t is not.
+std::atomic<int> gStopRequested{0};
+static_assert(std::atomic<int>::is_always_lock_free);
 
-void onTerminate(int) { gStopRequested = 1; }
+void onTerminate(int) { gStopRequested.store(1); }
 
 void installSignalHandlers() {
 #ifndef _WIN32
@@ -305,7 +309,7 @@ int runSocketServer(CosimService &service, const std::string &path) {
 } // namespace
 
 int runServer(const ServerOptions &options) {
-  gStopRequested = 0;
+  gStopRequested.store(0);
   installSignalHandlers();
   CosimService service(options.service);
   if (options.socketPath.empty())

@@ -5,6 +5,8 @@
 #include "vsim/cvm.h"
 #include "vsim/parser.h"
 
+#include <atomic>
+
 namespace c2h::vsim {
 
 namespace {
@@ -18,6 +20,8 @@ guard::FaultSite siteEventRun("vsim.event.run");
 guard::FaultSite siteEmit("cosim.emit");
 guard::FaultSite siteParse("cosim.parse");
 guard::FaultSite siteElab("cosim.elab");
+
+std::atomic<std::uint64_t> runCount{0};
 
 // Reset + start/done handshake, templated over the engine (Simulation or
 // CompiledSimulation expose the same poke/peek/tick surface).  `cycles`
@@ -157,7 +161,11 @@ void Cosimulation::cachePublish() {
 }
 
 Cosimulation::Cosimulation(const rtl::Design &design, ModelCache *cache)
-    : design_(&design) {
+    : Cosimulation(design, std::string(), cache) {}
+
+Cosimulation::Cosimulation(const rtl::Design &design, std::string verilog,
+                           ModelCache *cache)
+    : design_(&design), verilog_(std::move(verilog)) {
   load(cache);
 }
 
@@ -169,8 +177,10 @@ Cosimulation::Cosimulation(std::string verilogText, std::string topModule)
 void Cosimulation::load(ModelCache *cache) {
   try {
     if (design_) {
-      siteEmit.hit();
-      verilog_ = rtl::emitVerilog(*design_);
+      if (verilog_.empty()) {
+        siteEmit.hit();
+        verilog_ = rtl::emitVerilog(*design_);
+      }
       topModule_ = "c2h_" + rtl::verilogIdent(design_->top);
     }
     if (cache && !guard::anyFaultArmed())
@@ -225,6 +235,7 @@ template <class Sim> void Cosimulation::seedInto(Sim &sim) {
 
 CosimResult Cosimulation::run(const std::vector<BitVector> &args,
                               const CosimOptions &options) {
+  runCount.fetch_add(1, std::memory_order_relaxed);
   CosimResult result;
   if (!valid()) {
     result.error = error_;
@@ -334,6 +345,8 @@ Cosimulation::readGlobal(const std::string &name) const {
     out.push_back(cells[slot->base + i].trunc(slot->width));
   return out;
 }
+
+std::uint64_t runs() { return runCount.load(std::memory_order_relaxed); }
 
 CosimResult cosimulate(const rtl::Design &design,
                        const std::vector<BitVector> &args,

@@ -95,6 +95,10 @@ private:
 class Cosimulation {
 public:
   explicit Cosimulation(const rtl::Design &design, ModelCache *cache = nullptr);
+  // The same, over `verilog`, the design's already-emitted text (emitted
+  // here when empty).
+  Cosimulation(const rtl::Design &design, std::string verilog,
+               ModelCache *cache = nullptr);
   // Arbitrary Verilog text whose `topModule` exposes the clk/rst/start/done
   // protocol.  Without a design, run() passes arguments through unresized
   // and seedGlobal/readGlobal have no globals to reach.
@@ -146,6 +150,10 @@ private:
   std::shared_ptr<InitImage> eventImage_;
   std::shared_ptr<ModelCache::Entry> cacheEntry_;
 };
+
+// Process-wide count of Cosimulation::run calls (a relaxed atomic), the
+// vsim analogue of core::verifyFsmdRuns(): deterministic, so tests bound it.
+std::uint64_t runs();
 
 // One-shot convenience wrapper.
 CosimResult cosimulate(const rtl::Design &design,

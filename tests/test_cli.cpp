@@ -441,6 +441,17 @@ int main(int argc, char **argv) {
                     " --vsim-engine=compiled-strict"
                     " --inject-fault=vsim.compile",
              1, ++n, "compiled-strict");
+  // fir's golden model allocates its three globals before the call, so
+  // guard.alloc's 2nd hit lands in the interpreter's constructor.  The event
+  // is the golden run's verdict: the row keeps its design and area and
+  // fails verification, instead of losing its flow result.
+  const std::string goldenAllocFault =
+      c2hc + " --workload=fir --flow=handelc --cosim"
+             " --inject-fault=guard.alloc:2";
+  expectExit("golden_alloc_fault_keeps_the_design", goldenAllocFault, 1, ++n,
+             "   area    : area{");
+  expectExit("golden_alloc_fault_is_the_verdict", goldenAllocFault, 1, ++n,
+             "VERIFY FAILED: interpreter: INJECTED_FAULT at guard.alloc");
   expectExit("step_budget_exit_4",
              c2hc + " " + fx + "/longloop.uc --flow=bachc --args=1"
                     " --budget-steps=10000",

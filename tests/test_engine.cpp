@@ -9,6 +9,9 @@
 //  4. Shared prefix — the range gate and the optimize/prune step run once
 //     per distinct lowered module in a request, counted by the range
 //     solver's call counter.
+//  5. Shared witnesses — the golden model runs once per workload and the
+//     FSMD and vsim simulators once per distinct design, yet every row
+//     still compares its own runs.
 #include "analysis/analyzer.h"
 #include "analysis/lints.h"
 #include "analysis/range.h"
@@ -17,10 +20,12 @@
 #include "opt/astclone.h"
 #include "support/guard.h"
 #include "support/threadpool.h"
+#include "vsim/cosim.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <regex>
 #include <set>
 #include <stdexcept>
@@ -308,44 +313,186 @@ TEST(Engine, RangeSolverRunsOncePerDistinctModule) {
     expectRowsEqual(serialRows[i], parallelRows[i]);
 }
 
-TEST(Engine, GoldenModelRunsOncePerWorkload) {
-  // One cosim pass over the registry runs the golden model once per
-  // workload, not once per verified cell plus once per cosim cell, and the
-  // FSMD simulator once per synchronous cell: cosim takes both witnesses
-  // from the verify step.  Both counts are deterministic for any jobs.
+// Witness runs made by one cosim pass over the registry, and the distinct
+// designs and texts its cells produced.
+struct WitnessCounts {
+  std::uint64_t golden = 0, fsmd = 0, vsim = 0;
+  std::uint64_t syncCells = 0;            // cells that reached FSMD
+  std::uint64_t designs = 0, texts = 0;   // distinct, summed per workload
+};
+
+WitnessCounts countedCosimPass(unsigned jobs,
+                               const flows::FlowTuning &base = {}) {
   const std::vector<core::Workload> &suite = core::standardWorkloads();
   core::EngineOptions options;
   options.cosim = true;
+  core::CompareEngine engine(options); // fresh: nothing carried over
+  flows::FlowTuning tuning = base;
+  tuning.jobs = jobs;
+  std::vector<std::set<std::string>> designs(suite.size()),
+      texts(suite.size());
+  WitnessCounts counts;
+  std::mutex mutex;
+  const std::uint64_t goldenBefore = core::goldenModelRuns();
+  const std::uint64_t fsmdBefore = core::verifyFsmdRuns();
+  const std::uint64_t vsimBefore = vsim::runs();
+  engine.compareCells(
+      suite, flows::allFlows(), tuning, options,
+      [&](std::size_t w, std::size_t, core::Cell &&cell) {
+        const core::FlowComparison &r = cell.row;
+        if (!r.accepted)
+          return;
+        EXPECT_TRUE(r.verified) << r.flowId << ": " << r.note;
+        if (r.asyncNs != 0)
+          return;
+        EXPECT_TRUE(r.cosimOk) << r.flowId << ": " << r.cosimNote;
+        const rtl::Design &design = *cell.result->design;
+        std::string fingerprint = rtl::fingerprint(design).text;
+        std::string text = rtl::emitVerilog(design);
+        std::lock_guard<std::mutex> lock(mutex);
+        ++counts.syncCells;
+        designs[w].insert(std::move(fingerprint));
+        texts[w].insert(std::move(text));
+      });
+  counts.golden = core::goldenModelRuns() - goldenBefore;
+  counts.fsmd = core::verifyFsmdRuns() - fsmdBefore;
+  counts.vsim = vsim::runs() - vsimBefore;
+  for (std::size_t w = 0; w < suite.size(); ++w) {
+    counts.designs += designs[w].size();
+    counts.texts += texts[w].size();
+  }
+  return counts;
+}
+
+TEST(Engine, WitnessesRunOncePerDistinctDesign) {
+  // One cosim pass over the registry runs the golden model once per
+  // workload, the FSMD simulator once per distinct design and vsim once
+  // per distinct emitted text — not once per cell.  All counts are
+  // deterministic for any jobs.
+  const std::size_t workloads = core::standardWorkloads().size();
+  EXPECT_EQ(workloads, 18u);
   for (unsigned jobs : {1u, 4u}) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
-    core::CompareEngine engine(options); // fresh: nothing carried over
-    flows::FlowTuning tuning;
-    tuning.jobs = jobs;
-    std::uint64_t goldenBefore = core::goldenModelRuns();
-    std::uint64_t fsmdBefore = core::verifyFsmdRuns();
-    auto rows = engine.compareMatrix(suite, tuning);
-    std::uint64_t golden = core::goldenModelRuns() - goldenBefore;
-    std::uint64_t fsmd = core::verifyFsmdRuns() - fsmdBefore;
-    std::uint64_t syncCells = 0;
-    for (const auto &workloadRows : rows)
-      for (const auto &r : workloadRows) {
-        if (!r.accepted)
-          continue;
-        EXPECT_TRUE(r.verified) << r.flowId << ": " << r.note;
-        if (r.asyncNs == 0) {
-          ++syncCells;
-          EXPECT_TRUE(r.cosimOk) << r.flowId << ": " << r.cosimNote;
-        }
-      }
-    RecordProperty("golden_runs_jobs" + std::to_string(jobs),
-                   std::to_string(golden));
-    RecordProperty("fsmd_runs_jobs" + std::to_string(jobs),
-                   std::to_string(fsmd));
-    EXPECT_EQ(suite.size(), 18u);
-    EXPECT_EQ(golden, suite.size());
-    EXPECT_GT(syncCells, 0u);
-    EXPECT_EQ(fsmd, syncCells);
+    WitnessCounts c = countedCosimPass(jobs);
+    const std::string suffix = "_jobs" + std::to_string(jobs);
+    RecordProperty("golden_runs" + suffix, std::to_string(c.golden));
+    RecordProperty("fsmd_runs" + suffix, std::to_string(c.fsmd));
+    RecordProperty("vsim_runs" + suffix, std::to_string(c.vsim));
+    RecordProperty("sync_cells" + suffix, std::to_string(c.syncCells));
+    EXPECT_EQ(c.golden, workloads);
+    EXPECT_EQ(c.syncCells, 130u);
+    EXPECT_EQ(c.fsmd, c.designs);
+    EXPECT_EQ(c.vsim, c.texts);
+    EXPECT_EQ(c.texts, 51u);
+    EXPECT_LT(c.fsmd, c.syncCells);
   }
+}
+
+TEST(Engine, LimitedOrArmedCellsRunTheirOwnWitnesses) {
+  // A cell whose meter limits cycles runs its own FSMD and vsim runs, and so
+  // does every cell while a fault is armed: both counts are one per
+  // synchronous cell, as before runs were shared.
+  flows::FlowTuning limited;
+  limited.budget.maxCycles = std::uint64_t{1} << 40; // never trips
+  WitnessCounts c = countedCosimPass(4, limited);
+  EXPECT_EQ(c.syncCells, 130u);
+  EXPECT_EQ(c.fsmd, c.syncCells);
+  EXPECT_EQ(c.vsim, c.syncCells);
+
+  guard::disarmFaults();
+  guard::armFault("engine.cell", std::uint64_t{1} << 40); // never fires
+  c = countedCosimPass(4);
+  guard::disarmFaults();
+  EXPECT_EQ(c.syncCells, 130u);
+  EXPECT_EQ(c.fsmd, c.syncCells);
+  EXPECT_EQ(c.vsim, c.syncCells);
+}
+
+// Delays the top's `done` by one state in emitted Verilog: every return
+// goes through an extra state that raises `done` a cycle later.
+std::string delayDone(std::string text) {
+  static const std::regex ret(
+      R"(\n( +)done <= 1'b1;\n +(p\d+_state) <= (\d+);)");
+  std::smatch m;
+  if (!std::regex_search(text, m, ret))
+    return text;
+  const std::string state = m[2], idle = m[3];
+  text = std::regex_replace(text, ret, "\n$1$2 <= 60000;");
+  const std::string fallback = "        default: " + state + " <= " + idle + ";";
+  std::size_t at = text.find(fallback);
+  if (at == std::string::npos)
+    return text;
+  text.insert(at, "        60000: begin done <= 1'b1; " + state + " <= " +
+                      idle + "; end\n");
+  return text;
+}
+
+TEST(Engine, DesignsThatDifferInOneRegisterRunTheirOwnWitnesses) {
+  // Two flows return the same schedule of gcd, except that the second adds
+  // one register (a dead constant in the entry block).  Neither the FSMD
+  // nor the vsim run of one may stand in for the other's, and each row
+  // compares its own vsim run against its own FSMD cycle count.
+  const core::Workload &w = core::findWorkload("gcd");
+  const flows::FlowSpec &bachc = *flows::findFlow("bachc");
+  std::vector<flows::FlowSpec> specs = {bachc, bachc};
+  specs[1].info.id = "bachc+reg";
+  const ir::Module *withRegister = nullptr;
+  core::EngineOptions options;
+  options.cosim = true;
+  core::CompareEngine engine(options);
+  engine.setRunnerForTesting([&](const flows::FlowSpec &spec,
+                                 ast::Program &program, TypeContext &types,
+                                 const std::string &top,
+                                 const flows::FlowTuning &tuning) {
+    flows::FlowResult r =
+        flows::runFlowChecked(bachc, program, types, top, tuning);
+    if (spec.info.id == "bachc" || !r.ok)
+      return r;
+    std::shared_ptr<ir::Module> module = ir::cloneModule(*r.module);
+    ir::Function &fn = *module->findFunction(top);
+    auto extra = std::make_unique<ir::Instr>();
+    extra->op = ir::Opcode::Const;
+    extra->dst = fn.newVReg(8);
+    extra->constValue = BitVector::fromInt(8, 42);
+    auto &instrs = fn.entry()->instrs();
+    instrs.insert(instrs.end() - 1, std::move(extra));
+    r.design = rtl::buildDesign(*module, top, sched::TechLibrary(), bachc.sched);
+    r.module = module;
+    withRegister = module.get();
+    return r;
+  });
+  flows::FlowTuning tuning;
+  tuning.jobs = 1;
+
+  auto pass = [&] {
+    const std::uint64_t fsmdBefore = core::verifyFsmdRuns();
+    const std::uint64_t vsimBefore = vsim::runs();
+    auto rows = engine.compareFlows(w, specs, tuning);
+    EXPECT_EQ(core::verifyFsmdRuns() - fsmdBefore, 2u);
+    EXPECT_EQ(vsim::runs() - vsimBefore, 2u);
+    return rows;
+  };
+  auto honest = pass();
+  ASSERT_EQ(honest.size(), 2u);
+  for (const auto &r : honest) {
+    EXPECT_TRUE(r.verified) << r.flowId << ": " << r.note;
+    EXPECT_TRUE(r.cosimOk) << r.flowId << ": " << r.cosimNote;
+  }
+  EXPECT_EQ(honest[0].cycles, honest[1].cycles);
+
+  engine.setEmitterForTesting([&](const rtl::Design &design) {
+    std::string text = rtl::emitVerilog(design);
+    return design.module == withRegister ? delayDone(text) : text;
+  });
+  auto tampered = pass();
+  ASSERT_EQ(tampered.size(), 2u);
+  EXPECT_TRUE(tampered[0].cosimOk) << tampered[0].cosimNote;
+  EXPECT_EQ(tampered[0].cosimCycles, honest[0].cycles);
+  EXPECT_TRUE(tampered[1].verified) << tampered[1].note;
+  EXPECT_FALSE(tampered[1].cosimOk);
+  EXPECT_EQ(tampered[1].cosimNote,
+            "cycle count mismatch: fsmd " + std::to_string(honest[1].cycles) +
+                " vs vsim " + std::to_string(honest[1].cycles + 1));
 }
 
 TEST(Engine, StepBudgetRowsMatchForAnyJobs) {
