@@ -23,7 +23,7 @@
 // --profile-ops switches to a reporting mode: every accepted pair runs
 // the handshake on the bytecode VM with the opcode-histogram hook armed,
 // printing a per-design ns/cycle table and the aggregate opcode mix —
-// the data that directed the peephole pass.
+// where the VM spends its instructions.
 #include "core/c2h.h"
 #include "core/engine.h"
 #include "rtl/verilog.h"
@@ -310,7 +310,7 @@ void BM_ParseElaborate(benchmark::State &state, const char *flowId,
 // --profile-ops: run every accepted pair's handshake on the bytecode VM
 // with the opcode-histogram hook armed.  Prints a per-design ns/cycle
 // table plus the aggregate opcode mix — the measurement that tells where
-// VM time goes (and what the peephole pass removed).
+// VM time goes.
 int runOpProfile() {
   std::cout << "bytecode VM opcode profile "
                "(--profile-ops; per-design handshake runs)\n\n";

@@ -120,6 +120,11 @@ void submitLine(CosimService &service,
 // newline.
 constexpr std::size_t kMaxRequestLineBytes = 1 << 20;
 
+// Most connections the socket daemon serves at once, one thread each.  A
+// connection past the cap is answered one `invalid_request` line naming
+// the cap and closed.
+constexpr std::size_t kMaxConnections = 64;
+
 void rejectOversizeLine(CosimService &service,
                         const std::shared_ptr<OrderedWriter> &writer) {
   std::uint64_t seq = writer->nextSequence();
@@ -239,6 +244,18 @@ void serveConnection(CosimService &service, int fd) {
   ::close(fd);
 }
 
+// A connection past kMaxConnections: one `invalid_request` line, then
+// close, without a thread.
+void rejectConnection(CosimService &service, int fd) {
+  std::string line = service.invalidRequest(
+                         "too many connections (limit " +
+                         std::to_string(kMaxConnections) + ")") +
+                     "\n";
+  ssize_t written = ::write(fd, line.data(), line.size());
+  (void)written; // a peer that already left only fails the write (EPIPE)
+  ::close(fd);
+}
+
 int runSocketServer(CosimService &service, const std::string &path) {
   if (path.size() >= sizeof(sockaddr_un::sun_path)) {
     std::fprintf(stderr, "c2hc --serve: socket path too long: %s\n",
@@ -290,6 +307,10 @@ int runSocketServer(CosimService &service, const std::string &path) {
     int fd = ::accept(listenFd, nullptr, nullptr);
     if (fd < 0)
       continue;
+    if (connections.size() >= kMaxConnections) {
+      rejectConnection(service, fd);
+      continue;
+    }
     Connection &connection = connections.emplace_back();
     connection.thread = std::thread([&service, fd, &connection] {
       serveConnection(service, fd);

@@ -1,7 +1,6 @@
 #include "vsim/compile.h"
 
 #include "support/guard.h"
-#include "vsim/peephole.h"
 
 #include <algorithm>
 #include <map>
@@ -966,10 +965,6 @@ compileModel(std::shared_ptr<const Model> model, std::string &whyNot) {
     whyNot = e.what();
     return nullptr;
   }
-  // Final lowering step, run before the bytecode VM executes the model:
-  // constant folding (within and across wires), compare+branch fusion,
-  // dead-code removal, and constant wires dropped from the sweep.
-  optimizeCompiledModel(*cm);
   return cm;
 }
 
@@ -995,16 +990,15 @@ selectEngine(const std::shared_ptr<const Model> &model, SimEngine engine,
 
 const char *opName(Op op) {
   static const char *const names[] = {
-      "ConstW",  "ConstV",   "LoadNet",    "LoadWire",   "LoadMem",
-      "BitSel",  "Ext",      "Neg",        "BitNot",     "LogNot",
-      "Add",     "Sub",      "Mul",        "Div",        "Mod",
-      "And",     "Or",       "Xor",        "Shl",        "Shr",
-      "AShr",    "CmpLt",    "CmpLe",      "CmpEq",      "CmpNe",
-      "LAnd",    "LOr",      "Select",     "Concat2",    "Extract",
-      "Jump",    "JumpIfZero", "JumpIfTrue", "CmpBr",    "CaseJump",
-      "StoreNet", "StoreMem", "NbNet",     "NbMem",      "TWait",
-      "TDelay",  "TWaitCond", "TDisplay",  "TFinish",    "TReadMem",
-      "TError"};
+      "ConstW",     "ConstV",     "LoadNet",    "LoadWire",   "LoadMem",
+      "BitSel",     "Ext",        "Neg",        "BitNot",     "LogNot",
+      "Add",        "Sub",        "Mul",        "Div",        "Mod",
+      "And",        "Or",         "Xor",        "Shl",        "Shr",
+      "AShr",       "CmpLt",      "CmpLe",      "CmpEq",      "CmpNe",
+      "LAnd",       "LOr",        "Select",     "Concat2",    "Extract",
+      "Jump",       "JumpIfZero", "JumpIfTrue", "CaseJump",   "StoreNet",
+      "StoreMem",   "NbNet",      "NbMem",      "TWait",      "TDelay",
+      "TWaitCond",  "TDisplay",   "TFinish",    "TReadMem",   "TError"};
   static_assert(sizeof(names) / sizeof(names[0]) == kOpCount,
                 "opName table out of sync with the Op enum");
   return names[static_cast<unsigned>(op)];

@@ -78,10 +78,6 @@ enum class Op : std::uint8_t {
   Jump,       // pc = aux
   JumpIfZero, // if (regs[a] == 0) pc = aux
   JumpIfTrue, // if (regs[a] != 0) pc = aux
-  CmpBr,      // fused compare+branch (peephole): compare regs[a], regs[b]
-              //   at width `width` (imm bits 0..1 select Lt/Le/Eq/Ne, bit 2
-              //   inverts) and jump to aux when the result is true.  Word
-              //   path only; never produced by the front-end compiler.
   CaseJump,   // pc = jumpTables[aux][regs[a] - imm], or b when out of
               //   range — dense constant-label case dispatch (FSM states)
   StoreNet, // nets[aux] = regs[a]; mark fan-out dirty on change
@@ -106,7 +102,7 @@ enum class Op : std::uint8_t {
 };
 
 // One past the last opcode — sizes profiling histograms (bench_cosim
-// --profile-ops) and the emitters' dispatch tables.
+// --profile-ops) and the opName table.
 inline constexpr unsigned kOpCount = static_cast<unsigned>(Op::TError) + 1;
 
 // Stable mnemonic for profiling / diagnostics output.

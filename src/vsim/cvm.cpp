@@ -10,20 +10,17 @@ namespace c2h::vsim {
 
 namespace {
 
-// extWord (zero/sign extension), the shift-amount rule, and the div/mod
-// semantics live in wordops.h, shared with the peephole folder.
+// The word-path rules (extension, shift amount, div/mod, arithmetic
+// shift, compare) live in wordops.h; the wide paths use BitVector.
 
 inline bool truthy(const BitVector &v) {
   return v.isInline() ? v.word() != 0 : !v.isZero();
 }
 
-// Verilog shift-amount rule, identical to the event engine: amounts with
-// more than 31 active bits saturate to the operand width (shift all out).
+// The shift-amount rule of wordops.h, extended to wide amounts.
 inline unsigned shiftAmount(const BitVector &amt, unsigned width) {
-  if (amt.isInline()) {
-    std::uint64_t v = amt.word();
-    return v >= (1ull << 31) ? width : static_cast<unsigned>(v);
-  }
+  if (amt.isInline())
+    return shiftAmountWord(amt.word(), width);
   return amt.activeBits() > 31 ? width
                                : static_cast<unsigned>(amt.toUint64());
 }
@@ -306,52 +303,22 @@ void CompiledSimulation::execProgram(const Program &p, TbThread *t) {
       else
         regs[I.dst] = regs[I.a].mul(regs[I.b]);
       break;
-    case Op::Div: {
-      if (!I.wide) {
-        std::uint64_t x = regs[I.a].word(), y = regs[I.b].word();
-        std::uint64_t mask = BitVector::wordMask(I.width);
-        std::uint64_t q;
-        if (!I.sign) {
-          q = y == 0 ? mask : x / y; // divide-by-zero yields all-ones
-        } else {
-          std::uint64_t sbit = 1ull << (I.width - 1);
-          bool negX = x & sbit, negY = y & sbit;
-          std::uint64_t mx = negX ? (0 - x) & mask : x;
-          std::uint64_t my = negY ? (0 - y) & mask : y;
-          q = my == 0 ? mask : mx / my;
-          if (negX != negY)
-            q = 0 - q;
-        }
-        regs[I.dst].setWord(q);
-      } else {
+    case Op::Div:
+      if (!I.wide)
+        regs[I.dst].setWord(divWord(regs[I.a].word(), regs[I.b].word(),
+                                    I.width, I.sign));
+      else
         regs[I.dst] = I.sign ? regs[I.a].sdiv(regs[I.b])
                              : regs[I.a].udiv(regs[I.b]);
-      }
       break;
-    }
-    case Op::Mod: {
-      if (!I.wide) {
-        std::uint64_t x = regs[I.a].word(), y = regs[I.b].word();
-        std::uint64_t mask = BitVector::wordMask(I.width);
-        std::uint64_t r;
-        if (!I.sign) {
-          r = y == 0 ? x : x % y; // x % 0 yields x
-        } else {
-          std::uint64_t sbit = 1ull << (I.width - 1);
-          bool negX = x & sbit, negY = y & sbit;
-          std::uint64_t mx = negX ? (0 - x) & mask : x;
-          std::uint64_t my = negY ? (0 - y) & mask : y;
-          r = my == 0 ? mx : mx % my;
-          if (negX)
-            r = 0 - r; // remainder follows the dividend, like C
-        }
-        regs[I.dst].setWord(r);
-      } else {
+    case Op::Mod:
+      if (!I.wide)
+        regs[I.dst].setWord(modWord(regs[I.a].word(), regs[I.b].word(),
+                                    I.width, I.sign));
+      else
         regs[I.dst] = I.sign ? regs[I.a].srem(regs[I.b])
                              : regs[I.a].urem(regs[I.b]);
-      }
       break;
-    }
     case Op::And:
       if (!I.wide)
         regs[I.dst].setWord(regs[I.a].word() & regs[I.b].word());
@@ -378,30 +345,16 @@ void CompiledSimulation::execProgram(const Program &p, TbThread *t) {
         regs[I.dst] = regs[I.a].shl(amt);
       break;
     }
-    case Op::Shr: {
-      unsigned amt = shiftAmount(regs[I.b], I.width);
-      if (!I.wide)
-        regs[I.dst].setWord(amt >= I.width ? 0 : regs[I.a].word() >> amt);
-      else
-        regs[I.dst] = regs[I.a].lshr(amt);
-      break;
-    }
+    case Op::Shr:
     case Op::AShr: {
       unsigned amt = shiftAmount(regs[I.b], I.width);
-      if (!I.sign) { // unsigned >>> is a logical shift
-        if (!I.wide)
-          regs[I.dst].setWord(amt >= I.width ? 0
+      bool arith = I.op == Op::AShr && I.sign; // unsigned >>> is logical
+      if (!I.wide)
+        regs[I.dst].setWord(arith ? ashrWord(regs[I.a].word(), amt, I.width)
+                            : amt >= I.width ? 0
                                              : regs[I.a].word() >> amt);
-        else
-          regs[I.dst] = regs[I.a].lshr(amt);
-      } else if (!I.wide) {
-        std::int64_t x = static_cast<std::int64_t>(
-            extWord(regs[I.a].word(), I.width, 64, true));
-        unsigned sh = amt > 63 ? 63 : amt;
-        regs[I.dst].setWord(static_cast<std::uint64_t>(x >> sh));
-      } else {
-        regs[I.dst] = regs[I.a].ashr(amt);
-      }
+      else
+        regs[I.dst] = arith ? regs[I.a].ashr(amt) : regs[I.a].lshr(amt);
       break;
     }
     case Op::CmpLt:
@@ -410,22 +363,8 @@ void CompiledSimulation::execProgram(const Program &p, TbThread *t) {
     case Op::CmpNe: {
       bool res;
       if (!I.wide) {
-        const unsigned cw = regs[I.a].width();
-        std::uint64_t x = regs[I.a].word(), y = regs[I.b].word();
-        if (I.sign && (I.op == Op::CmpLt || I.op == Op::CmpLe)) {
-          std::int64_t sx =
-              static_cast<std::int64_t>(extWord(x, cw, 64, true));
-          std::int64_t sy =
-              static_cast<std::int64_t>(extWord(y, cw, 64, true));
-          res = I.op == Op::CmpLt ? sx < sy : sx <= sy;
-        } else {
-          switch (I.op) {
-          case Op::CmpLt: res = x < y; break;
-          case Op::CmpLe: res = x <= y; break;
-          case Op::CmpEq: res = x == y; break;
-          default:        res = x != y; break;
-          }
-        }
+        res = cmpWord(I.op, regs[I.a].word(), regs[I.b].word(),
+                      regs[I.a].width(), I.sign);
         regs[I.dst].setWord(res ? 1 : 0);
       } else {
         const BitVector &a = regs[I.a], &b = regs[I.b];
@@ -488,18 +427,6 @@ void CompiledSimulation::execProgram(const Program &p, TbThread *t) {
         continue;
       }
       break;
-    case Op::CmpBr: {
-      // Peephole-fused compare+branch: compare at I.width (the operand
-      // registers' width), branch to aux when true (bit 2 of imm inverts).
-      bool res = cmpWord(static_cast<unsigned>(I.imm) & 3,
-                         regs[I.a].word(), regs[I.b].word(), I.width,
-                         I.sign);
-      if (res != ((I.imm & 4) != 0)) {
-        pc = I.aux;
-        continue;
-      }
-      break;
-    }
     case Op::CaseJump: {
       // Selector width <= 64 guaranteed by the compiler; values outside
       // [imm, imm + table size) fall through to the default target in b.

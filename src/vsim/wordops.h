@@ -1,11 +1,12 @@
-// Word-path (<= 64 bit) semantics shared by the bytecode VM (cvm.cpp)
-// and the peephole constant folder (peephole.cpp).  There must be exactly
-// one definition of these rules: a folded constant that disagrees with
-// the VM is a miscompare against the event engine, not a crash.
+// Word-path (<= 64 bit) semantics of the bytecode VM (cvm.cpp): the one
+// definition of each rule the VM applies in a single uint64_t.  They must
+// agree with the event engine's BitVector semantics bit for bit; a
+// disagreement is a miscompare between the engines, not a crash.
 #ifndef C2H_VSIM_WORDOPS_H
 #define C2H_VSIM_WORDOPS_H
 
 #include "support/bitvector.h"
+#include "vsim/compile.h"
 
 #include <cstdint>
 
@@ -73,20 +74,20 @@ inline std::uint64_t ashrWord(std::uint64_t x, unsigned amt,
   return static_cast<std::uint64_t>(sx >> sh);
 }
 
-// Signed/unsigned compare of two values read at `cw` bits.
-// kind: 0 = Lt, 1 = Le, 2 = Eq, 3 = Ne (the CmpBr imm encoding).
-inline bool cmpWord(unsigned kind, std::uint64_t x, std::uint64_t y,
-                    unsigned cw, bool sgn) {
-  if (sgn && kind <= 1) {
+// Signed/unsigned compare (op is CmpLt, CmpLe, CmpEq or CmpNe) of two
+// values read at `cw` bits.
+inline bool cmpWord(Op op, std::uint64_t x, std::uint64_t y, unsigned cw,
+                    bool sgn) {
+  if (sgn && (op == Op::CmpLt || op == Op::CmpLe)) {
     std::int64_t sx = static_cast<std::int64_t>(extWord(x, cw, 64, true));
     std::int64_t sy = static_cast<std::int64_t>(extWord(y, cw, 64, true));
-    return kind == 0 ? sx < sy : sx <= sy;
+    return op == Op::CmpLt ? sx < sy : sx <= sy;
   }
-  switch (kind) {
-  case 0: return x < y;
-  case 1: return x <= y;
-  case 2: return x == y;
-  default: return x != y;
+  switch (op) {
+  case Op::CmpLt: return x < y;
+  case Op::CmpLe: return x <= y;
+  case Op::CmpEq: return x == y;
+  default:        return x != y;
   }
 }
 

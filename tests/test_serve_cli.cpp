@@ -15,7 +15,9 @@
 //    the next line on the stream is still answered, in order;
 //  * AF_UNIX socket mode serves a connection and cleans up the socket file;
 //  * finished connections are joined while the daemon runs: 200 closed
-//    connections leave its virtual size about where it was.
+//    connections leave its virtual size about where it was;
+//  * at most 64 connections are served at once: one more is answered
+//    `invalid_request` and closed, and no thread is started for it.
 //
 // Run as:  test_serve_cli <path-to-c2hc> <fixtures-dir>
 //
@@ -494,14 +496,14 @@ void testPeerDisconnectDoesNotDisturbSiblings(const std::string &c2hc) {
   pass(name);
 }
 
-// The daemon's virtual size in KiB (the VmSize line of
-// /proc/<pid>/status); -1 when it cannot be read.
-long vmSizeKib(pid_t pid) {
+// The number on the `field` line of /proc/<pid>/status (VmSize: in KiB,
+// Threads: as a count); -1 when it cannot be read.
+long procStatus(pid_t pid, const std::string &field) {
   std::ifstream status("/proc/" + std::to_string(pid) + "/status");
   std::string line;
   while (std::getline(status, line))
-    if (line.rfind("VmSize:", 0) == 0)
-      return std::stol(line.substr(7));
+    if (line.rfind(field, 0) == 0)
+      return std::stol(line.substr(field.size()));
   return -1;
 }
 
@@ -540,9 +542,9 @@ void testClosedConnectionsAreReaped(const std::string &c2hc) {
     if (!answered)
       return abort("no answer on connection " + std::to_string(i));
     if (i == 0)
-      before = vmSizeKib(d.pid); // after the first connection's warm-up
+      before = procStatus(d.pid, "VmSize:"); // after the first warm-up
   }
-  long after = vmSizeKib(d.pid);
+  long after = procStatus(d.pid, "VmSize:");
   if (kill(d.pid, SIGTERM) != 0)
     return abort("kill failed");
   int exitCode = d.wait();
@@ -551,6 +553,103 @@ void testClosedConnectionsAreReaped(const std::string &c2hc) {
   if (after - before >= 256L * 1024)
     return fail(name, "VmSize grew " + std::to_string((after - before) >> 10) +
                           " MiB over 200 closed connections");
+  if (exitCode != 0)
+    return fail(name, "exit " + std::to_string(exitCode) + " after SIGTERM");
+  pass(name);
+}
+
+// The daemon serves at most 64 connections at once (kMaxConnections in
+// src/serve/server.cpp).  With 64 idle connections open, one more is
+// answered a single `invalid_request` line naming the cap and closed, no
+// thread is started for it, and once the idle ones close a new connection
+// is served again.  Opens no more than 65 sockets at a time.
+void testConnectionCapRejectsTheExtraConnection(const std::string &c2hc) {
+  const std::string name = "connection_cap_rejects_the_extra_connection";
+#ifndef __linux__
+  std::cout << "skip " << name << " (needs /proc/<pid>/status)\n";
+  return;
+#endif
+  constexpr int kCap = 64;
+  const std::string path = "serve_cli_cap.sock";
+  unlink(path.c_str());
+  Daemon d = spawn(c2hc, {"--serve=" + path, "--jobs=1"});
+  const std::string request =
+      R"({"id":"s","op":"stats","timing":false})"
+      "\n";
+  std::vector<int> idle;
+  auto closeIdle = [&] {
+    for (int fd : idle)
+      close(fd);
+    idle.clear();
+  };
+  auto abort = [&](const std::string &why) {
+    closeIdle();
+    kill(d.pid, SIGKILL);
+    d.wait();
+    unlink(path.c_str());
+    return fail(name, why);
+  };
+  auto ask = [&](int fd, std::string &answer) {
+    return write(fd, request.data(), request.size()) ==
+               static_cast<ssize_t>(request.size()) &&
+           readSocketLine(fd, answer);
+  };
+  // The first idle connection answers one request, so its thread and the
+  // service's workers are up before the baseline thread count is read.
+  int first = connectWithRetry(path);
+  if (first < 0)
+    return abort("could not connect");
+  idle.push_back(first);
+  std::string answer;
+  if (!ask(first, answer))
+    return abort("no answer on the first connection");
+  long base = procStatus(d.pid, "Threads:"); // one connection thread
+  while (static_cast<int>(idle.size()) < kCap) {
+    int fd = connectWithRetry(path);
+    if (fd < 0)
+      return abort("could not open idle connection " +
+                   std::to_string(idle.size()));
+    idle.push_back(fd);
+  }
+  // Connections are accepted in order, so the extra one's answer means
+  // every idle one already has its thread.
+  int extra = connectWithRetry(path);
+  if (extra < 0)
+    return abort("could not connect the extra connection");
+  std::string rejection;
+  bool rejected = readSocketLine(extra, rejection, 10000);
+  close(extra);
+  if (!rejected)
+    return abort("the extra connection got no line");
+  if (!contains(rejection, "\"invalid_request\"") ||
+      !contains(rejection, "limit " + std::to_string(kCap)))
+    return abort("the extra connection got: " + rejection);
+  long threads = procStatus(d.pid, "Threads:");
+  if (base < 0 || threads < 0)
+    return abort("cannot read Threads");
+  if (threads > base + kCap - 1)
+    return abort(std::to_string(threads) + " threads with " +
+                 std::to_string(kCap) + " connections open (" +
+                 std::to_string(base) + " with one)");
+  closeIdle();
+  // A closed connection's slot frees on the accept loop's next pass; until
+  // then a new connection may still meet the cap, so retry for a while.
+  bool served = false;
+  for (int attempt = 0; attempt < 100 && !served; ++attempt) {
+    int fd = connectWithRetry(path);
+    if (fd < 0)
+      return abort("could not reconnect");
+    served = ask(fd, answer) && !contains(answer, "too many connections");
+    close(fd);
+    if (!served)
+      usleep(50000);
+  }
+  if (!served)
+    return abort("no connection served after the idle ones closed: " +
+                 answer);
+  if (kill(d.pid, SIGTERM) != 0)
+    return abort("kill failed");
+  int exitCode = d.wait();
   if (exitCode != 0)
     return fail(name, "exit " + std::to_string(exitCode) + " after SIGTERM");
   pass(name);
@@ -575,6 +674,7 @@ int main(int argc, char **argv) {
   testSocketModeServesAndCleansUp(c2hc);
   testPeerDisconnectDoesNotDisturbSiblings(c2hc);
   testClosedConnectionsAreReaped(c2hc);
+  testConnectionCapRejectsTheExtraConnection(c2hc);
   if (failures) {
     std::cerr << failures << " serve CLI scenario(s) failed\n";
     return 1;

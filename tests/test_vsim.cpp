@@ -865,6 +865,144 @@ TEST(VsimCompiled, ReadMemInitMatchesEventEngine) {
   std::remove(path);
 }
 
+// The VM's word paths (wordops.h) at their edges: division and remainder
+// by zero, most-negative / -1, arithmetic shifts by 0, width-1, width and
+// >= 64 (and by an amount past 31 bits), and signed/unsigned compares at
+// widths 1, 33 and 64.  Every output must match the event engine for every
+// input combination.
+TEST(VsimCompiled, WordOpsMatchEventEngine) {
+  auto model = mustElaborate(
+      "module m(input wire [7:0] a8, input wire [7:0] b8,\n"
+      "         input wire [31:0] a32, input wire [31:0] b32,\n"
+      "         input wire [63:0] a64, input wire [63:0] b64,\n"
+      "         input wire a1, input wire b1,\n"
+      "         input wire [32:0] a33, input wire [32:0] b33,\n"
+      "         input wire [39:0] sh);\n"
+      "  wire [7:0] udiv8 = a8 / b8;\n"
+      "  wire [7:0] umod8 = a8 % b8;\n"
+      "  wire [7:0] sdiv8 = $signed(a8) / $signed(b8);\n"
+      "  wire [7:0] smod8 = $signed(a8) % $signed(b8);\n"
+      "  wire [31:0] udiv32 = a32 / b32;\n"
+      "  wire [31:0] umod32 = a32 % b32;\n"
+      "  wire [31:0] sdiv32 = $signed(a32) / $signed(b32);\n"
+      "  wire [31:0] smod32 = $signed(a32) % $signed(b32);\n"
+      "  wire [63:0] udiv64 = a64 / b64;\n"
+      "  wire [63:0] umod64 = a64 % b64;\n"
+      "  wire [63:0] sdiv64 = $signed(a64) / $signed(b64);\n"
+      "  wire [63:0] smod64 = $signed(a64) % $signed(b64);\n"
+      "  wire [7:0] sar8 = $signed(a8) >>> sh;\n"
+      "  wire [7:0] uar8 = a8 >>> sh;\n"
+      "  wire [31:0] sar32 = $signed(a32) >>> sh;\n"
+      "  wire [31:0] uar32 = a32 >>> sh;\n"
+      "  wire [63:0] sar64 = $signed(a64) >>> sh;\n"
+      "  wire [63:0] uar64 = a64 >>> sh;\n"
+      "  wire slt1 = $signed(a1) < $signed(b1);\n"
+      "  wire sle1 = $signed(a1) <= $signed(b1);\n"
+      "  wire seq1 = $signed(a1) == $signed(b1);\n"
+      "  wire sne1 = $signed(a1) != $signed(b1);\n"
+      "  wire ult1 = a1 < b1;\n"
+      "  wire ule1 = a1 <= b1;\n"
+      "  wire ueq1 = a1 == b1;\n"
+      "  wire une1 = a1 != b1;\n"
+      "  wire slt33 = $signed(a33) < $signed(b33);\n"
+      "  wire sle33 = $signed(a33) <= $signed(b33);\n"
+      "  wire seq33 = $signed(a33) == $signed(b33);\n"
+      "  wire sne33 = $signed(a33) != $signed(b33);\n"
+      "  wire ult33 = a33 < b33;\n"
+      "  wire ule33 = a33 <= b33;\n"
+      "  wire ueq33 = a33 == b33;\n"
+      "  wire une33 = a33 != b33;\n"
+      "  wire slt64 = $signed(a64) < $signed(b64);\n"
+      "  wire sle64 = $signed(a64) <= $signed(b64);\n"
+      "  wire seq64 = $signed(a64) == $signed(b64);\n"
+      "  wire sne64 = $signed(a64) != $signed(b64);\n"
+      "  wire ult64 = a64 < b64;\n"
+      "  wire ule64 = a64 <= b64;\n"
+      "  wire ueq64 = a64 == b64;\n"
+      "  wire une64 = a64 != b64;\n"
+      "endmodule\n",
+      "m");
+  ASSERT_NE(model, nullptr);
+  const std::vector<std::string> outputs = {
+      "udiv8",  "umod8",  "sdiv8",  "smod8",  "udiv32", "umod32", "sdiv32",
+      "smod32", "udiv64", "umod64", "sdiv64", "smod64", "sar8",   "uar8",
+      "sar32",  "uar32",  "sar64",  "uar64",  "slt1",   "sle1",   "seq1",
+      "sne1",   "ult1",   "ule1",   "ueq1",   "une1",   "slt33",  "sle33",
+      "seq33",  "sne33",  "ult33",  "ule33",  "ueq33",  "une33",  "slt64",
+      "sle64",  "seq64",  "sne64",  "ult64",  "ule64",  "ueq64",  "une64"};
+  vsim::CompileAttempt attempt;
+  std::string strictError;
+  auto compiled = vsim::selectEngine(
+      model, vsim::SimEngine::CompiledStrict, attempt, strictError);
+  ASSERT_NE(compiled, nullptr) << strictError;
+  vsim::CompiledSimulation vm(compiled);
+  vsim::Simulation event(model);
+
+  // Per width: zero, one, a small value, the most negative value and its
+  // neighbour, the most positive value, all ones (-1), and a scrambled
+  // pattern.  Both operands range over all of them.
+  auto operands = [](unsigned w) {
+    std::uint64_t mask = BitVector::wordMask(w), min = 1ull << (w - 1);
+    return std::vector<std::uint64_t>{
+        0, 1, 7 & mask, min, (min + 1) & mask, min - 1, mask,
+        0x9E3779B97F4A7C15ull & mask};
+  };
+  const std::uint64_t shifts[] = {0,  1,  7,   8,          31,
+                                  32, 63, 64,  65,         200,
+                                  1ull << 31, (1ull << 35) + 3};
+  const unsigned widths[] = {1, 8, 32, 33, 64};
+  const std::size_t n = operands(8).size();
+  unsigned mismatches = 0;
+  std::string first;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::uint64_t amount : shifts) {
+        for (unsigned w : widths) {
+          std::string suffix = std::to_string(w);
+          BitVector a(w, operands(w)[i]), b(w, operands(w)[j]);
+          event.poke("a" + suffix, a);
+          event.poke("b" + suffix, b);
+          vm.poke("a" + suffix, a);
+          vm.poke("b" + suffix, b);
+        }
+        event.poke("sh", BitVector(40, amount));
+        vm.poke("sh", BitVector(40, amount));
+        event.settle();
+        vm.settle();
+        ASSERT_TRUE(event.ok()) << event.error();
+        ASSERT_TRUE(vm.ok()) << vm.error();
+        for (const std::string &out : outputs) {
+          std::uint64_t want = event.peek(out).toUint64();
+          std::uint64_t got = vm.peek(out).toUint64();
+          if (want != got && mismatches++ == 0)
+            first = out + " at operands " + std::to_string(i) + "," +
+                    std::to_string(j) + " shift " + std::to_string(amount) +
+                    ": event " + std::to_string(want) + ", compiled " +
+                    std::to_string(got);
+        }
+      }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first;
+
+  // The edges above are really reached: spot-check a few absolute values.
+  vm.poke("a8", BitVector(8, 0x80));
+  vm.poke("b8", BitVector(8, 0xFF));
+  vm.poke("a64", BitVector(64, 1ull << 63));
+  vm.poke("b64", BitVector(64, ~0ull));
+  vm.poke("sh", BitVector(40, 200));
+  vm.settle();
+  EXPECT_EQ(vm.peek("sdiv8").toUint64(), 0x80u); // -128 / -1 wraps
+  EXPECT_EQ(vm.peek("smod8").toUint64(), 0u);
+  EXPECT_EQ(vm.peek("sdiv64").toUint64(), 1ull << 63);
+  EXPECT_EQ(vm.peek("sar8").toUint64(), 0xFFu); // all sign bits
+  EXPECT_EQ(vm.peek("uar8").toUint64(), 0u);
+  EXPECT_EQ(vm.peek("slt64").toUint64(), 1u); // min < -1
+  EXPECT_EQ(vm.peek("ult64").toUint64(), 1u); // 2^63 < 2^64-1
+  vm.poke("b8", BitVector(8, 0));
+  vm.settle();
+  EXPECT_EQ(vm.peek("udiv8").toUint64(), 0xFFu); // x / 0 is all ones
+  EXPECT_EQ(vm.peek("umod8").toUint64(), 0x80u); // x % 0 is x
+}
+
 // --------------------------------------------------------------------------
 // $readmemh / $readmemb
 // --------------------------------------------------------------------------
