@@ -6,9 +6,11 @@
 //    dataflow solver, the narrowing sweeps, the fact-collection sweep, and
 //    the public replayBlock — whatever a diagnostic sees is exactly what
 //    the solver proved.
-//  * Per-function solving via ir::solveForwardDataflow with widening at
-//    loop headers, followed by two plain narrowing sweeps (sound: applying
-//    the monotone transfer to a post-fixpoint stays above the least one).
+//  * Per-function solving via ir::solveForwardDataflow, which iterates the
+//    CFG in weak topological order (each loop stabilized before the code
+//    after it runs) with widening at loop headers, followed by plain
+//    narrowing sweeps (sound: applying the monotone transfer to a
+//    post-fixpoint stays above the least one).
 //  * A module-level outer fixpoint growing memory/channel/return summaries
 //    until stable (widened to top after a few rounds so it terminates).
 #include "analysis/range.h"
@@ -190,7 +192,14 @@ std::string Interval::str() const {
     return "bottom";
   if (wide)
     return "wide";
-  return "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict on
+  // `"[" + std::to_string(lo)`.
+  std::string text = "[";
+  text += std::to_string(lo);
+  text += ", ";
+  text += std::to_string(hi);
+  text += ']';
+  return text;
 }
 
 namespace {
@@ -1036,9 +1045,12 @@ bool refineEdge(const FnCtx &fc, const ir::BasicBlock &block,
 // ---------------------------------------------------------------------------
 // Block transfer and state join.
 
+std::atomic<std::uint64_t> blockTransfers{0};
+
 std::vector<std::optional<ValueState>>
 transferBlock(const FnCtx &fc, Ctx &ctx, const ir::BasicBlock &block,
               const ValueState &in) {
+  blockTransfers.fetch_add(1, std::memory_order_relaxed);
   ValueState st = in;
   std::map<unsigned, std::size_t> lastDef;
   const auto &instrs = block.instrs();
@@ -1318,6 +1330,10 @@ std::atomic<std::uint64_t> rangeSolves{0};
 
 std::uint64_t analyzeRangesCalls() {
   return rangeSolves.load(std::memory_order_relaxed);
+}
+
+std::uint64_t rangeBlockTransfers() {
+  return blockTransfers.load(std::memory_order_relaxed);
 }
 
 RangeAnalysis analyzeRanges(const ir::Module &module) {

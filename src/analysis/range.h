@@ -127,6 +127,11 @@ RangeAnalysis analyzeRanges(const ir::Module &module);
 // A deterministic work count: tests bound it where wall time would flake.
 std::uint64_t analyzeRangesCalls();
 
+// How many block transfers the range solver has made in this process, in
+// the fixpoint and the narrowing sweeps (relaxed atomic).  Bounded per
+// analyzeRanges by tests, it shows how the solver's work scales.
+std::uint64_t rangeBlockTransfers();
+
 // Replay one reachable block from its converged entry state, handing each
 // instruction to `hook` with the operand intervals in force just before it
 // executes.  Diagnostics and the dynamic soundness checker share this so

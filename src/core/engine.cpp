@@ -69,7 +69,7 @@ public:
     };
     if (ownRun(meter) || guard::anyFaultArmed())
       return run();
-    return share(fsmd_.slot(rtl::fingerprint(design).text), run);
+    return share(fsmd_.slot(fsmdKey(design)), run);
   }
 
   // `design`'s vsim run on `options`' engine and model cache.
@@ -113,6 +113,24 @@ private:
     std::unordered_map<std::string, std::unique_ptr<Slot>> slots_;
   };
 
+  // rtl::fingerprint(design).text.  The optimizing flows of a request share
+  // one module object, so its text is computed once per module the memo
+  // pins; a design that does not own its module recomputes it.
+  std::string fsmdKey(const rtl::Design &design) {
+    const std::shared_ptr<ir::Module> &module = design.ownedModule;
+    if (!module || module.get() != design.module)
+      return rtl::fingerprint(design).text;
+    std::string text;
+    {
+      std::lock_guard<std::mutex> lock(modulesMutex_);
+      auto [it, fresh] = modules_.try_emplace(module.get());
+      if (fresh)
+        it->second = {module, ir::fingerprint(*module).text};
+      text = it->second.second;
+    }
+    return rtl::fingerprint(design, std::move(text)).text;
+  }
+
   // What a vsim run depends on besides the fixed top and args: the text it
   // parses, the engine it asks for, and the slots its globals are read from.
   static std::string vsimKey(const std::string &verilog,
@@ -150,6 +168,12 @@ private:
   const Emitter &emitter_;
   Slot golden_;
   Table fsmd_, vsim_;
+  // Module fingerprint texts by module; holding the module keeps its
+  // address from being reused by another while the memo lives.
+  std::mutex modulesMutex_;
+  std::unordered_map<const ir::Module *,
+                     std::pair<std::shared_ptr<ir::Module>, std::string>>
+      modules_;
 };
 
 std::unique_ptr<ast::Program> FrontendCache::Entry::cloneAst() const {

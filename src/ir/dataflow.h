@@ -1,9 +1,14 @@
 // Reusable forward-dataflow scaffolding over the IR control-flow graph.
 //
-// Every IR-level analysis in this repo iterates the same way: reverse
-// post-order sweeps over the CFG until the per-block states stop changing,
-// with states delivered along edges (so reachability falls out for free:
-// a block only acquires a state once some feasible edge hands it one).
+// Every IR-level analysis in this repo iterates the same way: states are
+// delivered along edges (so reachability falls out for free: a block only
+// acquires a state once some feasible edge hands it one), and blocks are
+// visited in Bourdoncle's weak topological order ("Efficient chaotic
+// iteration strategies with widenings", 1993) with his recursive strategy:
+// each loop component is iterated until its head's in-state stops
+// changing, and only then does the code after it run.  A loop is therefore
+// stabilized once, not re-swept with every block of the function, and the
+// transfers of a program of sequential loops grow linearly with its size.
 // This header factors that iteration out so an analysis supplies only its
 // lattice: a State, a per-block transfer producing one out-state per
 // successor edge (or "edge infeasible"), and a join.
@@ -17,6 +22,8 @@
 
 #include "ir/ir.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -65,12 +72,141 @@ inline std::set<const BasicBlock *> loopHeaders(const Function &fn) {
   return headers;
 }
 
+// One element of a flattened weak topological order.  A component is its
+// head followed by its body; the head's `end` is the index one past the
+// component's last element.  A plain block has `head == false`.
+struct WtoElement {
+  BasicBlock *block = nullptr;
+  bool head = false;
+  std::size_t end = 0;
+};
+
+// Bourdoncle's weak topological order of the blocks reachable from the
+// entry.  His construction is Tarjan's SCC algorithm applied recursively:
+// the strongly connected components of a graph, in topological order, are
+// its elements; a nontrivial one (or a block with a self-edge) becomes a
+// component headed by its first-visited block, whose body is the order of
+// the component's subgraph with the edges into the head removed.  Here each
+// component is a task on a worklist and every DFS keeps its own stack, so
+// no recursion grows with block count or loop depth.  Cost: one DFS per
+// nesting level, O(blocks x loop depth).
+inline std::vector<WtoElement> weakTopologicalOrder(const Function &fn) {
+  std::vector<WtoElement> order;
+  if (!fn.entry())
+    return order;
+  constexpr std::uint32_t kNone = ~std::uint32_t(0);
+  // Blocks and their successors by block id.
+  std::vector<BasicBlock *> blocks(fn.blockIdCount(), nullptr);
+  std::vector<std::vector<std::uint32_t>> succs(fn.blockIdCount());
+  for (const auto &block : fn.blocks()) {
+    blocks[block->id()] = block.get();
+    for (BasicBlock *succ : block->successors())
+      succs[block->id()].push_back(succ->id());
+  }
+
+  // Task 0 orders everything reachable from the entry; task t > 0 orders
+  // the body of the component headed by tasks[t].head.  A block belongs to
+  // the task in `owner`; a placed block (or a head, within its own body)
+  // belongs to none, which hides it from every later DFS.
+  struct Task {
+    std::uint32_t head = kNone;
+    // Elements in DFS completion order, i.e. reversed: (block, subtask or
+    // kNone).
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> elements;
+  };
+  std::vector<Task> tasks(1);
+  std::vector<std::uint32_t> owner(blocks.size(), 0), dfn(blocks.size(), 0);
+  std::vector<std::uint32_t> sccStack;
+  struct Frame {
+    std::uint32_t block, next, low;
+  };
+  std::vector<Frame> frames;
+  for (std::uint32_t t = 0; t < tasks.size(); ++t) {
+    std::uint32_t counter = 0;
+    auto enter = [&](std::uint32_t v) {
+      dfn[v] = ++counter;
+      frames.push_back({v, 0, dfn[v]});
+      sccStack.push_back(v);
+    };
+    std::vector<std::uint32_t> roots =
+        t == 0 ? std::vector<std::uint32_t>{fn.entry()->id()}
+               : succs[tasks[t].head];
+    for (std::uint32_t root : roots) {
+      if (owner[root] != t || dfn[root] != 0)
+        continue;
+      enter(root);
+      while (!frames.empty()) {
+        Frame &f = frames.back();
+        if (f.next < succs[f.block].size()) {
+          std::uint32_t w = succs[f.block][f.next++];
+          if (owner[w] != t)
+            continue; // outside this task, or already placed
+          if (dfn[w] == 0)
+            enter(w);
+          else
+            f.low = std::min(f.low, dfn[w]);
+          continue;
+        }
+        std::uint32_t v = f.block, low = f.low;
+        frames.pop_back();
+        if (!frames.empty())
+          frames.back().low = std::min(frames.back().low, low);
+        if (low != dfn[v])
+          continue;
+        // v roots a strongly connected component: place it.
+        const auto &out = succs[v];
+        bool loop = sccStack.back() != v ||
+                    std::find(out.begin(), out.end(), v) != out.end();
+        std::uint32_t sub = kNone;
+        if (loop) {
+          sub = static_cast<std::uint32_t>(tasks.size());
+          tasks.push_back({v, {}});
+        }
+        std::uint32_t member;
+        do {
+          member = sccStack.back();
+          sccStack.pop_back();
+          owner[member] = sub;
+          dfn[member] = 0;
+        } while (member != v);
+        owner[v] = kNone;
+        tasks[t].elements.push_back({v, sub});
+      }
+    }
+  }
+
+  // Flatten: each task's elements in reverse completion order, a
+  // subtask's body right after its head.
+  std::vector<std::pair<std::uint32_t, std::size_t>> open{{0, 0}};
+  std::vector<std::size_t> headAt(tasks.size(), 0);
+  while (!open.empty()) {
+    auto [t, i] = open.back();
+    const auto &elements = tasks[t].elements;
+    if (i == elements.size()) {
+      if (t != 0)
+        order[headAt[t]].end = order.size();
+      open.pop_back();
+      continue;
+    }
+    ++open.back().second;
+    auto [v, sub] = elements[elements.size() - 1 - i];
+    if (sub == kNone) {
+      order.push_back({blocks[v], false, order.size() + 1});
+    } else {
+      headAt[sub] = order.size();
+      order.push_back({blocks[v], true, 0});
+      open.push_back({sub, 0});
+    }
+  }
+  return order;
+}
+
 template <class State> struct DataflowResult {
   // Converged block-entry states.  A block absent from the map was never
   // reached by any feasible edge — dead under the analysis's lattice.
   std::map<const BasicBlock *, State> in;
   bool converged = false;
-  unsigned rounds = 0;
+  std::uint64_t transfers = 0; // calls of `transfer`
 };
 
 // Forward solver.
@@ -81,6 +217,11 @@ template <class State> struct DataflowResult {
 //                           whether `into` changed; apply widening when
 //                           `widen` is set.
 // The entry block starts from `entryState`; everything else starts unknown.
+// Blocks are transferred in weak topological order, and a component is
+// iterated again while a transfer inside it changed its head's in-state.
+// At most `maxRounds` x (reachable blocks) transfers run, the bound of as
+// many full sweeps; `converged` is true iff every component stabilized
+// within it.
 template <class State, class TransferFn, class JoinFn>
 DataflowResult<State>
 solveForwardDataflow(const Function &fn, State entryState, TransferFn transfer,
@@ -89,49 +230,67 @@ solveForwardDataflow(const Function &fn, State entryState, TransferFn transfer,
   DataflowResult<State> result;
   if (!fn.entry())
     return result;
-  std::vector<BasicBlock *> order = fn.reversePostOrder();
+  std::vector<WtoElement> wto = weakTopologicalOrder(fn);
   std::set<const BasicBlock *> headers = loopHeaders(fn);
   if (maxRounds == 0)
     maxRounds =
         widenAfter + static_cast<unsigned>(fn.blocks().size()) + 48;
-  std::map<const BasicBlock *, unsigned> joins;
+  const std::uint64_t maxTransfers = std::uint64_t(maxRounds) * wto.size();
+  // By block id: changed joins so far, and whether the in-state changed
+  // since the block's last transfer (read for component heads).
+  std::vector<unsigned> joins(fn.blockIdCount(), 0);
+  std::vector<char> changed(fn.blockIdCount(), 0);
+  auto deliver = [&](const BasicBlock *succ, State &&state) {
+    auto sIt = result.in.find(succ);
+    if (sIt == result.in.end()) {
+      result.in.emplace(succ, std::move(state));
+    } else {
+      // Only joins that actually change the target state count toward
+      // the widening budget: a header inside a slowly-converging outer
+      // loop receives many no-op deliveries, and counting those would
+      // widen values the loop never modifies (losing, say, the outer
+      // induction variable's bound inside an inner loop, where no
+      // branch refinement can win it back).
+      bool widen = widenAfter != 0 && headers.count(succ) != 0 &&
+                   joins[succ->id()] >= widenAfter;
+      if (!join(sIt->second, state, widen))
+        return;
+      ++joins[succ->id()];
+    }
+    changed[succ->id()] = 1;
+  };
+
   result.in.emplace(fn.entry(), std::move(entryState));
-  bool changed = true;
-  while (changed && result.rounds < maxRounds) {
-    changed = false;
-    ++result.rounds;
-    for (BasicBlock *block : order) {
-      auto it = result.in.find(block);
-      if (it == result.in.end())
-        continue; // not (yet) reached
-      std::vector<std::optional<State>> outs = transfer(*block, it->second);
-      std::vector<BasicBlock *> succs = block->successors();
-      for (std::size_t i = 0; i < succs.size() && i < outs.size(); ++i) {
-        if (!outs[i])
-          continue;
-        const BasicBlock *succ = succs[i];
-        auto sIt = result.in.find(succ);
-        if (sIt == result.in.end()) {
-          result.in.emplace(succ, std::move(*outs[i]));
-          changed = true;
-        } else {
-          // Only joins that actually change the target state count toward
-          // the widening budget: a header inside a slowly-converging outer
-          // loop receives many no-op deliveries, and counting those would
-          // widen values the loop never modifies (losing, say, the outer
-          // induction variable's bound inside an inner loop, where no
-          // branch refinement can win it back).
-          bool widen = widenAfter != 0 && headers.count(succ) != 0 &&
-                       joins[succ] >= widenAfter;
-          if (join(sIt->second, *outs[i], widen)) {
-            changed = true;
-            ++joins[succ];
-          }
-        }
+  std::vector<std::size_t> components; // heads of the open components
+  std::size_t i = 0;
+  while (i < wto.size()) {
+    const WtoElement &e = wto[i];
+    if (e.head && (components.empty() || components.back() != i))
+      components.push_back(i); // entering it, not iterating it again
+    if (auto it = result.in.find(e.block); it != result.in.end()) {
+      if (result.transfers == maxTransfers)
+        return result; // not converged
+      ++result.transfers;
+      changed[e.block->id()] = 0;
+      std::vector<std::optional<State>> outs = transfer(*e.block, it->second);
+      std::vector<BasicBlock *> succs = e.block->successors();
+      for (std::size_t s = 0; s < succs.size() && s < outs.size(); ++s)
+        if (outs[s])
+          deliver(succs[s], std::move(*outs[s]));
+    }
+    ++i;
+    // Close every component that ends here: stable if its head's in-state
+    // held still through the pass, otherwise iterate it again.
+    while (!components.empty() && wto[components.back()].end == i) {
+      std::size_t head = components.back();
+      if (changed[wto[head].block->id()]) {
+        i = head;
+        break;
       }
+      components.pop_back();
     }
   }
-  result.converged = !changed;
+  result.converged = true;
   return result;
 }
 

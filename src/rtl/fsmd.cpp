@@ -25,7 +25,12 @@ void put(std::string &text, std::uint64_t n) {
 } // namespace
 
 ir::Fingerprint fingerprint(const Design &design) {
-  ir::Fingerprint fp = ir::fingerprint(*design.module);
+  return fingerprint(design, ir::fingerprint(*design.module).text);
+}
+
+ir::Fingerprint fingerprint(const Design &design, std::string moduleText) {
+  ir::Fingerprint fp;
+  fp.text = std::move(moduleText);
   std::string &text = fp.text;
   put(text, design.top.size());
   text += design.top;

@@ -72,6 +72,8 @@ Design buildDesign(const ir::Module &module, const std::string &top,
 // equal fingerprints simulate identically.  `hash` is for lookup; compare
 // `text` to confirm a hit.
 ir::Fingerprint fingerprint(const Design &design);
+// The same, given the text of ir::fingerprint(*design.module).
+ir::Fingerprint fingerprint(const Design &design, std::string moduleText);
 
 } // namespace c2h::rtl
 

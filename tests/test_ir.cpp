@@ -3,13 +3,16 @@
 #include "frontend/sema.h"
 #include "interp/interp.h"
 #include "ir/builder.h"
+#include "ir/dataflow.h"
 #include "ir/exec.h"
 #include "ir/lower.h"
 #include "opt/ifconvert.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <set>
 
 namespace c2h {
@@ -559,6 +562,254 @@ TEST(IrClone, RewritingTheCloneLeavesTheOriginal) {
   EXPECT_NE(ir::fingerprint(*copy), before);
   EXPECT_EQ(ir::fingerprint(*p->module), before);
   EXPECT_TRUE(ir::verify(*p->module).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Forward dataflow solver (weak topological order)
+// ---------------------------------------------------------------------------
+
+// A counting lattice for hand-built CFGs: an int per block, joined by max.
+// Every edge passes its block's in-state on, except that a block listed in
+// `caps` adds one, up to its cap.  `trace` records each transfer.
+struct CountingLattice {
+  std::map<const ir::BasicBlock *, int> caps;
+  std::vector<std::pair<const ir::BasicBlock *, int>> trace;
+
+  auto transfer() {
+    return [this](const ir::BasicBlock &b, const int &in) {
+      trace.push_back({&b, in});
+      int out = in;
+      if (auto it = caps.find(&b); it != caps.end())
+        out = std::min(in + 1, it->second);
+      return std::vector<std::optional<int>>(b.successors().size(), out);
+    };
+  }
+  static bool join(int &into, const int &from, bool) {
+    if (from <= into)
+      return false;
+    into = from;
+    return true;
+  }
+  ir::DataflowResult<int> solve(const ir::Function &fn,
+                                unsigned maxRounds = 0) {
+    return ir::solveForwardDataflow(fn, 0, transfer(), join, 0, maxRounds);
+  }
+};
+
+const ir::Operand kTrue{BitVector(1, 1)};
+
+// `k` loops in sequence; loop j's body counts up to 10·j, so each loop
+// starts where the one before it settled and runs ten more iterations.
+std::unique_ptr<ir::Module> sequentialLoops(unsigned k,
+                                            CountingLattice &lattice) {
+  auto m = std::make_unique<ir::Module>();
+  ir::Function *f = m->addFunction("f", 0);
+  ir::Builder b(*f);
+  ir::BasicBlock *entry = f->newBlock("entry");
+  std::vector<ir::BasicBlock *> heads, bodies;
+  for (unsigned j = 0; j < k; ++j) {
+    heads.push_back(f->newBlock(""));
+    bodies.push_back(f->newBlock(""));
+  }
+  ir::BasicBlock *exit = f->newBlock("exit");
+  b.setInsertPoint(entry);
+  b.emitBr(heads[0]);
+  for (unsigned j = 0; j < k; ++j) {
+    b.setInsertPoint(heads[j]);
+    b.emitCondBr(kTrue, bodies[j], j + 1 < k ? heads[j + 1] : exit);
+    b.setInsertPoint(bodies[j]);
+    b.emitBr(heads[j]);
+    lattice.caps[bodies[j]] = 10 * static_cast<int>(j + 1);
+  }
+  b.setInsertPoint(exit);
+  b.emitRet();
+  return m;
+}
+
+TEST(Dataflow, SequentialLoopsCostLinearTransfers) {
+  // Each loop is stabilized once, before the next one starts, so every
+  // loop costs the same: eleven passes over its header and body.
+  auto transfers = [](unsigned k) {
+    CountingLattice lattice;
+    auto m = sequentialLoops(k, lattice);
+    auto r = lattice.solve(*m->functions().front());
+    EXPECT_TRUE(r.converged);
+    EXPECT_EQ(r.in.at(m->functions().front()->blocks().back().get()),
+              10 * static_cast<int>(k));
+    EXPECT_EQ(r.transfers, lattice.trace.size());
+    return r.transfers;
+  };
+  const std::uint64_t one = transfers(1), perLoop = transfers(2) - one;
+  EXPECT_EQ(perLoop, 22u);
+  for (unsigned k : {4u, 16u, 64u, 256u})
+    EXPECT_EQ(transfers(k), one + (k - 1) * perLoop) << k << " loops";
+}
+
+TEST(Dataflow, InnerLoopStabilizesBeforeTheOuterLatch) {
+  ir::Module m;
+  ir::Function *f = m.addFunction("f", 0);
+  ir::Builder b(*f);
+  auto *entry = f->newBlock("entry");
+  auto *outer = f->newBlock("outer");
+  auto *inner = f->newBlock("inner");
+  auto *body = f->newBlock("body");
+  auto *latch = f->newBlock("latch");
+  auto *exit = f->newBlock("exit");
+  b.setInsertPoint(entry);
+  b.emitBr(outer);
+  b.setInsertPoint(outer);
+  b.emitCondBr(kTrue, inner, exit);
+  b.setInsertPoint(inner);
+  b.emitCondBr(kTrue, body, latch);
+  b.setInsertPoint(body);
+  b.emitBr(inner);
+  b.setInsertPoint(latch);
+  b.emitBr(outer);
+  b.setInsertPoint(exit);
+  b.emitRet();
+
+  auto wto = ir::weakTopologicalOrder(*f);
+  ASSERT_EQ(wto.size(), 6u);
+  std::vector<std::string> names;
+  for (const auto &e : wto)
+    names.push_back(e.block->name());
+  EXPECT_EQ(names, (std::vector<std::string>{"entry", "outer", "inner",
+                                             "body", "latch", "exit"}));
+  EXPECT_TRUE(wto[1].head);
+  EXPECT_EQ(wto[1].end, 5u); // (outer (inner body) latch)
+  EXPECT_TRUE(wto[2].head);
+  EXPECT_EQ(wto[2].end, 4u); // (inner body)
+  EXPECT_FALSE(wto[3].head);
+
+  CountingLattice lattice;
+  lattice.caps[body] = 10;
+  auto r = lattice.solve(*f);
+  ASSERT_TRUE(r.converged);
+  EXPECT_EQ(r.in.at(exit), 10);
+  // The latch only ever sees the inner loop's fixpoint: once on the way
+  // out, once more to confirm the outer head is stable.
+  std::vector<int> latchIns;
+  for (const auto &[block, in] : lattice.trace)
+    if (block == latch)
+      latchIns.push_back(in);
+  EXPECT_EQ(latchIns, (std::vector<int>{10, 10}));
+}
+
+TEST(Dataflow, IrreducibleLoopConverges) {
+  // Two entries into one cycle: entry branches to both a and c, and a and
+  // c branch to each other.  No block dominates the cycle.
+  ir::Module m;
+  ir::Function *f = m.addFunction("f", 0);
+  ir::Builder b(*f);
+  auto *entry = f->newBlock("entry");
+  auto *a = f->newBlock("a");
+  auto *c = f->newBlock("c");
+  auto *exit = f->newBlock("exit");
+  b.setInsertPoint(entry);
+  b.emitCondBr(kTrue, a, c);
+  b.setInsertPoint(a);
+  b.emitCondBr(kTrue, c, exit);
+  b.setInsertPoint(c);
+  b.emitBr(a);
+  b.setInsertPoint(exit);
+  b.emitRet();
+
+  CountingLattice lattice;
+  lattice.caps[c] = 10;
+  auto r = lattice.solve(*f);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.in.at(a), 10);
+  EXPECT_EQ(r.in.at(c), 10);
+  EXPECT_EQ(r.in.at(exit), 10);
+}
+
+TEST(Dataflow, LongChainDoesNotExhaustTheStack) {
+  constexpr unsigned kBlocks = 100000;
+  ir::Module m;
+  ir::Function *f = m.addFunction("f", 0);
+  ir::Builder b(*f);
+  std::vector<ir::BasicBlock *> blocks;
+  for (unsigned i = 0; i < kBlocks; ++i)
+    blocks.push_back(f->newBlock(""));
+  for (unsigned i = 0; i + 1 < kBlocks; ++i) {
+    b.setInsertPoint(blocks[i]);
+    b.emitBr(blocks[i + 1]);
+  }
+  b.setInsertPoint(blocks.back());
+  b.emitRet();
+
+  CountingLattice lattice;
+  auto r = lattice.solve(*f);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.transfers, kBlocks);
+  EXPECT_EQ(r.in.size(), kBlocks);
+}
+
+TEST(Dataflow, DeepLoopNestDoesNotExhaustTheStack) {
+  // Loop i's header enters loop i + 1 or leaves to loop i - 1's latch.
+  constexpr unsigned kDepth = 2000;
+  ir::Module m;
+  ir::Function *f = m.addFunction("f", 0);
+  ir::Builder b(*f);
+  auto *entry = f->newBlock("entry");
+  std::vector<ir::BasicBlock *> heads, latches;
+  for (unsigned i = 0; i < kDepth; ++i) {
+    heads.push_back(f->newBlock(""));
+    latches.push_back(f->newBlock(""));
+  }
+  auto *exit = f->newBlock("exit");
+  b.setInsertPoint(entry);
+  b.emitBr(heads[0]);
+  for (unsigned i = 0; i < kDepth; ++i) {
+    b.setInsertPoint(heads[i]);
+    b.emitCondBr(kTrue, i + 1 < kDepth ? heads[i + 1] : latches[i],
+                 i > 0 ? latches[i - 1] : exit);
+    b.setInsertPoint(latches[i]);
+    b.emitBr(heads[i]);
+  }
+  b.setInsertPoint(exit);
+  b.emitRet();
+
+  auto wto = ir::weakTopologicalOrder(*f);
+  ASSERT_EQ(wto.size(), 2 * kDepth + 2);
+  for (unsigned i = 0; i < kDepth; ++i) {
+    // entry, heads[0..D), latches[D..0), exit
+    EXPECT_EQ(wto[1 + i].block, heads[i]);
+    EXPECT_TRUE(wto[1 + i].head);
+    EXPECT_EQ(wto[1 + i].end, 2 * kDepth + 1 - i);
+    EXPECT_EQ(wto[2 * kDepth - i].block, latches[i]);
+  }
+
+  // Nothing changes around any loop, so each component takes one pass.
+  CountingLattice lattice;
+  auto r = lattice.solve(*f);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.transfers, 2 * kDepth + 2);
+}
+
+TEST(Dataflow, JoinThatAlwaysChangesStopsAtTheCap) {
+  ir::Module m;
+  ir::Function *f = m.addFunction("f", 0);
+  ir::Builder b(*f);
+  auto *entry = f->newBlock("entry");
+  auto *head = f->newBlock("head");
+  auto *body = f->newBlock("body");
+  auto *exit = f->newBlock("exit");
+  b.setInsertPoint(entry);
+  b.emitBr(head);
+  b.setInsertPoint(head);
+  b.emitCondBr(kTrue, body, exit);
+  b.setInsertPoint(body);
+  b.emitBr(head);
+  b.setInsertPoint(exit);
+  b.emitRet();
+
+  CountingLattice lattice;
+  auto r = ir::solveForwardDataflow(
+      *f, 0, lattice.transfer(),
+      [](int &, const int &, bool) { return true; }, 0, /*maxRounds=*/5);
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.transfers, 5u * 4u); // maxRounds x reachable blocks
 }
 
 } // namespace

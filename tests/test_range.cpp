@@ -211,6 +211,45 @@ TEST(RangeRegistry, ClaimsSurviveConcreteReplay) {
 }
 
 // ---------------------------------------------------------------------------
+// Solver work: block transfers grow linearly with the number of loops.
+
+// N arrays and N sequential loops that all feed one accumulator.
+std::string copiesProgram(unsigned n) {
+  std::string src;
+  for (unsigned i = 1; i <= n; ++i)
+    src += "int a" + std::to_string(i) + "[16];\n";
+  src += "int main(int x) {\n  int s = 0;\n";
+  for (unsigned i = 1; i <= n; ++i) {
+    std::string v = "i" + std::to_string(i), k = std::to_string(i);
+    src += "  for (int " + v + " = 0; " + v + " < 16; " + v + " = " + v +
+           " + 1) { if (x > " + k + ") s = s + a" + k + "[" + v +
+           "]; else s = s - " + v + "; }\n";
+  }
+  src += "  return s;\n}\n";
+  return src;
+}
+
+TEST(RangeScaling, BlockTransfersGrowLinearly) {
+  // A deterministic work count, so the gate cannot flake with host load.
+  // Iterating each loop to its fixpoint before the next one costs about
+  // 230 transfers per loop; sweeping every block until nothing changes
+  // cost about 2,950 per loop already at N = 25, and grows with N.
+  for (unsigned n : {25u, 50u, 100u, 200u}) {
+    auto w = rawLowered(copiesProgram(n), "main");
+    ASSERT_NE(w->module, nullptr) << n;
+    const std::uint64_t before = analysis::rangeBlockTransfers();
+    auto ranges = analysis::analyzeRanges(*w->module);
+    const std::uint64_t transfers = analysis::rangeBlockTransfers() - before;
+    RecordProperty("transfers_" + std::to_string(n),
+                   std::to_string(transfers));
+    EXPECT_LE(transfers, 400u * n) << "N = " << n;
+    // Each loop's header, arms and latch are transferred at least once.
+    EXPECT_GE(transfers, 4u * n) << "N = " << n;
+    EXPECT_NE(ranges.of(*w->module->findFunction("main")), nullptr) << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Width inference: interval facts strictly beat the magnitude-only bound.
 
 TEST(RangeWidths, FirStrictlyImproves) {
