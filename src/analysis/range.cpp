@@ -10,15 +10,22 @@
 //    CFG in weak topological order (each loop stabilized before the code
 //    after it runs) with widening at loop headers, followed by plain
 //    narrowing sweeps (sound: applying the monotone transfer to a
-//    post-fixpoint stays above the least one).
+//    post-fixpoint stays above the least one).  Block states are sparse
+//    (range.h): a transfer loads its block's live-in intervals into a
+//    per-solve scratch array indexed by vreg, executes the block there
+//    without allocating, and packs each feasible successor's live-in set
+//    into that successor's state.  Liveness and the per-block branch
+//    refinement plans are computed once per function per analyzeRanges.
 //  * A module-level outer fixpoint growing memory/channel/return summaries
 //    until stable (widened to top after a few rounds so it terminates).
 #include "analysis/range.h"
 
 #include "ir/dataflow.h"
+#include "ir/liveness.h"
 #include "opt/irpasses.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <optional>
@@ -577,6 +584,87 @@ FnCtx makeFnCtx(const ir::Module &module, const ir::Function &fn) {
   return fc;
 }
 
+// What branch refinement needs to know about a CondBr block, all of it
+// fixed by the block's instructions: the in-block compare that defines the
+// condition and, per compare operand, whether that reg still holds the
+// compared value at the branch (`refine`) and the in-block reg-reg Add/Sub
+// defining it whose operands are not rewritten afterwards (`sum`, the
+// expression an ExprFact records).
+struct BranchPlan {
+  const ir::Instr *cmp = nullptr;
+  bool refine[2] = {false, false};
+  const ir::Instr *sum[2] = {nullptr, nullptr};
+};
+
+// The solver's per-function tables, built once per analyzeRanges and
+// reused by every round of the module fixpoint.
+struct FnPlan {
+  std::vector<std::vector<unsigned>> liveIn; // per block id: ascending vregs
+  std::vector<BranchPlan> branches;          // per block id
+  std::vector<ir::BasicBlock *> rpo;
+};
+
+bool isSumOfRegs(const ir::Instr &instr) {
+  return (instr.op == Opcode::Add || instr.op == Opcode::Sub) &&
+         instr.operands.size() == 2 && instr.operands[0].isReg() &&
+         instr.operands[1].isReg();
+}
+
+BranchPlan planBranch(const ir::BasicBlock &block) {
+  BranchPlan plan;
+  const ir::Instr *term = block.terminator();
+  if (!term || term->op != Opcode::CondBr || term->operands[0].isImm())
+    return plan;
+  // Index of each vreg's last write in the block.
+  std::map<unsigned, std::size_t> lastDef;
+  const auto &instrs = block.instrs();
+  for (std::size_t i = 0; i < instrs.size(); ++i)
+    if (instrs[i]->dst)
+      lastDef[instrs[i]->dst->id] = i;
+  auto dit = lastDef.find(term->operands[0].reg().id);
+  if (dit == lastDef.end())
+    return plan;
+  const ir::Instr *cmp = instrs[dit->second].get();
+  if (!isCompare(cmp->op) || cmp->operands.size() != 2)
+    return plan;
+  plan.cmp = cmp;
+  for (int side = 0; side < 2; ++side) {
+    const ir::Operand &op = cmp->operands[side];
+    if (!op.isReg())
+      continue;
+    auto rit = lastDef.find(op.reg().id);
+    if (rit != lastDef.end() && rit->second > dit->second)
+      continue; // rewritten after the compare read it
+    plan.refine[side] = true;
+    if (rit == lastDef.end() || !isSumOfRegs(*instrs[rit->second]))
+      continue;
+    const ir::Instr *def = instrs[rit->second].get();
+    bool stable = true;
+    for (const auto &sumOp : def->operands) {
+      auto oit = lastDef.find(sumOp.reg().id);
+      if (oit != lastDef.end() && oit->second >= rit->second)
+        stable = false; // operand rewritten at/after the definition
+    }
+    if (stable)
+      plan.sum[side] = def;
+  }
+  return plan;
+}
+
+FnPlan planFunction(const ir::Function &fn) {
+  FnPlan plan;
+  plan.liveIn.resize(fn.blockIdCount());
+  plan.branches.resize(fn.blockIdCount());
+  ir::Liveness live(fn);
+  for (const auto &block : fn.blocks()) {
+    const std::set<unsigned> &in = live.liveIn(block.get());
+    plan.liveIn[block->id()].assign(in.begin(), in.end());
+    plan.branches[block->id()] = planBranch(*block);
+  }
+  plan.rpo = fn.reversePostOrder();
+  return plan;
+}
+
 // Module-level summaries: what every load/receive/call may observe.  The
 // `next` sinks are only attached during the final collection sweep so the
 // summaries reflect converged states, not solver intermediates.
@@ -603,37 +691,69 @@ std::vector<Interval> seedMemSummaries(const ir::Module &module) {
   return mems;
 }
 
-Interval operandInterval(const ValueState &st, const ir::Operand &op) {
+// Working storage reused by every block transfer of a solve (or every
+// block of a replay), so that executing an instruction allocates nothing.
+// `regs` is indexed by vreg: a transfer loads its block's live-in
+// intervals, then writes every value the block computes.  Any other entry
+// is stale and, by liveness, never read.
+struct Scratch {
+  std::vector<Interval> regs;
+  std::vector<ValueState::ExprFact> exprs;
+  std::vector<ValueState::ExprFact> edgeExprs; // one CondBr edge's copy
+  std::vector<Interval> ops; // operand intervals of the current instruction
+  std::uint64_t transfers = 0;
+  std::uint64_t copies = 0; // intervals loaded, packed and joined
+};
+
+void loadState(Scratch &s, const ValueState &in, std::size_t vregs) {
+  if (s.regs.size() < vregs)
+    s.regs.resize(vregs);
+  for (const auto &r : in.regs)
+    s.regs[r.vreg] = r.iv;
+  s.exprs = in.exprs;
+  s.copies += in.regs.size();
+}
+
+// The state `s` hands to a block whose live-in vregs are `live`.
+ValueState packState(Scratch &s, const std::vector<unsigned> &live,
+                     const std::vector<ValueState::ExprFact> &exprs) {
+  ValueState out;
+  out.regs.reserve(live.size());
+  for (unsigned v : live)
+    out.regs.push_back({v, s.regs[v]});
+  out.exprs = exprs;
+  s.copies += live.size();
+  return out;
+}
+
+Interval operandInterval(const std::vector<Interval> &regs,
+                         const ir::Operand &op) {
   if (op.isImm())
     return Interval::constant(op.imm());
   unsigned id = op.reg().id;
-  if (id >= st.regs.size())
+  if (id >= regs.size())
     return Interval::topFor(op.reg().width);
-  return st.regs[id];
+  return regs[id];
 }
 
-void killFacts(ValueState &st, unsigned reg) {
-  std::erase_if(st.exprs, [&](const ValueState::ExprFact &f) {
+void killFacts(std::vector<ValueState::ExprFact> &exprs, unsigned reg) {
+  std::erase_if(exprs, [&](const ValueState::ExprFact &f) {
     return f.a == reg || f.b == reg;
   });
 }
 
-// Evaluate one instruction against `st`, recording operand intervals into
-// `opsOut` (pre-write view) when non-null and side effects into the ctx
-// sinks when attached.
+// Evaluate one instruction against the scratch state, leaving its operand
+// intervals (the pre-write view) in `s.ops` and recording side effects into
+// the ctx sinks when attached.
 void execInstr(const FnCtx &fc, Ctx &ctx, const ir::Instr &instr,
-               ValueState &st, std::vector<Interval> *opsOut) {
-  std::vector<Interval> ops;
-  ops.reserve(instr.operands.size());
-  for (const auto &op : instr.operands)
-    ops.push_back(operandInterval(st, op));
-  if (opsOut)
-    *opsOut = ops;
-
+               Scratch &s) {
+  s.ops.clear();
   bool anyBot = false;
-  for (const auto &iv : ops)
-    if (iv.bot)
-      anyBot = true;
+  for (const auto &op : instr.operands) {
+    s.ops.push_back(operandInterval(s.regs, op));
+    anyBot = anyBot || s.ops.back().bot;
+  }
+  const std::vector<Interval> &ops = s.ops;
 
   // Side effects (recorded only when sinks are attached and the value can
   // actually flow — a bottom operand means the instruction never executes).
@@ -807,12 +927,10 @@ void execInstr(const FnCtx &fc, Ctx &ctx, const ir::Instr &instr,
 
   // Relational refinement: a planted `op(a, b) in range` fact bounds a
   // recomputation of the same expression from the same (unmodified) regs.
-  if ((instr.op == Opcode::Add || instr.op == Opcode::Sub) &&
-      instr.operands.size() == 2 && instr.operands[0].isReg() &&
-      instr.operands[1].isReg()) {
+  if (isSumOfRegs(instr)) {
     unsigned a = instr.operands[0].reg().id;
     unsigned b = instr.operands[1].reg().id;
-    for (const auto &f : st.exprs)
+    for (const auto &f : s.exprs)
       if (f.op == instr.op && f.a == a && f.b == b) {
         Interval tmp = iv;
         if (tmp.meet(f.range))
@@ -821,9 +939,9 @@ void execInstr(const FnCtx &fc, Ctx &ctx, const ir::Instr &instr,
       }
   }
 
-  killFacts(st, dstId);
-  if (dstId < st.regs.size())
-    st.regs[dstId] = iv;
+  killFacts(s.exprs, dstId);
+  if (dstId < s.regs.size())
+    s.regs[dstId] = iv;
 }
 
 // ---------------------------------------------------------------------------
@@ -941,52 +1059,36 @@ Refinement refineBounds(Opcode op, bool outcome, const Interval &av,
   return r;
 }
 
-// Plant an ExprFact for `reg` when its in-block definition is a reg-reg
-// Add/Sub whose operands are not rewritten afterwards.
-void plantExprFact(const ir::BasicBlock &block,
-                   const std::map<unsigned, std::size_t> &lastDef,
-                   ValueState &st, unsigned reg) {
-  auto dit = lastDef.find(reg);
-  if (dit == lastDef.end())
-    return;
-  const ir::Instr *def = block.instrs()[dit->second].get();
-  if ((def->op != Opcode::Add && def->op != Opcode::Sub) ||
-      def->operands.size() != 2 || !def->operands[0].isReg() ||
-      !def->operands[1].isReg())
-    return;
-  unsigned a = def->operands[0].reg().id;
-  unsigned b = def->operands[1].reg().id;
-  for (unsigned opReg : {a, b}) {
-    auto oit = lastDef.find(opReg);
-    if (oit != lastDef.end() && oit->second >= dit->second)
-      return; // operand rewritten at/after the definition
-  }
-  if (reg >= st.regs.size())
-    return;
-  const Interval &iv = st.regs[reg];
+// Plant (or tighten) the ExprFact "sum(a, b) in iv" for a refined reg
+// defined by the reg-reg Add/Sub `sum`.
+void plantExprFact(const ir::Instr &sum, const Interval &iv,
+                   std::vector<ValueState::ExprFact> &exprs) {
   if (!iv.known())
     return;
-  for (auto &f : st.exprs)
-    if (f.op == def->op && f.a == a && f.b == b) {
+  unsigned a = sum.operands[0].reg().id;
+  unsigned b = sum.operands[1].reg().id;
+  for (auto &f : exprs)
+    if (f.op == sum.op && f.a == a && f.b == b) {
       f.range.meet(iv);
       if (f.range.bot)
         f.range = iv;
       return;
     }
-  st.exprs.push_back({def->op, a, b, iv});
+  exprs.push_back({sum.op, a, b, iv});
 }
 
-// Refine `st` along one CondBr edge.  Returns false when the edge is
-// infeasible under the refined constraints.
-bool refineEdge(const FnCtx &fc, const ir::BasicBlock &block,
-                const std::map<unsigned, std::size_t> &lastDef,
-                ValueState &st, const ir::Instr &term, bool takeTrue) {
+// Refine `regs` and `exprs` along one CondBr edge.  Returns false when the
+// edge is infeasible under the refined constraints.
+bool refineEdge(const FnCtx &fc, const BranchPlan &plan,
+                std::vector<Interval> &regs,
+                std::vector<ValueState::ExprFact> &exprs,
+                const ir::Instr &term, bool takeTrue) {
   const ir::Operand &cond = term.operands[0];
   if (cond.isImm())
     return takeTrue == !cond.imm().isZero();
   unsigned c = cond.reg().id;
-  if (c < st.regs.size()) {
-    Interval &cv = st.regs[c];
+  if (c < regs.size()) {
+    Interval &cv = regs[c];
     if (cv.known()) {
       if (takeTrue) {
         if (cv.lo == 0 && cv.hi == 0)
@@ -1007,37 +1109,30 @@ bool refineEdge(const FnCtx &fc, const ir::BasicBlock &block,
       }
     }
   }
-  auto dit = lastDef.find(c);
-  if (dit == lastDef.end())
+  const ir::Instr *def = plan.cmp;
+  if (!def)
     return true;
-  const ir::Instr *def = block.instrs()[dit->second].get();
-  if (!isCompare(def->op) || def->operands.size() != 2)
-    return true;
-  Interval av = operandInterval(st, def->operands[0]);
-  Interval bv = operandInterval(st, def->operands[1]);
+  Interval av = operandInterval(regs, def->operands[0]);
+  Interval bv = operandInterval(regs, def->operands[1]);
   Refinement r = refineBounds(def->op, takeTrue, av, bv,
                               def->operands[0].width(),
                               def->operands[1].width());
   if (r.empty)
     return false;
   for (int side = 0; side < 2; ++side) {
-    const ir::Operand &op = def->operands[side];
     const Interval &bound = side == 0 ? r.a : r.b;
-    if (!op.isReg() || bound.wide)
+    if (!plan.refine[side] || bound.wide)
       continue;
-    unsigned reg = op.reg().id;
-    // Only refine regs whose value is unchanged since the compare read it.
-    auto rit = lastDef.find(reg);
-    if (rit != lastDef.end() && rit->second > dit->second)
+    unsigned reg = def->operands[side].reg().id;
+    if (reg >= regs.size())
       continue;
-    if (reg >= st.regs.size())
-      continue;
-    if (!st.regs[reg].meet(bound))
+    if (!regs[reg].meet(bound))
       return false;
-    st.regs[reg].normalize(fc.widths[reg]);
-    if (st.regs[reg].bot)
+    regs[reg].normalize(fc.widths[reg]);
+    if (regs[reg].bot)
       return false;
-    plantExprFact(block, lastDef, st, reg);
+    if (plan.sum[side])
+      plantExprFact(*plan.sum[side], regs[reg], exprs);
   }
   return true;
 }
@@ -1045,41 +1140,53 @@ bool refineEdge(const FnCtx &fc, const ir::BasicBlock &block,
 // ---------------------------------------------------------------------------
 // Block transfer and state join.
 
-std::atomic<std::uint64_t> blockTransfers{0};
-
 std::vector<std::optional<ValueState>>
-transferBlock(const FnCtx &fc, Ctx &ctx, const ir::BasicBlock &block,
-              const ValueState &in) {
-  blockTransfers.fetch_add(1, std::memory_order_relaxed);
-  ValueState st = in;
-  std::map<unsigned, std::size_t> lastDef;
-  const auto &instrs = block.instrs();
-  for (std::size_t i = 0; i < instrs.size(); ++i) {
-    execInstr(fc, ctx, *instrs[i], st, nullptr);
-    if (instrs[i]->dst)
-      lastDef[instrs[i]->dst->id] = i;
-  }
+transferBlock(const FnCtx &fc, const FnPlan &plan, Ctx &ctx, Scratch &s,
+              const ir::BasicBlock &block, const ValueState &in) {
+  ++s.transfers;
+  loadState(s, in, fc.widths.size());
+  for (const auto &instr : block.instrs())
+    execInstr(fc, ctx, *instr, s);
   std::vector<std::optional<ValueState>> outs;
   const ir::Instr *term = block.terminator();
   if (!term)
     return outs;
   if (term->op == Opcode::Br) {
-    outs.push_back(std::move(st));
+    if (term->target0)
+      outs.push_back(
+          packState(s, plan.liveIn[term->target0->id()], s.exprs));
     return outs;
   }
   if (term->op != Opcode::CondBr)
     return outs; // Ret: no successors
-  Interval cv = operandInterval(st, term->operands[0]);
+  Interval cv = operandInterval(s.regs, term->operands[0]);
   bool canTrue = !cv.bot && cv.mayBeNonZero();
   bool canFalse = !cv.bot && cv.mayBeZero();
+  const BranchPlan &bp = plan.branches[block.id()];
+  // refineEdge narrows at most the condition and the two compared regs in
+  // place: save them, and put them back before the other edge.
+  std::array<std::pair<unsigned, Interval>, 3> saved;
+  std::size_t nSaved = 0;
+  auto save = [&](const ir::Operand &op) {
+    if (op.isReg() && op.reg().id < s.regs.size())
+      saved[nSaved++] = {op.reg().id, s.regs[op.reg().id]};
+  };
+  save(term->operands[0]);
+  if (bp.cmp) {
+    save(bp.cmp->operands[0]);
+    save(bp.cmp->operands[1]);
+  }
   outs.resize(2);
   for (int e = 0; e < 2; ++e) {
     bool take = e == 0;
-    if (!(take ? canTrue : canFalse))
+    const ir::BasicBlock *target = take ? term->target0 : term->target1;
+    if (!target || !(take ? canTrue : canFalse))
       continue;
-    ValueState es = st;
-    if (refineEdge(fc, block, lastDef, es, *term, take))
-      outs[e] = std::move(es);
+    s.edgeExprs = s.exprs;
+    if (refineEdge(fc, bp, s.regs, s.edgeExprs, *term, take))
+      outs[e] = packState(s, plan.liveIn[target->id()], s.edgeExprs);
+    for (std::size_t k = 0; k < nSaved; ++k)
+      s.regs[saved[k].first] = saved[k].second;
   }
   return outs;
 }
@@ -1092,25 +1199,32 @@ transferBlock(const FnCtx &fc, Ctx &ctx, const ir::BasicBlock &block,
 // churn, widening the counter just before it settles.
 constexpr unsigned kWidenPerReg = 48;
 
-bool joinState(const FnCtx &fc, ValueState &into, const ValueState &from,
-               bool widen, std::vector<unsigned> *growth) {
+// Both states belong to one block, so they hold the same vregs in the same
+// order.  `growth` counts, per position, the changes made at widening
+// points.
+bool joinState(const FnCtx &fc, Scratch &s, ValueState &into,
+               const ValueState &from, bool widen,
+               std::vector<unsigned> *growth) {
+  assert(into.regs.size() == from.regs.size());
   if (growth && growth->size() < into.regs.size())
     growth->resize(into.regs.size(), 0);
+  s.copies += into.regs.size();
   bool changed = false;
-  for (std::size_t i = 0; i < into.regs.size() && i < from.regs.size(); ++i) {
-    unsigned w = fc.widths[i];
-    Interval j = into.regs[i];
-    j.join(from.regs[i], w);
+  for (std::size_t i = 0; i < into.regs.size(); ++i) {
+    Interval &cur = into.regs[i].iv;
+    unsigned w = fc.widths[into.regs[i].vreg];
+    Interval j = cur;
+    j.join(from.regs[i].iv, w);
     if (widen && growth && (*growth)[i] >= kWidenPerReg && j.known() &&
-        into.regs[i].known()) {
-      if (j.lo < into.regs[i].lo)
+        cur.known()) {
+      if (j.lo < cur.lo)
         j.lo = Interval::minSigned(w);
-      if (j.hi > into.regs[i].hi)
+      if (j.hi > cur.hi)
         j.hi = Interval::maxSigned(w);
       j.normalize(w);
     }
-    if (!sameInterval(j, into.regs[i])) {
-      into.regs[i] = j;
+    if (!sameInterval(j, cur)) {
+      cur = j;
       changed = true;
       if (growth)
         ++(*growth)[i];
@@ -1147,41 +1261,52 @@ bool joinState(const FnCtx &fc, ValueState &into, const ValueState &from,
   return changed;
 }
 
-ValueState entryState(const FnCtx &fc) {
+// The entry block's state: parameters unknown, every other vreg at its
+// zero reset value.
+ValueState entryState(const FnCtx &fc, const std::vector<unsigned> &live) {
   ValueState st;
-  st.regs.resize(fc.widths.size());
-  for (std::size_t i = 0; i < fc.widths.size(); ++i) {
-    unsigned w = fc.widths[i];
-    if (fc.isParam[i])
-      st.regs[i] = Interval::topFor(w);
-    else
-      st.regs[i] = Interval::constant(BitVector(std::max(1u, w)));
+  st.regs.reserve(live.size());
+  for (unsigned v : live) {
+    unsigned w = fc.widths[v];
+    st.regs.push_back({v, fc.isParam[v]
+                              ? Interval::topFor(w)
+                              : Interval::constant(BitVector(std::max(1u, w)))});
   }
   return st;
 }
 
-ValueState topState(const FnCtx &fc) {
+ValueState topState(const FnCtx &fc, const std::vector<unsigned> &live) {
   ValueState st;
-  st.regs.resize(fc.widths.size());
-  for (std::size_t i = 0; i < fc.widths.size(); ++i)
-    st.regs[i] = Interval::topFor(fc.widths[i]);
+  st.regs.reserve(live.size());
+  for (unsigned v : live)
+    st.regs.push_back({v, Interval::topFor(fc.widths[v])});
   return st;
+}
+
+bool sameRegs(const ValueState &a, const ValueState &b) {
+  if (a.regs.size() != b.regs.size())
+    return false;
+  for (std::size_t i = 0; i < a.regs.size(); ++i)
+    if (!sameInterval(a.regs[i].iv, b.regs[i].iv))
+      return false;
+  return true;
 }
 
 // ---------------------------------------------------------------------------
 // Per-function analysis.
 
-void analyzeFunction(const ir::Module &module, const ir::Function &fn,
-                     Ctx &ctx, RangeAnalysis &out,
+void analyzeFunction(const FnCtx &fc, const FnPlan &plan, Ctx &ctx,
+                     Scratch &s, RangeAnalysis &out,
                      std::vector<Interval> &memNext,
                      std::vector<Interval> &chanNext,
                      std::vector<Interval> &retNext) {
-  FnCtx fc = makeFnCtx(module, fn);
+  const ir::Function &fn = fc.fn;
   if (!fn.entry())
     return;
+  const std::vector<unsigned> &entryLive = plan.liveIn[fn.entry()->id()];
 
   auto transfer = [&](const ir::BasicBlock &b, const ValueState &in) {
-    return transferBlock(fc, ctx, b, in);
+    return transferBlock(fc, plan, ctx, s, b, in);
   };
   // Per-register widening budgets, keyed by the address of the solver's
   // per-block in-state (map nodes are address-stable).  The solver's own
@@ -1189,28 +1314,28 @@ void analyzeFunction(const ir::Module &module, const ir::Function &fn,
   // counters decide which registers actually widen once it is armed.
   std::map<const ValueState *, std::vector<unsigned>> growth;
   auto join = [&](ValueState &into, const ValueState &from, bool widen) {
-    return joinState(fc, into, from, widen, widen ? &growth[&into] : nullptr);
+    return joinState(fc, s, into, from, widen,
+                     widen ? &growth[&into] : nullptr);
   };
   unsigned maxRounds = kWidenPerReg +
                        2 * static_cast<unsigned>(fn.blocks().size()) + 96;
-  auto res = ir::solveForwardDataflow(fn, entryState(fc), transfer, join,
-                                      /*widenAfter=*/1, maxRounds);
+  auto res = ir::solveForwardDataflow(fn, entryState(fc, entryLive), transfer,
+                                      join, /*widenAfter=*/1, maxRounds);
   if (!res.converged) {
     // Should not happen with widening; saturate every block for soundness.
     res.in.clear();
-    for (ir::BasicBlock *b : fn.reversePostOrder())
-      res.in.emplace(b, topState(fc));
+    for (ir::BasicBlock *b : plan.rpo)
+      res.in.emplace(b, topState(fc, plan.liveIn[b->id()]));
   } else {
     // Narrowing sweeps: recompute each in-state as the join of its feasible
     // predecessor edges (Jacobi style).  Starting from the solver's
     // post-fixpoint, each application of the monotone transfer descends
     // toward (never below) the least fixpoint, so any number of passes is
     // sound; iterate until stable or a small cap.
-    std::vector<ir::BasicBlock *> order = fn.reversePostOrder();
     for (int pass = 0; pass < 8; ++pass) {
       std::map<const ir::BasicBlock *, ValueState> next;
-      next.emplace(fn.entry(), entryState(fc));
-      for (ir::BasicBlock *b : order) {
+      next.emplace(fn.entry(), entryState(fc, entryLive));
+      for (ir::BasicBlock *b : plan.rpo) {
         auto it = res.in.find(b);
         if (it == res.in.end())
           continue;
@@ -1223,22 +1348,17 @@ void analyzeFunction(const ir::Module &module, const ir::Function &fn,
           if (nIt == next.end())
             next.emplace(succs[i], std::move(*outs[i]));
           else
-            joinState(fc, nIt->second, *outs[i], false, nullptr);
+            joinState(fc, s, nIt->second, *outs[i], false, nullptr);
         }
       }
       bool same = next.size() == res.in.size();
       if (same)
         for (const auto &[b, st] : next) {
           auto oIt = res.in.find(b);
-          if (oIt == res.in.end()) {
+          if (oIt == res.in.end() || !sameRegs(st, oIt->second)) {
             same = false;
             break;
           }
-          for (std::size_t i = 0; same && i < st.regs.size(); ++i)
-            if (!sameInterval(st.regs[i], oIt->second.regs[i]))
-              same = false;
-          if (!same)
-            break;
         }
       res.in = std::move(next);
       if (same)
@@ -1252,34 +1372,29 @@ void analyzeFunction(const ir::Module &module, const ir::Function &fn,
   ctx.chanNext = &chanNext;
   ctx.retNext = &retNext;
   FunctionRanges fr;
-  fr.entry = res.in;
+  fr.entry = std::move(res.in);
 
-  std::map<unsigned, Interval> acc;
-  for (std::size_t i = 0; i < fc.widths.size(); ++i)
+  // Per vreg: the union of every write, from the zero reset value for
+  // non-parameters.
+  const std::size_t vregs = fc.widths.size();
+  std::vector<Interval> acc(vregs);
+  for (std::size_t i = 0; i < vregs; ++i)
     if (!fc.isParam[i])
-      acc[static_cast<unsigned>(i)] =
-          Interval::constant(BitVector(std::max(1u, fc.widths[i])));
+      acc[i] = Interval::constant(BitVector(std::max(1u, fc.widths[i])));
 
-  for (ir::BasicBlock *b : fn.reversePostOrder()) {
-    auto it = res.in.find(b);
-    if (it == res.in.end())
+  for (ir::BasicBlock *b : plan.rpo) {
+    auto it = fr.entry.find(b);
+    if (it == fr.entry.end())
       continue;
-    ValueState st = it->second;
+    loadState(s, it->second, vregs);
     for (const auto &instr : b->instrs()) {
-      execInstr(fc, ctx, *instr, st, nullptr);
+      execInstr(fc, ctx, *instr, s);
       if (instr->dst) {
         unsigned id = instr->dst->id;
-        auto aIt = acc.find(id);
-        const Interval &iv = st.regs[id];
-        if (!iv.bot) {
-          if (aIt == acc.end())
-            acc.emplace(id, iv); // param overwritten: facts start here
-          else
-            aIt->second.join(iv, fc.widths[id]);
-        }
+        acc[id].join(s.regs[id], fc.widths[id]);
       } else if (instr->op == Opcode::CondBr && instr->target0 &&
                  instr->target1) {
-        Interval cv = operandInterval(st, instr->operands[0]);
+        Interval cv = operandInterval(s.regs, instr->operands[0]);
         if (cv.known()) {
           if (!cv.contains(0))
             fr.decided[instr.get()] = true;
@@ -1295,12 +1410,11 @@ void analyzeFunction(const ir::Module &module, const ir::Function &fn,
 
   // Only claim facts for vregs written exclusively by reachable code with
   // representable intervals: parameters and wide values get no claim.
-  for (const auto &[reg, iv] : acc) {
-    if (fc.isParam[reg])
-      continue;
-    if (iv.known())
-      fr.facts.vregs[reg] = opt::IntervalFact{iv.lo, iv.hi};
-  }
+  for (std::size_t i = 0; i < vregs; ++i)
+    if (!fc.isParam[i] && acc[i].known())
+      fr.facts.vregs.emplace_hint(fr.facts.vregs.end(),
+                                  static_cast<unsigned>(i),
+                                  opt::IntervalFact{acc[i].lo, acc[i].hi});
 
   out.functions.emplace(&fn, std::move(fr));
 }
@@ -1319,14 +1433,31 @@ bool growSummaries(std::vector<Interval> &cur, const std::vector<Interval> &next
   return changed;
 }
 
+// Replay `block` from its entry state `in`, handing each instruction to
+// `hook` with the operand intervals in force just before it executes.
+template <class Hook>
+void replay(const FnCtx &fc, Ctx &ctx, Scratch &s, const ValueState &in,
+            const ir::BasicBlock &block, const Hook &hook) {
+  loadState(s, in, fc.widths.size());
+  for (const auto &instr : block.instrs()) {
+    execInstr(fc, ctx, *instr, s);
+    hook(*instr, s.ops);
+  }
+}
+
+Ctx replayCtx(const ir::Module &module, const RangeAnalysis &ranges) {
+  return Ctx{module,  ranges.memValues, ranges.chanValues,
+             ranges.returnValues, nullptr, nullptr, nullptr};
+}
+
+std::atomic<std::uint64_t> rangeSolves{0};
+std::atomic<std::uint64_t> blockTransfers{0};
+std::atomic<std::uint64_t> intervalCopies{0};
+
 } // namespace
 
 // ---------------------------------------------------------------------------
 // Public entry points.
-
-namespace {
-std::atomic<std::uint64_t> rangeSolves{0};
-} // namespace
 
 std::uint64_t analyzeRangesCalls() {
   return rangeSolves.load(std::memory_order_relaxed);
@@ -1334,6 +1465,10 @@ std::uint64_t analyzeRangesCalls() {
 
 std::uint64_t rangeBlockTransfers() {
   return blockTransfers.load(std::memory_order_relaxed);
+}
+
+std::uint64_t rangeIntervalCopies() {
+  return intervalCopies.load(std::memory_order_relaxed);
 }
 
 RangeAnalysis analyzeRanges(const ir::Module &module) {
@@ -1351,6 +1486,15 @@ RangeAnalysis analyzeRanges(const ir::Module &module) {
   for (const auto &fn : module.functions())
     retWidths.push_back(std::max(1u, fn->returnWidth()));
 
+  // What the instructions fix (widths, liveness, branch plans) is computed
+  // once here; only the summaries change between rounds.
+  std::vector<FnCtx> fcs;
+  std::vector<FnPlan> plans;
+  for (const auto &fn : module.functions()) {
+    fcs.push_back(makeFnCtx(module, *fn));
+    plans.push_back(planFunction(*fn));
+  }
+  Scratch s;
   RangeAnalysis out;
   for (unsigned round = 0; round < 8; ++round) {
     std::vector<Interval> memNext = seedMemSummaries(module);
@@ -1358,8 +1502,9 @@ RangeAnalysis analyzeRanges(const ir::Module &module) {
     std::vector<Interval> retNext(module.functions().size(),
                                   Interval::bottom());
     out = RangeAnalysis{};
-    for (const auto &fn : module.functions())
-      analyzeFunction(module, *fn, ctx, out, memNext, chanNext, retNext);
+    for (std::size_t i = 0; i < fcs.size(); ++i)
+      analyzeFunction(fcs[i], plans[i], ctx, s, out, memNext, chanNext,
+                      retNext);
     bool widen = round >= 3;
     bool changed = growSummaries(ctx.memCur, memNext, memWidths, widen);
     changed |= growSummaries(ctx.chanCur, chanNext, chanWidths, widen);
@@ -1370,6 +1515,8 @@ RangeAnalysis analyzeRanges(const ir::Module &module) {
   out.memValues = ctx.memCur;
   out.chanValues = ctx.chanCur;
   out.returnValues = ctx.retCur;
+  blockTransfers.fetch_add(s.transfers, std::memory_order_relaxed);
+  intervalCopies.fetch_add(s.copies, std::memory_order_relaxed);
   return out;
 }
 
@@ -1385,14 +1532,9 @@ void replayBlock(
   if (it == fr->entry.end())
     return;
   FnCtx fc = makeFnCtx(module, fn);
-  Ctx ctx{module, ranges.memValues, ranges.chanValues, ranges.returnValues,
-          nullptr, nullptr, nullptr};
-  ValueState st = it->second;
-  std::vector<Interval> ops;
-  for (const auto &instr : block.instrs()) {
-    execInstr(fc, ctx, *instr, st, &ops);
-    hook(*instr, ops);
-  }
+  Ctx ctx = replayCtx(module, ranges);
+  Scratch s;
+  replay(fc, ctx, s, it->second, block, hook);
 }
 
 opt::WidthInference inferWidthsWithRanges(const ir::Module &module,
@@ -1482,12 +1624,13 @@ bool isSyntacticConstCond(const ir::Function &fn, const ir::Instr &term) {
   return isLiteralOperand(fn, term.operands[0], 4);
 }
 
-void checkBlock(const ir::Module &module, const RangeAnalysis &ranges,
-                const ir::Function &fn, const ir::BasicBlock &block,
+void checkBlock(const FnCtx &fc, Ctx &ctx, Scratch &s,
+                const FunctionRanges &fr, const ir::BasicBlock &block,
                 Report &report, std::set<std::string> &seen) {
-  const FunctionRanges *fr = ranges.of(fn);
-  replayBlock(module, ranges, fn, block,
-              [&](const ir::Instr &instr, const std::vector<Interval> &ops) {
+  const ir::Module &module = ctx.module;
+  const ir::Function &fn = fc.fn;
+  replay(fc, ctx, s, fr.entry.at(&block), block,
+         [&](const ir::Instr &instr, const std::vector<Interval> &ops) {
     switch (instr.op) {
     case Opcode::Load:
     case Opcode::Store: {
@@ -1592,10 +1735,8 @@ void checkBlock(const ir::Module &module, const RangeAnalysis &ranges,
       break;
     }
     case Opcode::CondBr: {
-      if (!fr)
-        break;
-      auto dIt = fr->decided.find(&instr);
-      if (dIt == fr->decided.end() || instr.target0 == instr.target1)
+      auto dIt = fr.decided.find(&instr);
+      if (dIt == fr.decided.end() || instr.target0 == instr.target1)
         break;
       if (isSyntacticConstCond(fn, instr))
         break;
@@ -1622,10 +1763,15 @@ void checkBlock(const ir::Module &module, const RangeAnalysis &ranges,
 Report checkRanges(const ir::Module &module, const RangeAnalysis &ranges) {
   Report report;
   std::set<std::string> seen;
+  // One context per module and one per function, not one per block: the
+  // replay is O(instructions) per function.
+  Ctx ctx = replayCtx(module, ranges);
+  Scratch s;
   for (const auto &fn : module.functions()) {
     const FunctionRanges *fr = ranges.of(*fn);
     if (!fr)
       continue;
+    FnCtx fc = makeFnCtx(module, *fn);
     auto preds = ir::predecessorMap(*fn);
     for (ir::BasicBlock *block : fn->reversePostOrder()) {
       if (!fr->reachable(block)) {
@@ -1657,7 +1803,7 @@ Report checkRanges(const ir::Module &module, const RangeAnalysis &ranges) {
                      "code synthesizes to hardware that can never fire");
         continue;
       }
-      checkBlock(module, ranges, *fn, *block, report, seen);
+      checkBlock(fc, ctx, s, *fr, *block, report, seen);
     }
   }
   report.sort();

@@ -77,9 +77,18 @@ struct Interval {
   std::string str() const;
 };
 
-// Converged per-function facts.
+// A block-entry state.  It is sparse: it holds intervals only for the vregs
+// live into its block (ir/liveness.h), in ascending vreg order, so every
+// state of one block has the same layout and a join walks two arrays side
+// by side.  A dead vreg's value can never be read again, so dropping it
+// loses nothing; a state's size follows the block's live-in set, not the
+// function's vreg count.
 struct ValueState {
-  std::vector<Interval> regs; // indexed by vreg id
+  struct Reg {
+    unsigned vreg = 0;
+    Interval iv;
+  };
+  std::vector<Reg> regs;
   // Relational facts planted by branch refinement: "op(a, b) lies in
   // range", valid until a or b is rewritten.  This is what lets a guard
   // like `if (n - k >= 0)` bound a *recomputed* `n - k` in the guarded
@@ -94,7 +103,8 @@ struct ValueState {
 };
 
 struct FunctionRanges {
-  // Block-entry states for every range-reachable block.
+  // Block-entry states for every range-reachable block: an interval for
+  // each vreg live into it.
   std::map<const ir::BasicBlock *, ValueState> entry;
   // Per-vreg union over every write (plus the zero reset value for
   // non-parameters): the global bound width inference consumes.
@@ -131,6 +141,11 @@ std::uint64_t analyzeRangesCalls();
 // the fixpoint and the narrowing sweeps (relaxed atomic).  Bounded per
 // analyzeRanges by tests, it shows how the solver's work scales.
 std::uint64_t rangeBlockTransfers();
+
+// How many intervals the range solver has copied into or out of block
+// states or walked in joins, in this process (relaxed atomic).  With sparse
+// states it grows with the live-in sets, not with the vreg count.
+std::uint64_t rangeIntervalCopies();
 
 // Replay one reachable block from its converged entry state, handing each
 // instruction to `hook` with the operand intervals in force just before it

@@ -9,6 +9,7 @@
 #include "frontend/sema.h"
 #include "interp/interp.h"
 #include "ir/exec.h"
+#include "ir/liveness.h"
 #include "ir/lower.h"
 #include "opt/inline.h"
 #include "opt/irpasses.h"
@@ -211,7 +212,8 @@ TEST(RangeRegistry, ClaimsSurviveConcreteReplay) {
 }
 
 // ---------------------------------------------------------------------------
-// Solver work: block transfers grow linearly with the number of loops.
+// Solver work: block transfers and interval copies grow linearly with the
+// number of loops.
 
 // N arrays and N sequential loops that all feed one accumulator.
 std::string copiesProgram(unsigned n) {
@@ -247,6 +249,58 @@ TEST(RangeScaling, BlockTransfersGrowLinearly) {
     EXPECT_GE(transfers, 4u * n) << "N = " << n;
     EXPECT_NE(ranges.of(*w->module->findFunction("main")), nullptr) << n;
   }
+}
+
+TEST(RangeScaling, IntervalCopiesGrowLinearly) {
+  // Sparse states: a transfer copies only the live-in intervals of its
+  // block and its successors, and a join walks only those, so the copies
+  // per solve grow with N like the transfers do: about 2,190 per loop, 10
+  // per transfer.  Dense states copied and joined every vreg of the
+  // function, about 8 per loop, on each transfer: quadratic in N.
+  for (unsigned n : {25u, 50u, 100u, 200u}) {
+    auto w = rawLowered(copiesProgram(n), "main");
+    ASSERT_NE(w->module, nullptr) << n;
+    const std::uint64_t before = analysis::rangeIntervalCopies();
+    analysis::analyzeRanges(*w->module);
+    const std::uint64_t copies = analysis::rangeIntervalCopies() - before;
+    RecordProperty("copies_" + std::to_string(n), std::to_string(copies));
+    EXPECT_LE(copies, 3000u * n) << "N = " << n;
+    EXPECT_GT(copies, 0u) << "N = " << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Sparse states: each block-entry state holds exactly its live-in vregs.
+
+TEST(RangeState, EntryHoldsLiveIn) {
+  unsigned blocks = 0;
+  for (const auto &wl : core::standardWorkloads()) {
+    auto w = rawLowered(wl.source, wl.top);
+    ASSERT_NE(w->module, nullptr) << wl.name;
+    // The raw module the pre-flight gate analyzes, then the optimized one
+    // the flows prune.
+    for (int optimized = 0; optimized < 2; ++optimized) {
+      if (optimized)
+        opt::optimizeModule(*w->module);
+      auto ranges = analysis::analyzeRanges(*w->module);
+      for (const auto &fn : w->module->functions()) {
+        const analysis::FunctionRanges *fr = ranges.of(*fn);
+        ASSERT_NE(fr, nullptr) << wl.name << " " << fn->name();
+        ir::Liveness live(*fn);
+        for (const auto &[block, state] : fr->entry) {
+          const std::set<unsigned> &in = live.liveIn(block);
+          std::vector<unsigned> held;
+          for (const auto &r : state.regs)
+            held.push_back(r.vreg);
+          EXPECT_EQ(held, std::vector<unsigned>(in.begin(), in.end()))
+              << wl.name << " " << fn->name() << " " << block->name()
+              << (optimized ? " (optimized)" : " (raw)");
+          ++blocks;
+        }
+      }
+    }
+  }
+  EXPECT_GE(blocks, 100u);
 }
 
 // ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ struct ClaimCheckResult {
 };
 
 // Execute `fn(args)` and check each runtime event against the analysis:
-//  * every executed block must be claimed reachable, and the runtime
-//    register file at its entry must lie inside the claimed entry state;
+//  * every executed block must be claimed reachable, and each vreg its
+//    entry state holds (the vregs live into it) must lie inside its
+//    claimed interval;
 //  * every value written to a vreg must lie inside its global interval
 //    fact and fit its inferred width under the recorded contract
 //    (sign-extension-faithful when narrowedSigned, unsigned otherwise);
@@ -136,14 +137,12 @@ checkStaticClaims(const ir::Module &module, const ir::Function &fn,
       fail("executed block " + block->name() + " claimed unreachable");
       return out;
     }
-    const analysis::ValueState &entry = eIt->second;
-    for (std::size_t i = 0; i < entry.regs.size() && i < regs.size(); ++i) {
-      const analysis::Interval &iv = entry.regs[i];
-      if (!iv.known())
+    for (const auto &[id, iv] : eIt->second.regs) {
+      if (!iv.known() || id >= regs.size())
         continue;
-      std::int64_t sv = regs[i].toInt64();
+      std::int64_t sv = regs[id].toInt64();
       if (sv < iv.lo || sv > iv.hi)
-        fail("at entry of " + block->name() + ": %r" + std::to_string(i) +
+        fail("at entry of " + block->name() + ": %r" + std::to_string(id) +
              " = " + std::to_string(sv) + " outside claimed " + iv.str());
     }
 
