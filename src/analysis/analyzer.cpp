@@ -10,6 +10,11 @@ namespace c2h::analysis {
 
 Report analyzeProgram(const ast::Program &program, const ir::Module *module,
                       const AnalyzeOptions &options) {
+  return analyzeProgram(program, module, options, nullptr);
+}
+
+Report analyzeProgram(const ast::Program &program, const ir::Module *module,
+                      const AnalyzeOptions &options, Report *ranges) {
   Report report;
   if (options.parRaces) {
     EffectAnalysis effects(program);
@@ -26,8 +31,12 @@ Report analyzeProgram(const ast::Program &program, const ir::Module *module,
     report.append(lintWidthTruncation(program));
   if (options.uninitReads && module)
     report.append(lintUninitReads(*module));
-  if (options.valueRanges && module)
-    report.append(checkRanges(*module));
+  if (options.valueRanges && module) {
+    Report found = checkRanges(*module);
+    report.append(found);
+    if (ranges)
+      *ranges = std::move(found);
+  }
   report.sort();
   return report;
 }
@@ -40,10 +49,15 @@ Report preflightFlow(const ast::Program &program, const std::string &top,
   options.loopSeverity = Severity::Error;
   options.widthTruncation = false;
   options.uninitReads = false;
-  Report all = analyzeProgram(program, nullptr, options);
+  return preflightErrors(analyzeProgram(program, nullptr, options));
+}
+
+Report preflightErrors(const Report &report) {
   Report errors;
-  for (const Diagnostic &d : all.diagnostics())
-    if (d.severity == Severity::Error)
+  for (const Diagnostic &d : report.diagnostics())
+    if (d.severity == Severity::Error &&
+        (d.code.starts_with("C2H-RACE-") || d.code.starts_with("C2H-CHAN-") ||
+         d.code.starts_with("C2H-LOOP-")))
       errors.add(d);
   errors.sort();
   return errors;

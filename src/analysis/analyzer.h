@@ -44,13 +44,25 @@ struct AnalyzeOptions {
 Report analyzeProgram(const ast::Program &program,
                       const ir::Module *module = nullptr,
                       const AnalyzeOptions &options = {});
+// The same, also storing in `*ranges` the checkRanges report of `module`
+// (empty when there is no module or value ranges are off), so a caller can
+// hand it to a flow that gates an identical module.
+Report analyzeProgram(const ast::Program &program, const ir::Module *module,
+                      const AnalyzeOptions &options, Report *ranges);
 
 // The subset of analyses whose error findings make a program unsynthesizable
 // regardless of backend quality: par races and provable channel deadlocks,
 // plus unbounded loops when the flow must fully unroll
-// (`requireBoundedLoops`).  Returns error-severity findings only, sorted.
+// (`requireBoundedLoops`).  Returns error-severity findings only, sorted:
+// preflightErrors of an analyzeProgram report restricted to those analyses.
 Report preflightFlow(const ast::Program &program, const std::string &top,
                      bool requireBoundedLoops);
+
+// The pre-flight findings of an analyzeProgram report: its error-severity
+// par-race (C2H-RACE-*), channel (C2H-CHAN-*) and loop-bound (C2H-LOOP-*)
+// findings, sorted.  The general analyzer reports loop bounds as notes, so
+// on its report this is exactly preflightFlow(program, top, false).
+Report preflightErrors(const Report &report);
 
 } // namespace c2h::analysis
 

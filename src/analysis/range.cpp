@@ -4,7 +4,7 @@
 //  * Interval lattice operations (join/meet/normalize + transfer helpers).
 //  * A per-instruction transfer function (execInstr) shared verbatim by the
 //    dataflow solver, the narrowing sweeps, the fact-collection sweep, and
-//    the public replayBlock — whatever a diagnostic sees is exactly what
+//    the diagnostics' replay — whatever a diagnostic sees is exactly what
 //    the solver proved.
 //  * Per-function solving via ir::solveForwardDataflow, which iterates the
 //    CFG in weak topological order (each loop stabilized before the code
@@ -14,10 +14,15 @@
 //    (range.h): a transfer loads its block's live-in intervals into a
 //    per-solve scratch array indexed by vreg, executes the block there
 //    without allocating, and packs each feasible successor's live-in set
-//    into that successor's state.  Liveness and the per-block branch
-//    refinement plans are computed once per function per analyzeRanges.
+//    into that successor's state, reusing the solver's out-buffer.
+//    Liveness, the per-block branch refinement plans, the iteration order
+//    and the loop headers are computed once per function per analyzeRanges.
 //  * A module-level outer fixpoint growing memory/channel/return summaries
-//    until stable (widened to top after a few rounds so it terminates).
+//    until stable (widened to top after a few rounds, and all of them set
+//    to top at a round cap, so it terminates soundly).  Each function's
+//    collection sweep logs what it adds to the summaries; a round re-solves
+//    only the functions that read (load, receive or call) a summary the
+//    round before grew, and the others keep their states and their log.
 #include "analysis/range.h"
 
 #include "ir/dataflow.h"
@@ -602,6 +607,11 @@ struct FnPlan {
   std::vector<std::vector<unsigned>> liveIn; // per block id: ascending vregs
   std::vector<BranchPlan> branches;          // per block id
   std::vector<ir::BasicBlock *> rpo;
+  ir::DataflowOrder order;
+  // The module summaries a solve reads: the memories the function loads,
+  // the channels it receives on and the functions (by module index) whose
+  // returns it uses.  Ascending.
+  std::vector<unsigned> loads, recvs, callees;
 };
 
 bool isSumOfRegs(const ir::Instr &instr) {
@@ -651,29 +661,50 @@ BranchPlan planBranch(const ir::BasicBlock &block) {
   return plan;
 }
 
-FnPlan planFunction(const ir::Function &fn) {
+FnPlan planFunction(const ir::Module &module, const ir::Function &fn) {
   FnPlan plan;
   plan.liveIn.resize(fn.blockIdCount());
   plan.branches.resize(fn.blockIdCount());
   ir::Liveness live(fn);
+  std::set<unsigned> loads, recvs, callees;
   for (const auto &block : fn.blocks()) {
     const std::set<unsigned> &in = live.liveIn(block.get());
     plan.liveIn[block->id()].assign(in.begin(), in.end());
     plan.branches[block->id()] = planBranch(*block);
+    for (const auto &instr : block->instrs()) {
+      if (instr->op == Opcode::Load)
+        loads.insert(instr->memId);
+      else if (instr->op == Opcode::ChanRecv)
+        recvs.insert(instr->chanId);
+      else if (instr->op == Opcode::Call)
+        if (const ir::Function *callee = module.findFunction(instr->callee))
+          callees.insert(module.indexOf(callee));
+    }
   }
   plan.rpo = fn.reversePostOrder();
+  plan.order = ir::dataflowOrder(fn);
+  plan.loads.assign(loads.begin(), loads.end());
+  plan.recvs.assign(recvs.begin(), recvs.end());
+  plan.callees.assign(callees.begin(), callees.end());
   return plan;
 }
 
+// One value the collection sweep of a function adds to a module summary:
+// a stored value to a memory's, a sent value to a channel's, a returned
+// value to the function's.
+struct SummaryWrite {
+  enum Kind : unsigned char { Mem, Chan, Ret } kind;
+  unsigned id; // mem id, chan id or function index
+  Interval value;
+};
+
 // Module-level summaries: what every load/receive/call may observe.  The
-// `next` sinks are only attached during the final collection sweep so the
+// `writes` log is only attached during the final collection sweep so the
 // summaries reflect converged states, not solver intermediates.
 struct Ctx {
   const ir::Module &module;
   std::vector<Interval> memCur, chanCur, retCur;
-  std::vector<Interval> *memNext = nullptr;
-  std::vector<Interval> *chanNext = nullptr;
-  std::vector<Interval> *retNext = nullptr;
+  std::vector<SummaryWrite> *writes = nullptr;
 };
 
 std::vector<Interval> seedMemSummaries(const ir::Module &module) {
@@ -714,16 +745,17 @@ void loadState(Scratch &s, const ValueState &in, std::size_t vregs) {
   s.copies += in.regs.size();
 }
 
-// The state `s` hands to a block whose live-in vregs are `live`.
-ValueState packState(Scratch &s, const std::vector<unsigned> &live,
-                     const std::vector<ValueState::ExprFact> &exprs) {
-  ValueState out;
+// Overwrite `out` with the state `s` hands to a block whose live-in vregs
+// are `live`, reusing `out`'s storage.
+void packState(Scratch &s, const std::vector<unsigned> &live,
+               const std::vector<ValueState::ExprFact> &exprs,
+               ValueState &out) {
+  out.regs.clear();
   out.regs.reserve(live.size());
   for (unsigned v : live)
     out.regs.push_back({v, s.regs[v]});
   out.exprs = exprs;
   s.copies += live.size();
-  return out;
 }
 
 Interval operandInterval(const std::vector<Interval> &regs,
@@ -759,25 +791,29 @@ void execInstr(const FnCtx &fc, Ctx &ctx, const ir::Instr &instr,
   // actually flow — a bottom operand means the instruction never executes).
   switch (instr.op) {
   case Opcode::Store:
-    if (ctx.memNext && !anyBot && instr.memId < ctx.memNext->size()) {
+    if (ctx.writes && !anyBot && instr.memId < ctx.module.mems().size()) {
       unsigned mw = ctx.module.mems()[instr.memId].width;
-      (*ctx.memNext)[instr.memId].join(
-          resizeInterval(ops[1], instr.operands[1].width(), mw), mw);
+      ctx.writes->push_back(
+          {SummaryWrite::Mem, instr.memId,
+           resizeInterval(ops[1], instr.operands[1].width(), mw)});
     }
     break;
   case Opcode::ChanSend:
-    if (ctx.chanNext && !anyBot && instr.chanId < ctx.chanNext->size()) {
+    if (ctx.writes && !anyBot && instr.chanId < ctx.module.chans().size()) {
       unsigned cw = ctx.module.chans()[instr.chanId].width;
-      (*ctx.chanNext)[instr.chanId].join(
-          resizeInterval(ops[0], instr.operands[0].width(), cw), cw);
+      ctx.writes->push_back(
+          {SummaryWrite::Chan, instr.chanId,
+           resizeInterval(ops[0], instr.operands[0].width(), cw)});
     }
     break;
   case Opcode::Ret:
-    if (ctx.retNext && !anyBot && !instr.operands.empty() &&
-        fc.fn.returnWidth() != 0 && fc.fnIndex < ctx.retNext->size()) {
+    if (ctx.writes && !anyBot && !instr.operands.empty() &&
+        fc.fn.returnWidth() != 0 &&
+        fc.fnIndex < ctx.module.functions().size()) {
       unsigned rw = fc.fn.returnWidth();
-      (*ctx.retNext)[fc.fnIndex].join(
-          resizeInterval(ops[0], instr.operands[0].width(), rw), rw);
+      ctx.writes->push_back(
+          {SummaryWrite::Ret, fc.fnIndex,
+           resizeInterval(ops[0], instr.operands[0].width(), rw)});
     }
     break;
   default:
@@ -1140,25 +1176,27 @@ bool refineEdge(const FnCtx &fc, const BranchPlan &plan,
 // ---------------------------------------------------------------------------
 // Block transfer and state join.
 
-std::vector<std::optional<ValueState>>
-transferBlock(const FnCtx &fc, const FnPlan &plan, Ctx &ctx, Scratch &s,
-              const ir::BasicBlock &block, const ValueState &in) {
+using EdgeStates = ir::EdgeStates<ValueState>;
+
+void transferBlock(const FnCtx &fc, const FnPlan &plan, Ctx &ctx, Scratch &s,
+                   const ir::BasicBlock &block, const ValueState &in,
+                   EdgeStates &out) {
   ++s.transfers;
   loadState(s, in, fc.widths.size());
   for (const auto &instr : block.instrs())
     execInstr(fc, ctx, *instr, s);
-  std::vector<std::optional<ValueState>> outs;
   const ir::Instr *term = block.terminator();
   if (!term)
-    return outs;
+    return;
   if (term->op == Opcode::Br) {
-    if (term->target0)
-      outs.push_back(
-          packState(s, plan.liveIn[term->target0->id()], s.exprs));
-    return outs;
+    if (term->target0) {
+      packState(s, plan.liveIn[term->target0->id()], s.exprs, out.state[0]);
+      out.feasible[0] = true;
+    }
+    return;
   }
   if (term->op != Opcode::CondBr)
-    return outs; // Ret: no successors
+    return; // Ret: no successors
   Interval cv = operandInterval(s.regs, term->operands[0]);
   bool canTrue = !cv.bot && cv.mayBeNonZero();
   bool canFalse = !cv.bot && cv.mayBeZero();
@@ -1176,19 +1214,19 @@ transferBlock(const FnCtx &fc, const FnPlan &plan, Ctx &ctx, Scratch &s,
     save(bp.cmp->operands[0]);
     save(bp.cmp->operands[1]);
   }
-  outs.resize(2);
   for (int e = 0; e < 2; ++e) {
     bool take = e == 0;
     const ir::BasicBlock *target = take ? term->target0 : term->target1;
     if (!target || !(take ? canTrue : canFalse))
       continue;
     s.edgeExprs = s.exprs;
-    if (refineEdge(fc, bp, s.regs, s.edgeExprs, *term, take))
-      outs[e] = packState(s, plan.liveIn[target->id()], s.edgeExprs);
+    if (refineEdge(fc, bp, s.regs, s.edgeExprs, *term, take)) {
+      packState(s, plan.liveIn[target->id()], s.edgeExprs, out.state[e]);
+      out.feasible[e] = true;
+    }
     for (std::size_t k = 0; k < nSaved; ++k)
       s.regs[saved[k].first] = saved[k].second;
   }
-  return outs;
 }
 
 // How many times one register's interval may change at a loop header
@@ -1295,72 +1333,89 @@ bool sameRegs(const ValueState &a, const ValueState &b) {
 // ---------------------------------------------------------------------------
 // Per-function analysis.
 
+// A function's block-entry states by block id; a block without one is
+// range-unreachable.
+using BlockStates = std::vector<std::optional<ValueState>>;
+
+bool sameStates(const BlockStates &a, const BlockStates &b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].has_value() != b[i].has_value())
+      return false;
+    if (a[i] && !sameRegs(*a[i], *b[i]))
+      return false;
+  }
+  return true;
+}
+
+// Solve one function against the summaries in `ctx`: store its
+// FunctionRanges in `out`, and replace `writes` with what its converged
+// states add to the module summaries.
 void analyzeFunction(const FnCtx &fc, const FnPlan &plan, Ctx &ctx,
                      Scratch &s, RangeAnalysis &out,
-                     std::vector<Interval> &memNext,
-                     std::vector<Interval> &chanNext,
-                     std::vector<Interval> &retNext) {
+                     std::vector<SummaryWrite> &writes) {
+  writes.clear();
   const ir::Function &fn = fc.fn;
   if (!fn.entry())
     return;
   const std::vector<unsigned> &entryLive = plan.liveIn[fn.entry()->id()];
 
-  auto transfer = [&](const ir::BasicBlock &b, const ValueState &in) {
-    return transferBlock(fc, plan, ctx, s, b, in);
+  auto transfer = [&](const ir::BasicBlock &b, const ValueState &in,
+                      EdgeStates &edges) {
+    transferBlock(fc, plan, ctx, s, b, in, edges);
   };
-  // Per-register widening budgets, keyed by the address of the solver's
-  // per-block in-state (map nodes are address-stable).  The solver's own
-  // `widenAfter` only arms the header widen flag; the per-register
-  // counters decide which registers actually widen once it is armed.
-  std::map<const ValueState *, std::vector<unsigned>> growth;
-  auto join = [&](ValueState &into, const ValueState &from, bool widen) {
+  // Per-register widening budgets of each block's in-state, by block id.
+  // The solver's own `widenAfter` only arms the header widen flag; the
+  // per-register counters decide which registers actually widen once it
+  // is armed.
+  std::vector<std::vector<unsigned>> growth(fn.blockIdCount());
+  auto join = [&](const ir::BasicBlock &b, ValueState &into,
+                  const ValueState &from, bool widen) {
     return joinState(fc, s, into, from, widen,
-                     widen ? &growth[&into] : nullptr);
+                     widen ? &growth[b.id()] : nullptr);
   };
   unsigned maxRounds = kWidenPerReg +
                        2 * static_cast<unsigned>(fn.blocks().size()) + 96;
-  auto res = ir::solveForwardDataflow(fn, entryState(fc, entryLive), transfer,
-                                      join, /*widenAfter=*/1, maxRounds);
+  auto res =
+      ir::solveForwardDataflow(fn, plan.order, entryState(fc, entryLive),
+                               transfer, join, /*widenAfter=*/1, maxRounds);
+  BlockStates &in = res.in;
   if (!res.converged) {
     // Should not happen with widening; saturate every block for soundness.
-    res.in.clear();
+    for (auto &st : in)
+      st.reset();
     for (ir::BasicBlock *b : plan.rpo)
-      res.in.emplace(b, topState(fc, plan.liveIn[b->id()]));
+      in[b->id()].emplace(topState(fc, plan.liveIn[b->id()]));
   } else {
     // Narrowing sweeps: recompute each in-state as the join of its feasible
     // predecessor edges (Jacobi style).  Starting from the solver's
     // post-fixpoint, each application of the monotone transfer descends
     // toward (never below) the least fixpoint, so any number of passes is
     // sound; iterate until stable or a small cap.
+    BlockStates next(in.size());
+    EdgeStates edges;
     for (int pass = 0; pass < 8; ++pass) {
-      std::map<const ir::BasicBlock *, ValueState> next;
-      next.emplace(fn.entry(), entryState(fc, entryLive));
+      for (auto &st : next)
+        st.reset();
+      next[fn.entry()->id()].emplace(entryState(fc, entryLive));
       for (ir::BasicBlock *b : plan.rpo) {
-        auto it = res.in.find(b);
-        if (it == res.in.end())
+        const std::optional<ValueState> &st = in[b->id()];
+        if (!st)
           continue;
-        auto outs = transfer(*b, it->second);
-        std::vector<ir::BasicBlock *> succs = b->successors();
-        for (std::size_t i = 0; i < succs.size() && i < outs.size(); ++i) {
-          if (!outs[i])
+        edges.feasible[0] = edges.feasible[1] = false;
+        transfer(*b, *st, edges);
+        ir::Successors succs = b->successors();
+        for (std::size_t i = 0; i < succs.size(); ++i) {
+          if (!edges.feasible[i])
             continue;
-          auto nIt = next.find(succs[i]);
-          if (nIt == next.end())
-            next.emplace(succs[i], std::move(*outs[i]));
+          std::optional<ValueState> &slot = next[succs[i]->id()];
+          if (!slot)
+            slot.emplace(std::move(edges.state[i]));
           else
-            joinState(fc, s, nIt->second, *outs[i], false, nullptr);
+            joinState(fc, s, *slot, edges.state[i], false, nullptr);
         }
       }
-      bool same = next.size() == res.in.size();
-      if (same)
-        for (const auto &[b, st] : next) {
-          auto oIt = res.in.find(b);
-          if (oIt == res.in.end() || !sameRegs(st, oIt->second)) {
-            same = false;
-            break;
-          }
-        }
-      res.in = std::move(next);
+      bool same = sameStates(next, in);
+      std::swap(in, next);
       if (same)
         break;
     }
@@ -1368,11 +1423,8 @@ void analyzeFunction(const FnCtx &fc, const FnPlan &plan, Ctx &ctx,
 
   // Final collection sweep: record side-effect summaries from converged
   // states, accumulate per-vreg facts, and decide branches.
-  ctx.memNext = &memNext;
-  ctx.chanNext = &chanNext;
-  ctx.retNext = &retNext;
+  ctx.writes = &writes;
   FunctionRanges fr;
-  fr.entry = std::move(res.in);
 
   // Per vreg: the union of every write, from the zero reset value for
   // non-parameters.
@@ -1383,10 +1435,10 @@ void analyzeFunction(const FnCtx &fc, const FnPlan &plan, Ctx &ctx,
       acc[i] = Interval::constant(BitVector(std::max(1u, fc.widths[i])));
 
   for (ir::BasicBlock *b : plan.rpo) {
-    auto it = fr.entry.find(b);
-    if (it == fr.entry.end())
+    const std::optional<ValueState> &st = in[b->id()];
+    if (!st)
       continue;
-    loadState(s, it->second, vregs);
+    loadState(s, *st, vregs);
     for (const auto &instr : b->instrs()) {
       execInstr(fc, ctx, *instr, s);
       if (instr->dst) {
@@ -1404,9 +1456,10 @@ void analyzeFunction(const FnCtx &fc, const FnPlan &plan, Ctx &ctx,
       }
     }
   }
-  ctx.memNext = nullptr;
-  ctx.chanNext = nullptr;
-  ctx.retNext = nullptr;
+  ctx.writes = nullptr;
+  for (ir::BasicBlock *b : plan.rpo)
+    if (in[b->id()])
+      fr.entry.emplace(b, std::move(*in[b->id()]));
 
   // Only claim facts for vregs written exclusively by reachable code with
   // representable intervals: parameters and wide values get no claim.
@@ -1416,21 +1469,47 @@ void analyzeFunction(const FnCtx &fc, const FnPlan &plan, Ctx &ctx,
                                   static_cast<unsigned>(i),
                                   opt::IntervalFact{acc[i].lo, acc[i].hi});
 
-  out.functions.emplace(&fn, std::move(fr));
+  out.functions.insert_or_assign(&fn, std::move(fr));
 }
 
+// Join `next` into `cur`, setting `grew[i]` for each summary that changed;
+// returns whether any did.
 bool growSummaries(std::vector<Interval> &cur, const std::vector<Interval> &next,
-                   const std::vector<unsigned> &widths, bool widenToTop) {
+                   const std::vector<unsigned> &widths, bool widenToTop,
+                   std::vector<char> &grew) {
+  grew.assign(cur.size(), 0);
   bool changed = false;
   for (std::size_t i = 0; i < cur.size() && i < next.size(); ++i) {
     Interval j = cur[i];
     j.join(next[i], widths[i]);
     if (!sameInterval(j, cur[i])) {
       cur[i] = widenToTop ? Interval::topFor(widths[i]) : j;
+      grew[i] = 1;
       changed = true;
     }
   }
   return changed;
+}
+
+// Raise every summary to top, marking in `grew` the ones that changed.
+void saturateSummaries(std::vector<Interval> &cur,
+                       const std::vector<unsigned> &widths,
+                       std::vector<char> &grew) {
+  for (std::size_t i = 0; i < cur.size(); ++i) {
+    Interval top = Interval::topFor(widths[i]);
+    if (!sameInterval(cur[i], top)) {
+      cur[i] = top;
+      grew[i] = 1;
+    }
+  }
+}
+
+bool readsGrown(const std::vector<unsigned> &reads,
+                const std::vector<char> &grew) {
+  for (unsigned id : reads)
+    if (id < grew.size() && grew[id])
+      return true;
+  return false;
 }
 
 // Replay `block` from its entry state `in`, handing each instruction to
@@ -1446,11 +1525,12 @@ void replay(const FnCtx &fc, Ctx &ctx, Scratch &s, const ValueState &in,
 }
 
 Ctx replayCtx(const ir::Module &module, const RangeAnalysis &ranges) {
-  return Ctx{module,  ranges.memValues, ranges.chanValues,
-             ranges.returnValues, nullptr, nullptr, nullptr};
+  return Ctx{module, ranges.memValues, ranges.chanValues,
+             ranges.returnValues, nullptr};
 }
 
 std::atomic<std::uint64_t> rangeSolves{0};
+std::atomic<std::uint64_t> functionSolves{0};
 std::atomic<std::uint64_t> blockTransfers{0};
 std::atomic<std::uint64_t> intervalCopies{0};
 
@@ -1463,6 +1543,10 @@ std::uint64_t analyzeRangesCalls() {
   return rangeSolves.load(std::memory_order_relaxed);
 }
 
+std::uint64_t rangeFunctionSolves() {
+  return functionSolves.load(std::memory_order_relaxed);
+}
+
 std::uint64_t rangeBlockTransfers() {
   return blockTransfers.load(std::memory_order_relaxed);
 }
@@ -1473,10 +1557,11 @@ std::uint64_t rangeIntervalCopies() {
 
 RangeAnalysis analyzeRanges(const ir::Module &module) {
   rangeSolves.fetch_add(1, std::memory_order_relaxed);
-  Ctx ctx{module, seedMemSummaries(module),
+  const std::size_t fns = module.functions().size();
+  const std::vector<Interval> memSeed = seedMemSummaries(module);
+  Ctx ctx{module, memSeed,
           std::vector<Interval>(module.chans().size(), Interval::bottom()),
-          std::vector<Interval>(module.functions().size(), Interval::bottom()),
-          nullptr, nullptr, nullptr};
+          std::vector<Interval>(fns, Interval::bottom()), nullptr};
 
   std::vector<unsigned> memWidths, chanWidths, retWidths;
   for (const auto &mem : module.mems())
@@ -1486,55 +1571,80 @@ RangeAnalysis analyzeRanges(const ir::Module &module) {
   for (const auto &fn : module.functions())
     retWidths.push_back(std::max(1u, fn->returnWidth()));
 
-  // What the instructions fix (widths, liveness, branch plans) is computed
-  // once here; only the summaries change between rounds.
+  // What the instructions fix (widths, liveness, branch plans, iteration
+  // order, read sets) is computed once here; only the summaries change
+  // between rounds.
   std::vector<FnCtx> fcs;
   std::vector<FnPlan> plans;
   for (const auto &fn : module.functions()) {
     fcs.push_back(makeFnCtx(module, *fn));
-    plans.push_back(planFunction(*fn));
+    plans.push_back(planFunction(module, *fn));
   }
   Scratch s;
   RangeAnalysis out;
-  for (unsigned round = 0; round < 8; ++round) {
-    std::vector<Interval> memNext = seedMemSummaries(module);
+  // Per function: what its last solve added to the summaries, and whether
+  // a summary it reads changed since.  A function whose reads held still
+  // would solve to the same states, so it keeps its last solve.
+  std::vector<std::vector<SummaryWrite>> writes(fns);
+  std::vector<char> stale(fns, 1);
+  std::vector<char> memGrew, chanGrew, retGrew;
+  std::uint64_t solved = 0;
+  // Rounds whose summaries may still grow.  Past round 3 a summary that
+  // grows jumps to top, but a chain of summaries each enabling the next
+  // can outlast any fixed count; at the cap every summary goes to top and
+  // one more round solves against that.
+  constexpr unsigned kMaxRounds = 8;
+  for (unsigned round = 0;; ++round) {
+    for (std::size_t i = 0; i < fns; ++i)
+      if (stale[i]) {
+        analyzeFunction(fcs[i], plans[i], ctx, s, out, writes[i]);
+        ++solved;
+      }
+    if (round == kMaxRounds)
+      break; // solved against top summaries, which nothing can grow
+    // This round's summaries: the memories' initial contents, then every
+    // function's writes in module order.
+    std::vector<Interval> memNext = memSeed;
     std::vector<Interval> chanNext(module.chans().size(), Interval::bottom());
-    std::vector<Interval> retNext(module.functions().size(),
-                                  Interval::bottom());
-    out = RangeAnalysis{};
-    for (std::size_t i = 0; i < fcs.size(); ++i)
-      analyzeFunction(fcs[i], plans[i], ctx, s, out, memNext, chanNext,
-                      retNext);
+    std::vector<Interval> retNext(fns, Interval::bottom());
+    for (const auto &fnWrites : writes)
+      for (const SummaryWrite &w : fnWrites)
+        switch (w.kind) {
+        case SummaryWrite::Mem:
+          memNext[w.id].join(w.value, memWidths[w.id]);
+          break;
+        case SummaryWrite::Chan:
+          chanNext[w.id].join(w.value, chanWidths[w.id]);
+          break;
+        case SummaryWrite::Ret:
+          retNext[w.id].join(w.value, retWidths[w.id]);
+          break;
+        }
     bool widen = round >= 3;
-    bool changed = growSummaries(ctx.memCur, memNext, memWidths, widen);
-    changed |= growSummaries(ctx.chanCur, chanNext, chanWidths, widen);
-    changed |= growSummaries(ctx.retCur, retNext, retWidths, widen);
+    bool changed = growSummaries(ctx.memCur, memNext, memWidths, widen,
+                                 memGrew);
+    changed |= growSummaries(ctx.chanCur, chanNext, chanWidths, widen,
+                             chanGrew);
+    changed |= growSummaries(ctx.retCur, retNext, retWidths, widen, retGrew);
     if (!changed)
       break;
+    if (round + 1 == kMaxRounds) {
+      saturateSummaries(ctx.memCur, memWidths, memGrew);
+      saturateSummaries(ctx.chanCur, chanWidths, chanGrew);
+      saturateSummaries(ctx.retCur, retWidths, retGrew);
+    }
+    for (std::size_t i = 0; i < fns; ++i)
+      stale[i] = readsGrown(plans[i].loads, memGrew) ||
+                 readsGrown(plans[i].recvs, chanGrew) ||
+                 readsGrown(plans[i].callees, retGrew);
   }
   out.memValues = ctx.memCur;
   out.chanValues = ctx.chanCur;
   out.returnValues = ctx.retCur;
+  functionSolves.fetch_add(solved, std::memory_order_relaxed);
   blockTransfers.fetch_add(s.transfers, std::memory_order_relaxed);
   intervalCopies.fetch_add(s.copies, std::memory_order_relaxed);
   return out;
-}
-
-void replayBlock(
-    const ir::Module &module, const RangeAnalysis &ranges,
-    const ir::Function &fn, const ir::BasicBlock &block,
-    const std::function<void(const ir::Instr &,
-                             const std::vector<Interval> &)> &hook) {
-  const FunctionRanges *fr = ranges.of(fn);
-  if (!fr)
-    return;
-  auto it = fr->entry.find(&block);
-  if (it == fr->entry.end())
-    return;
-  FnCtx fc = makeFnCtx(module, fn);
-  Ctx ctx = replayCtx(module, ranges);
-  Scratch s;
-  replay(fc, ctx, s, it->second, block, hook);
 }
 
 opt::WidthInference inferWidthsWithRanges(const ir::Module &module,

@@ -33,7 +33,6 @@
 #include "opt/widthinfer.h"
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -130,12 +129,18 @@ struct RangeAnalysis {
 };
 
 // Run the abstract interpreter over every function, iterating the module-
-// level memory/channel/return summaries to their own fixpoint.
+// level memory/channel/return summaries to their own fixpoint.  A round
+// re-solves only the functions that read a summary the round before grew;
+// summaries still growing after a fixed number of rounds go to top.
 RangeAnalysis analyzeRanges(const ir::Module &module);
 
 // How many times analyzeRanges has run in this process (relaxed atomic).
 // A deterministic work count: tests bound it where wall time would flake.
 std::uint64_t analyzeRangesCalls();
+
+// How many single-function solves analyzeRanges has made in this process,
+// over every round of its module fixpoint (relaxed atomic).
+std::uint64_t rangeFunctionSolves();
 
 // How many block transfers the range solver has made in this process, in
 // the fixpoint and the narrowing sweeps (relaxed atomic).  Bounded per
@@ -146,16 +151,6 @@ std::uint64_t rangeBlockTransfers();
 // states or walked in joins, in this process (relaxed atomic).  With sparse
 // states it grows with the live-in sets, not with the vreg count.
 std::uint64_t rangeIntervalCopies();
-
-// Replay one reachable block from its converged entry state, handing each
-// instruction to `hook` with the operand intervals in force just before it
-// executes.  Diagnostics and the dynamic soundness checker share this so
-// their view is exactly the solver's.
-void replayBlock(
-    const ir::Module &module, const RangeAnalysis &ranges,
-    const ir::Function &fn, const ir::BasicBlock &block,
-    const std::function<void(const ir::Instr &,
-                             const std::vector<Interval> &)> &hook);
 
 // The C2H-BOUND/DIV/SHIFT/DEAD/OVFL diagnostic family over `module`.
 Report checkRanges(const ir::Module &module);

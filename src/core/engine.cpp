@@ -181,7 +181,8 @@ std::unique_ptr<ast::Program> FrontendCache::Entry::cloneAst() const {
 }
 
 std::shared_ptr<FrontendCache::Entry>
-FrontendCache::get(const std::string &source, const std::string &top) {
+FrontendCache::get(const std::string &source, const std::string &top,
+                   std::optional<flows::RangeGate> *ranges) {
   support::LruKey key = cacheKey(source, top);
   std::lock_guard<std::mutex> lock(mutex_);
   if (std::shared_ptr<Entry> *hit = lru_.find(key))
@@ -222,8 +223,13 @@ FrontendCache::get(const std::string &source, const std::string &top) {
         if (lowerDiags.hasErrors())
           module.reset();
       }
+      analysis::Report gate;
       entry->analysis = std::make_shared<const analysis::Report>(
-          analysis::analyzeProgram(*entry->program, module.get(), opts));
+          analysis::analyzeProgram(*entry->program, module.get(), opts,
+                                   &gate));
+      if (ranges && module)
+        ranges->emplace(
+            flows::RangeGate{ir::fingerprint(*module), std::move(gate)});
     } catch (const std::exception &e) {
       entry->program.reset();
       entry->error = std::string("internal error: analysis: ") + e.what();
@@ -403,9 +409,14 @@ void CompareEngine::checkCell(Cell &cell, const Workload &workload,
 Cell CompareEngine::synthesize(const flows::FlowSpec &spec,
                                const Workload &workload,
                                const flows::FlowTuning &tuning) {
+  std::optional<flows::RangeGate> ranges;
   std::shared_ptr<FrontendCache::Entry> entry =
-      cache_.get(workload.source, workload.top);
-  return runCell(spec, workload, *entry, tuning, options_, nullptr);
+      cache_.get(workload.source, workload.top, &ranges);
+  flows::FlowTuning cellTuning = tuning;
+  std::unique_ptr<flows::PrefixMemo> memo;
+  if (!tuning.prefix)
+    memo = requestMemo(*entry, workload.top, cellTuning, std::move(ranges));
+  return runCell(spec, workload, *entry, cellTuning, options_, nullptr);
 }
 
 std::vector<FlowComparison>
@@ -451,10 +462,12 @@ CompareEngine::compareRows(std::span<const Workload> workloads,
 
 std::unique_ptr<flows::PrefixMemo>
 CompareEngine::requestMemo(const FrontendCache::Entry &entry,
-                           const std::string &top, flows::FlowTuning &tuning) {
-  auto memo = entry.ok()
-                  ? std::make_unique<flows::PrefixMemo>(*entry.program, top)
-                  : nullptr;
+                           const std::string &top, flows::FlowTuning &tuning,
+                           std::optional<flows::RangeGate> ranges) {
+  auto memo = entry.ok() ? std::make_unique<flows::PrefixMemo>(
+                               *entry.program, top, entry.analysis,
+                               std::move(ranges))
+                         : nullptr;
   tuning.prefix = memo.get();
   return memo;
 }
@@ -472,8 +485,11 @@ void CompareEngine::compareCells(std::span<const Workload> workloads,
   std::vector<std::unique_ptr<WitnessMemo>> witnesses;
   std::vector<flows::FlowTuning> tunings(workloads.size(), tuning);
   for (std::size_t w = 0; w < workloads.size(); ++w) {
-    entries.push_back(cache_.get(workloads[w].source, workloads[w].top));
-    memos.push_back(requestMemo(*entries[w], workloads[w].top, tunings[w]));
+    std::optional<flows::RangeGate> ranges;
+    entries.push_back(
+        cache_.get(workloads[w].source, workloads[w].top, &ranges));
+    memos.push_back(requestMemo(*entries[w], workloads[w].top, tunings[w],
+                                std::move(ranges)));
     witnesses.push_back(std::make_unique<WitnessMemo>(
         workloads[w], entries[w]->program.get(), emitter_));
   }

@@ -15,10 +15,14 @@
 //     opt::cloneProgram) before its flow-specific mutations.  Past the front
 //     end most flows lower identical IR, so each workload of a call gets a
 //     request-scoped flows::PrefixMemo (FlowTuning::prefix): the pre-flight
-//     analysis runs once per workload, and the range gate and the
-//     optimize/prune step once per distinct lowered module, whose optimized
-//     form the flows share read-only.  Callers outside the engine (runFlow
-//     and other direct runFlowChecked callers) pass none, and each call
+//     findings are filtered once per workload from the cache's analyzer
+//     report, and the range gate and the optimize/prune step run once per
+//     distinct lowered module, whose optimized form the flows share
+//     read-only.  A compile hands the range gate its analyzer ran on its
+//     own lowered module to the memo of the request that compiled it, so a
+//     flow lowering an identical module finds that gate done; the hand-off
+//     never stays in the cache.  Callers outside the engine (runFlow and
+//     other direct runFlowChecked callers) pass no memo, and each call
 //     makes its own.
 //     Verification shares work the same way, through a per-workload
 //     witness memo: the golden model runs once per workload of a call, the
@@ -46,6 +50,7 @@
 #define C2H_CORE_ENGINE_H
 
 #include "core/c2h.h"
+#include "flows/prefix.h"
 #include "support/lru.h"
 #include "support/threadpool.h"
 
@@ -97,8 +102,12 @@ public:
   };
 
   // Lex/parse/sema `source` once; subsequent calls with the same
-  // (source, top) return the cached entry.  Thread-safe.
-  std::shared_ptr<Entry> get(const std::string &source, const std::string &top);
+  // (source, top) return the cached entry.  Thread-safe.  A call that
+  // compiles and whose analyzer lowered a module stores the range gate it
+  // ran on that module in `*ranges`, when given, for the caller's
+  // request memo; the entry does not keep it.
+  std::shared_ptr<Entry> get(const std::string &source, const std::string &top,
+                             std::optional<flows::RangeGate> *ranges = nullptr);
 
   // Non-compiling probe: is (source, top) resident right now?  Thread-safe;
   // does not touch LRU order or the hit/miss counters.
@@ -236,10 +245,12 @@ private:
               std::span<const flows::FlowSpec> specs,
               const flows::FlowTuning &tuning, const EngineOptions &options);
   // A fresh prefix memo for one workload of a request, installed in
-  // `tuning.prefix`; null (and no memo) when the front end failed.
+  // `tuning.prefix` and seeded with the entry's analyzer report and the
+  // compile's range gate; null (and no memo) when the front end failed.
   static std::unique_ptr<flows::PrefixMemo>
   requestMemo(const FrontendCache::Entry &entry, const std::string &top,
-              flows::FlowTuning &tuning);
+              flows::FlowTuning &tuning,
+              std::optional<flows::RangeGate> ranges);
   unsigned resolveJobs(const flows::FlowTuning &tuning) const;
   // The engine's persistent worker pool, created lazily on the first
   // parallel call and reused by every later batch (TaskGroup-scoped), so a

@@ -24,9 +24,23 @@ PrefixMemo::Lowered::optimized(std::unique_ptr<ir::Module> raw) {
   });
 }
 
+PrefixMemo::PrefixMemo(const ast::Program &program, std::string top,
+                       std::shared_ptr<const analysis::Report> analysis,
+                       std::optional<RangeGate> ranges)
+    : program_(program), top_(std::move(top)), analysis_(std::move(analysis)) {
+  if (!ranges)
+    return;
+  auto entry = std::make_unique<Lowered>();
+  entry->key_ = std::move(ranges->key);
+  entry->ranges_.get([&] { return std::move(ranges->report); });
+  lowered_[entry->key_.hash].push_back(std::move(entry));
+}
+
 const analysis::Report &PrefixMemo::preflight() {
-  return preflight_.get(
-      [this] { return analysis::preflightFlow(program_, top_, false); });
+  return preflight_.get([this] {
+    return analysis_ ? analysis::preflightErrors(*analysis_)
+                     : analysis::preflightFlow(program_, top_, false);
+  });
 }
 
 PrefixMemo::Lowered &PrefixMemo::lowered(const ir::Module &raw) {

@@ -9,14 +9,20 @@
 // The CompareEngine makes one PrefixMemo per workload in a request and hands
 // it to runFlowChecked through FlowTuning::prefix; a call without one makes
 // a memo for itself, so every flow computes these stages one way.  It holds
-//  * the pre-flight analysis, computed once from the request's pristine AST
-//    (at that step every flow's clone is still identical to it), and
+//  * the pre-flight analysis: the error-severity par-race and channel
+//    findings of the front-end cache's analyzer report, when the engine
+//    hands that report over, and otherwise computed once from the request's
+//    pristine AST (at that step every flow's clone is still identical to
+//    it), and
 //  * per distinct lowered module, keyed by ir::fingerprint and confirmed by a
 //    full compare: the raw-IR checkRanges report and, once an optimizing
 //    flow asks for it, the module after optimizeAndPrune, which every such
 //    flow then shares read-only.
 // Keys are content, never FlowSpec flags, so any flow that lowers identical
-// IR shares the work, whatever its switches.
+// IR shares the work, whatever its switches.  The engine also seeds the memo
+// with the range gate the front-end cache's analyzer ran on its own lowered
+// module (a RangeGate), so a flow that lowers an identical module finds its
+// gate done: one range solve per distinct module per request.
 //
 // Thread-safe: cells asking for a result that another cell is computing wait
 // for it.  A throw leaves the result empty for the next caller to compute, so
@@ -44,6 +50,13 @@ namespace c2h::flows {
 // interval analysis decides fold to unconditional jumps), then the cleanup
 // passes again if pruning changed anything.
 void optimizeAndPrune(ir::Module &module);
+
+// A range gate run outside a memo: the checkRanges report of a module
+// whose fingerprint is `key`.
+struct RangeGate {
+  ir::Fingerprint key;
+  analysis::Report report;
+};
 
 class PrefixMemo {
   // A value computed at most once.  The lock is held while computing, so
@@ -82,11 +95,15 @@ public:
   };
 
   // `program` is the request's cached front-end AST and must outlive the
-  // memo; `top` is the request's top function.
-  PrefixMemo(const ast::Program &program, std::string top)
-      : program_(program), top_(std::move(top)) {}
+  // memo; `top` is the request's top function.  `analysis`, when given, is
+  // analysis::analyzeProgram's report on `program` with that top;
+  // `ranges`, when given, is the result of a range gate already run.
+  PrefixMemo(const ast::Program &program, std::string top,
+             std::shared_ptr<const analysis::Report> analysis = nullptr,
+             std::optional<RangeGate> ranges = std::nullopt);
 
-  // analysis::preflightFlow(program, top, false).
+  // analysis::preflightFlow(program, top, false), read from `analysis`
+  // when the memo has it.
   const analysis::Report &preflight();
   // The entry for `raw`'s content, created on first sight.
   Lowered &lowered(const ir::Module &raw);
@@ -94,6 +111,7 @@ public:
 private:
   const ast::Program &program_;
   std::string top_;
+  std::shared_ptr<const analysis::Report> analysis_;
   Once<analysis::Report> preflight_;
   std::mutex mutex_;
   // Fingerprint hash -> entries; the vector absorbs hash collisions.

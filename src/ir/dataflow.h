@@ -13,6 +13,12 @@
 // lattice: a State, a per-block transfer producing one out-state per
 // successor edge (or "edge infeasible"), and a join.
 //
+// The solver keeps every per-block state in a vector indexed by block id,
+// hands each transfer the same out-buffer, and walks successors without
+// allocating.  The order and the loop headers depend only on the CFG, so
+// the caller computes them once (dataflowOrder) and passes them to every
+// solve over the function.
+//
 // Widening hooks: joins into loop headers (targets of CFG back edges) pass
 // `widen = true` once the header has absorbed more than `widenAfter`
 // updates, letting interval-style domains with infinite ascending chains
@@ -26,7 +32,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 namespace c2h::ir {
@@ -43,30 +48,31 @@ predecessorMap(const Function &fn) {
 
 // Targets of back edges w.r.t. a DFS from the entry — the loop headers,
 // where widening must apply for domains with unbounded ascending chains.
-inline std::set<const BasicBlock *> loopHeaders(const Function &fn) {
-  std::set<const BasicBlock *> headers;
+// By block id: 1 for a header.
+inline std::vector<char> loopHeaders(const Function &fn) {
+  std::vector<char> headers(fn.blockIdCount(), 0);
   if (!fn.entry())
     return headers;
-  std::set<const BasicBlock *> onStack, done;
+  // By block id: 1 while on the DFS stack, 2 once finished.
+  std::vector<char> mark(fn.blockIdCount(), 0);
   // Iterative DFS: (block, next successor index).
   std::vector<std::pair<const BasicBlock *, std::size_t>> stack;
   stack.push_back({fn.entry(), 0});
-  onStack.insert(fn.entry());
+  mark[fn.entry()->id()] = 1;
   while (!stack.empty()) {
     auto &[block, idx] = stack.back();
-    std::vector<BasicBlock *> succs = block->successors();
+    Successors succs = block->successors();
     if (idx >= succs.size()) {
-      onStack.erase(block);
-      done.insert(block);
+      mark[block->id()] = 2;
       stack.pop_back();
       continue;
     }
     const BasicBlock *next = succs[idx++];
-    if (onStack.count(next)) {
-      headers.insert(next); // back edge
-    } else if (!done.count(next)) {
+    if (mark[next->id()] == 1) {
+      headers[next->id()] = 1; // back edge
+    } else if (mark[next->id()] == 0) {
       stack.push_back({next, 0});
-      onStack.insert(next);
+      mark[next->id()] = 1;
     }
   }
   return headers;
@@ -201,21 +207,48 @@ inline std::vector<WtoElement> weakTopologicalOrder(const Function &fn) {
   return order;
 }
 
+// What the solver needs of a function's shape besides its blocks.  It
+// depends only on the CFG, so one serves every solve over the function.
+struct DataflowOrder {
+  std::vector<WtoElement> wto;
+  std::vector<char> headers; // loopHeaders(fn)
+};
+
+inline DataflowOrder dataflowOrder(const Function &fn) {
+  return {weakTopologicalOrder(fn), loopHeaders(fn)};
+}
+
+// The out-states of one transfer, by successor edge in
+// BasicBlock::successors() order.  The solver clears `feasible` before each
+// transfer and keeps the states between transfers, so a transfer that
+// overwrites a state in place reuses its storage.
+template <class State> struct EdgeStates {
+  State state[2];
+  bool feasible[2] = {false, false};
+};
+
 template <class State> struct DataflowResult {
-  // Converged block-entry states.  A block absent from the map was never
-  // reached by any feasible edge — dead under the analysis's lattice.
-  std::map<const BasicBlock *, State> in;
+  // Converged block-entry states by block id.  A block without one was
+  // never reached by any feasible edge — dead under the analysis's lattice.
+  std::vector<std::optional<State>> in;
   bool converged = false;
   std::uint64_t transfers = 0; // calls of `transfer`
+
+  // The entry state of a reached block; throws for any other.
+  const State &at(const BasicBlock *block) const {
+    return in.at(block->id()).value();
+  }
 };
 
 // Forward solver.
-//   transfer(block, in)  -> std::vector<std::optional<State>>, one entry per
-//                           block.successors() element; std::nullopt marks
-//                           the edge infeasible (its target gets nothing).
-//   join(into, from, widen) -> bool: merge `from` into `into`, return
-//                           whether `into` changed; apply widening when
-//                           `widen` is set.
+//   transfer(block, in, out)     fills `out` (EdgeStates<State>): for each
+//                                feasible successor edge, its state, with
+//                                `out.feasible[edge]` set; an edge left
+//                                infeasible hands its target nothing.
+//   join(target, into, from, widen) -> bool: merge `from` into `into`, the
+//                                in-state of block `target`, and return
+//                                whether `into` changed; apply widening
+//                                when `widen` is set.
 // The entry block starts from `entryState`; everything else starts unknown.
 // Blocks are transferred in weak topological order, and a component is
 // iterated again while a transfer inside it changed its head's in-state.
@@ -224,26 +257,26 @@ template <class State> struct DataflowResult {
 // within it.
 template <class State, class TransferFn, class JoinFn>
 DataflowResult<State>
-solveForwardDataflow(const Function &fn, State entryState, TransferFn transfer,
-                     JoinFn join, unsigned widenAfter = 0,
-                     unsigned maxRounds = 0) {
+solveForwardDataflow(const Function &fn, const DataflowOrder &order,
+                     State entryState, TransferFn transfer, JoinFn join,
+                     unsigned widenAfter = 0, unsigned maxRounds = 0) {
   DataflowResult<State> result;
   if (!fn.entry())
     return result;
-  std::vector<WtoElement> wto = weakTopologicalOrder(fn);
-  std::set<const BasicBlock *> headers = loopHeaders(fn);
+  const std::vector<WtoElement> &wto = order.wto;
   if (maxRounds == 0)
     maxRounds =
         widenAfter + static_cast<unsigned>(fn.blocks().size()) + 48;
   const std::uint64_t maxTransfers = std::uint64_t(maxRounds) * wto.size();
+  result.in.resize(fn.blockIdCount());
   // By block id: changed joins so far, and whether the in-state changed
   // since the block's last transfer (read for component heads).
   std::vector<unsigned> joins(fn.blockIdCount(), 0);
   std::vector<char> changed(fn.blockIdCount(), 0);
-  auto deliver = [&](const BasicBlock *succ, State &&state) {
-    auto sIt = result.in.find(succ);
-    if (sIt == result.in.end()) {
-      result.in.emplace(succ, std::move(state));
+  auto deliver = [&](const BasicBlock &succ, State &state) {
+    std::optional<State> &slot = result.in[succ.id()];
+    if (!slot) {
+      slot.emplace(std::move(state));
     } else {
       // Only joins that actually change the target state count toward
       // the widening budget: a header inside a slowly-converging outer
@@ -251,32 +284,34 @@ solveForwardDataflow(const Function &fn, State entryState, TransferFn transfer,
       // widen values the loop never modifies (losing, say, the outer
       // induction variable's bound inside an inner loop, where no
       // branch refinement can win it back).
-      bool widen = widenAfter != 0 && headers.count(succ) != 0 &&
-                   joins[succ->id()] >= widenAfter;
-      if (!join(sIt->second, state, widen))
+      bool widen = widenAfter != 0 && order.headers[succ.id()] &&
+                   joins[succ.id()] >= widenAfter;
+      if (!join(succ, *slot, state, widen))
         return;
-      ++joins[succ->id()];
+      ++joins[succ.id()];
     }
-    changed[succ->id()] = 1;
+    changed[succ.id()] = 1;
   };
 
-  result.in.emplace(fn.entry(), std::move(entryState));
+  result.in[fn.entry()->id()].emplace(std::move(entryState));
+  EdgeStates<State> out;
   std::vector<std::size_t> components; // heads of the open components
   std::size_t i = 0;
   while (i < wto.size()) {
     const WtoElement &e = wto[i];
     if (e.head && (components.empty() || components.back() != i))
       components.push_back(i); // entering it, not iterating it again
-    if (auto it = result.in.find(e.block); it != result.in.end()) {
+    if (const std::optional<State> &in = result.in[e.block->id()]) {
       if (result.transfers == maxTransfers)
         return result; // not converged
       ++result.transfers;
       changed[e.block->id()] = 0;
-      std::vector<std::optional<State>> outs = transfer(*e.block, it->second);
-      std::vector<BasicBlock *> succs = e.block->successors();
-      for (std::size_t s = 0; s < succs.size() && s < outs.size(); ++s)
-        if (outs[s])
-          deliver(succs[s], std::move(*outs[s]));
+      out.feasible[0] = out.feasible[1] = false;
+      transfer(*e.block, *in, out);
+      Successors succs = e.block->successors();
+      for (std::size_t s = 0; s < succs.size(); ++s)
+        if (out.feasible[s])
+          deliver(*succs[s], out.state[s]);
     }
     ++i;
     // Close every component that ends here: stable if its head's in-state

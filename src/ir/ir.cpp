@@ -121,9 +121,9 @@ std::string Instr::str() const {
   return out.str();
 }
 
-std::vector<BasicBlock *> BasicBlock::successors() const {
+Successors BasicBlock::successors() const {
   Instr *term = terminator();
-  std::vector<BasicBlock *> out;
+  Successors out;
   if (!term)
     return out;
   if (term->target0)

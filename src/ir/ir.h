@@ -123,6 +123,23 @@ struct Instr {
   std::string str() const;
 };
 
+// A block's successors, held by value: a terminator names at most two, so
+// walking them never allocates.
+class Successors {
+public:
+  BasicBlock *const *begin() const { return at_; }
+  BasicBlock *const *end() const { return at_ + size_; }
+  std::size_t size() const { return size_; }
+  BasicBlock *operator[](std::size_t i) const { return at_[i]; }
+
+private:
+  friend class BasicBlock;
+  void push_back(BasicBlock *block) { at_[size_++] = block; }
+
+  BasicBlock *at_[2] = {nullptr, nullptr};
+  std::size_t size_ = 0;
+};
+
 class BasicBlock {
 public:
   explicit BasicBlock(unsigned id, std::string name)
@@ -139,9 +156,9 @@ public:
                ? nullptr
                : instrs_.back().get();
   }
-  // Successor blocks derived from the terminator (empty for Ret or
-  // unterminated blocks).
-  std::vector<BasicBlock *> successors() const;
+  // Successor blocks derived from the terminator: target0, then target1
+  // (empty for Ret or unterminated blocks).
+  Successors successors() const;
 
   Instr *append(std::unique_ptr<Instr> instr) {
     instrs_.push_back(std::move(instr));

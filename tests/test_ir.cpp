@@ -576,15 +576,19 @@ struct CountingLattice {
   std::vector<std::pair<const ir::BasicBlock *, int>> trace;
 
   auto transfer() {
-    return [this](const ir::BasicBlock &b, const int &in) {
+    return [this](const ir::BasicBlock &b, const int &in,
+                  ir::EdgeStates<int> &edges) {
       trace.push_back({&b, in});
       int out = in;
       if (auto it = caps.find(&b); it != caps.end())
         out = std::min(in + 1, it->second);
-      return std::vector<std::optional<int>>(b.successors().size(), out);
+      for (std::size_t e = 0; e < b.successors().size(); ++e) {
+        edges.state[e] = out;
+        edges.feasible[e] = true;
+      }
     };
   }
-  static bool join(int &into, const int &from, bool) {
+  static bool join(const ir::BasicBlock &, int &into, const int &from, bool) {
     if (from <= into)
       return false;
     into = from;
@@ -592,7 +596,8 @@ struct CountingLattice {
   }
   ir::DataflowResult<int> solve(const ir::Function &fn,
                                 unsigned maxRounds = 0) {
-    return ir::solveForwardDataflow(fn, 0, transfer(), join, 0, maxRounds);
+    return ir::solveForwardDataflow(fn, ir::dataflowOrder(fn), 0, transfer(),
+                                    join, 0, maxRounds);
   }
 };
 
@@ -634,7 +639,7 @@ TEST(Dataflow, SequentialLoopsCostLinearTransfers) {
     auto m = sequentialLoops(k, lattice);
     auto r = lattice.solve(*m->functions().front());
     EXPECT_TRUE(r.converged);
-    EXPECT_EQ(r.in.at(m->functions().front()->blocks().back().get()),
+    EXPECT_EQ(r.at(m->functions().front()->blocks().back().get()),
               10 * static_cast<int>(k));
     EXPECT_EQ(r.transfers, lattice.trace.size());
     return r.transfers;
@@ -685,7 +690,7 @@ TEST(Dataflow, InnerLoopStabilizesBeforeTheOuterLatch) {
   lattice.caps[body] = 10;
   auto r = lattice.solve(*f);
   ASSERT_TRUE(r.converged);
-  EXPECT_EQ(r.in.at(exit), 10);
+  EXPECT_EQ(r.at(exit), 10);
   // The latch only ever sees the inner loop's fixpoint: once on the way
   // out, once more to confirm the outer head is stable.
   std::vector<int> latchIns;
@@ -718,9 +723,9 @@ TEST(Dataflow, IrreducibleLoopConverges) {
   lattice.caps[c] = 10;
   auto r = lattice.solve(*f);
   EXPECT_TRUE(r.converged);
-  EXPECT_EQ(r.in.at(a), 10);
-  EXPECT_EQ(r.in.at(c), 10);
-  EXPECT_EQ(r.in.at(exit), 10);
+  EXPECT_EQ(r.at(a), 10);
+  EXPECT_EQ(r.at(c), 10);
+  EXPECT_EQ(r.at(exit), 10);
 }
 
 TEST(Dataflow, LongChainDoesNotExhaustTheStack) {
@@ -742,7 +747,9 @@ TEST(Dataflow, LongChainDoesNotExhaustTheStack) {
   auto r = lattice.solve(*f);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.transfers, kBlocks);
-  EXPECT_EQ(r.in.size(), kBlocks);
+  auto reached = std::count_if(r.in.begin(), r.in.end(),
+                               [](const std::optional<int> &st) { return st; });
+  EXPECT_EQ(static_cast<unsigned>(reached), kBlocks);
 }
 
 TEST(Dataflow, DeepLoopNestDoesNotExhaustTheStack) {
@@ -806,8 +813,9 @@ TEST(Dataflow, JoinThatAlwaysChangesStopsAtTheCap) {
 
   CountingLattice lattice;
   auto r = ir::solveForwardDataflow(
-      *f, 0, lattice.transfer(),
-      [](int &, const int &, bool) { return true; }, 0, /*maxRounds=*/5);
+      *f, ir::dataflowOrder(*f), 0, lattice.transfer(),
+      [](const ir::BasicBlock &, int &, const int &, bool) { return true; },
+      0, /*maxRounds=*/5);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.transfers, 5u * 4u); // maxRounds x reachable blocks
 }

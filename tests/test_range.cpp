@@ -304,6 +304,74 @@ TEST(RangeState, EntryHoldsLiveIn) {
 }
 
 // ---------------------------------------------------------------------------
+// Module fixpoint: summaries, function re-solves and the round cap.
+
+// tests/fixtures/summary_chain.uc with `n` arrays s0..s<n-1>: array k is
+// written only once array k - 1 holds a value above 100, so each link takes
+// one more round of the memory-summary fixpoint.
+std::string summaryChainProgram(unsigned n) {
+  auto name = [](unsigned k) { return "s" + std::to_string(k); };
+  std::string src;
+  for (unsigned k = 0; k < n; ++k)
+    src += "int " + name(k) + "[2];\n";
+  src += "int main(int n) {\n"
+         "  for (int r = 0; r < n; r = r + 1) {\n"
+         "    for (int i = 0; i < 2; i = i + 1) {\n"
+         "      s0[i] = s0[i] + 1;\n";
+  for (unsigned k = 1; k < n; ++k)
+    src += "      if (" + name(k - 1) + "[i] > 100) " + name(k) + "[i] = " +
+           name(k - 1) + "[i];\n";
+  src += "    }\n  }\n  return " + name(n - 1) + "[0] + " + name(n - 1) +
+         "[1];\n}\n";
+  return src;
+}
+
+TEST(RangeFixpoint, SummaryChainPastTheRoundCapStaysSound) {
+  // Four links settle inside the module fixpoint's round cap; from five on
+  // the last summaries still grow at the cap, and they must go to top
+  // rather than leave the last arrays' loads claimed at their initial zero.
+  for (unsigned n : {4u, 5u, 8u, 12u}) {
+    auto w = rawLowered(summaryChainProgram(n), "main");
+    ASSERT_NE(w->module, nullptr) << n;
+    auto ranges = analysis::analyzeRanges(*w->module);
+    const ir::Function *top = w->module->findFunction("main");
+    ASSERT_NE(top, nullptr);
+    auto widths = analysis::inferWidthsWithRanges(*w->module, *top, ranges);
+    auto result = testutil::checkStaticClaims(
+        *w->module, *top, ranges, &widths,
+        {BitVector::fromInt(top->params()[0].width, 300)}, 1000000);
+    EXPECT_TRUE(result.executed) << n << " arrays";
+    for (const auto &v : result.violations)
+      ADD_FAILURE() << n << " arrays: contradicted claim: " << v;
+    EXPECT_FALSE(hasFinding(analysis::checkRanges(*w->module, ranges),
+                            "C2H-DEAD-001"))
+        << n << " arrays";
+  }
+}
+
+TEST(RangeFixpoint, FunctionsReSolveOnlyWhenASummaryTheyReadGrew) {
+  // gcd inlines to one function that reads no summary: its return grows in
+  // round one, but nothing calls main, so it is solved once.  prodcons's
+  // processes read each other's channels and memories; solving every
+  // function in every round took 12 solves.
+  auto solves = [](const char *name) {
+    const auto &wl = core::findWorkload(name);
+    auto w = rawLowered(wl.source, wl.top);
+    EXPECT_NE(w->module, nullptr) << name;
+    if (!w->module)
+      return std::uint64_t(0);
+    const std::uint64_t before = analysis::rangeFunctionSolves();
+    analysis::analyzeRanges(*w->module);
+    const std::uint64_t count = analysis::rangeFunctionSolves() - before;
+    RecordProperty(std::string("function_solves_") + name,
+                   std::to_string(count));
+    return count;
+  };
+  EXPECT_EQ(solves("gcd"), 1u);
+  EXPECT_LE(solves("prodcons"), 6u);
+}
+
+// ---------------------------------------------------------------------------
 // Width inference: interval facts strictly beat the magnitude-only bound.
 
 TEST(RangeWidths, FirStrictlyImproves) {
