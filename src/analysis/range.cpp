@@ -1704,39 +1704,48 @@ SourceLoc firstLoc(const ir::BasicBlock &block) {
 // flow and not worth a diagnostic; conditions derived from actual data
 // are.  The condition's defs may live outside the branch's own block
 // (lowering puts a while-loop's test in the header it jumps back to), so
-// every def in the function is scanned, to a small depth.
-bool isLiteralOperand(const ir::Function &fn, const ir::Operand &op,
-                      int depth);
+// every def in the function is looked at, to a small depth, through an
+// index of the function's defs by vreg built once per function.
+class LiteralConds {
+public:
+  explicit LiteralConds(const ir::Function &fn) {
+    for (const auto &block : fn.blocks())
+      for (const auto &instr : block->instrs())
+        if (instr->dst) {
+          if (instr->dst->id >= defs_.size())
+            defs_.resize(instr->dst->id + 1);
+          defs_[instr->dst->id].push_back(instr.get());
+        }
+  }
 
-bool isLiteralReg(const ir::Function &fn, unsigned id, int depth) {
-  if (depth <= 0)
-    return false;
-  bool sawDef = false;
-  for (const auto &block : fn.blocks())
-    for (const auto &instr : block->instrs())
-      if (instr->dst && instr->dst->id == id) {
-        sawDef = true;
-        if (!ir::isPure(instr->op) && instr->op != Opcode::Const)
+  bool decides(const ir::Instr &term) const {
+    return literalOperand(term.operands[0], 4);
+  }
+
+private:
+  bool literalReg(unsigned id, int depth) const {
+    if (depth <= 0 || id >= defs_.size() || defs_[id].empty())
+      return false;
+    for (const ir::Instr *def : defs_[id]) {
+      if (!ir::isPure(def->op) && def->op != Opcode::Const)
+        return false;
+      for (const auto &o : def->operands)
+        if (!literalOperand(o, depth - 1))
           return false;
-        for (const auto &o : instr->operands)
-          if (!isLiteralOperand(fn, o, depth - 1))
-            return false;
-      }
-  return sawDef;
-}
+    }
+    return true;
+  }
+  bool literalOperand(const ir::Operand &op, int depth) const {
+    return op.isImm() || literalReg(op.reg().id, depth);
+  }
 
-bool isLiteralOperand(const ir::Function &fn, const ir::Operand &op,
-                      int depth) {
-  return op.isImm() || isLiteralReg(fn, op.reg().id, depth);
-}
-
-bool isSyntacticConstCond(const ir::Function &fn, const ir::Instr &term) {
-  return isLiteralOperand(fn, term.operands[0], 4);
-}
+  std::vector<std::vector<const ir::Instr *>> defs_; // by vreg id
+};
 
 void checkBlock(const FnCtx &fc, Ctx &ctx, Scratch &s,
-                const FunctionRanges &fr, const ir::BasicBlock &block,
-                Report &report, std::set<std::string> &seen) {
+                const LiteralConds &literal, const FunctionRanges &fr,
+                const ir::BasicBlock &block, Report &report,
+                std::set<std::string> &seen) {
   const ir::Module &module = ctx.module;
   const ir::Function &fn = fc.fn;
   replay(fc, ctx, s, fr.entry.at(&block), block,
@@ -1848,7 +1857,7 @@ void checkBlock(const FnCtx &fc, Ctx &ctx, Scratch &s,
       auto dIt = fr.decided.find(&instr);
       if (dIt == fr.decided.end() || instr.target0 == instr.target1)
         break;
-      if (isSyntacticConstCond(fn, instr))
+      if (literal.decides(instr))
         break;
       if (!instr.loc.isValid())
         break;
@@ -1882,6 +1891,7 @@ Report checkRanges(const ir::Module &module, const RangeAnalysis &ranges) {
     if (!fr)
       continue;
     FnCtx fc = makeFnCtx(module, *fn);
+    const LiteralConds literal(*fn);
     auto preds = ir::predecessorMap(*fn);
     for (ir::BasicBlock *block : fn->reversePostOrder()) {
       if (!fr->reachable(block)) {
@@ -1899,7 +1909,7 @@ Report checkRanges(const ir::Module &module, const RangeAnalysis &ranges) {
               continue;
             const ir::Instr *pTerm = p->terminator();
             if (pTerm && pTerm->op == Opcode::CondBr &&
-                isSyntacticConstCond(*fn, *pTerm))
+                literal.decides(*pTerm))
               continue;
             frontier = true;
           }
@@ -1913,7 +1923,7 @@ Report checkRanges(const ir::Module &module, const RangeAnalysis &ranges) {
                      "code synthesizes to hardware that can never fire");
         continue;
       }
-      checkBlock(fc, ctx, s, *fr, *block, report, seen);
+      checkBlock(fc, ctx, s, literal, *fr, *block, report, seen);
     }
   }
   report.sort();

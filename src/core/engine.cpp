@@ -7,6 +7,7 @@
 #include "vsim/cosim.h"
 
 #include <algorithm>
+#include <atomic>
 #include <unordered_map>
 
 namespace c2h::core {
@@ -148,8 +149,7 @@ private:
   }
 
   static bool ownRun(const guard::ExecBudget *meter) {
-    const guard::BudgetSpec &spec = meter->spec();
-    return spec.maxSteps || spec.maxCycles || spec.maxAllocBytes;
+    return meter->spec().hasCountLimit();
   }
 
   template <class Run>
@@ -293,10 +293,10 @@ unsigned CompareEngine::resolveJobs(const flows::FlowTuning &tuning) const {
   return ThreadPool::hardwareThreads();
 }
 
-ThreadPool &CompareEngine::sharedPool(unsigned jobs) {
+ThreadPool &CompareEngine::sharedPool() {
   std::lock_guard<std::mutex> lock(poolMutex_);
   if (!pool_)
-    pool_ = std::make_unique<ThreadPool>(jobs);
+    pool_ = std::make_unique<ThreadPool>(options_.jobs);
   return *pool_;
 }
 
@@ -501,10 +501,13 @@ void CompareEngine::compareCells(std::span<const Workload> workloads,
 
   const std::size_t cells = workloads.size() * specs.size();
   const unsigned jobs = resolveJobs(tuning);
-  // An armed fault counts hits process-wide, so cells take them in cell
-  // order only when they run one after another — the same rule under which
-  // the caches bypass themselves.
-  if (jobs <= 1 || cells <= 1 || guard::anyFaultArmed()) {
+  // An armed fault counts hits process-wide, and a count limit on a meter
+  // every cell charges trips at whichever charge crosses it, so cells take
+  // hits and charges in cell order only when they run one after another —
+  // the same rule under which the caches bypass themselves.
+  const bool sharedCountLimit =
+      tuning.meter && tuning.meter->spec().hasCountLimit();
+  if (jobs <= 1 || cells <= 1 || sharedCountLimit || guard::anyFaultArmed()) {
     for (std::size_t w = 0; w < workloads.size(); ++w)
       for (std::size_t f = 0; f < specs.size(); ++f)
         cell(w, f);
@@ -512,12 +515,16 @@ void CompareEngine::compareCells(std::span<const Workload> workloads,
   }
   // The persistent pool outlives this call; the group scopes the wait to
   // this batch so concurrent callers (service requests) never block on each
-  // other's cells.
-  TaskGroup group(
-      sharedPool(static_cast<unsigned>(std::min<std::size_t>(jobs, cells))));
-  for (std::size_t w = 0; w < workloads.size(); ++w)
-    for (std::size_t f = 0; f < specs.size(); ++f)
-      group.submit([&cell, w, f] { cell(w, f); });
+  // other's cells.  `jobs` caps this call alone: that many runners take
+  // cell indices from one counter, whatever the pool's width.
+  std::atomic<std::size_t> next{0};
+  auto runner = [&] {
+    for (std::size_t i; (i = next.fetch_add(1)) < cells;)
+      cell(i / specs.size(), i % specs.size());
+  };
+  TaskGroup group(sharedPool());
+  for (std::size_t r = std::min<std::size_t>(jobs, cells); r > 0; --r)
+    group.submit(runner);
   group.wait();
 }
 

@@ -36,11 +36,14 @@
 //     runs its own witnesses; and while a fault is armed the FSMD and vsim
 //     runs bypass the memo, so `site:nth` names the same hit as ever.
 //  3. Serialism: cells are independent, so the engine runs the
-//     (flow x workload) matrix on a fixed-size ThreadPool.  Results are
-//     written into pre-assigned slots, so row order — and content — is
-//     byte-identical whatever the thread count or completion order.  While
-//     a fault is armed the cells run serially in cell order, so `site:nth`
-//     names the same hit at every thread count.
+//     (flow x workload) matrix on one persistent ThreadPool, sized once from
+//     EngineOptions::jobs; a call's jobs caps how many of its cells run at
+//     once.  Results are written into pre-assigned slots, so row order — and
+//     content — is byte-identical whatever the thread count or completion
+//     order.  While a fault is armed the cells run serially in cell order,
+//     so `site:nth` names the same hit at every thread count; so do the
+//     cells of a call whose one shared meter (FlowTuning::meter) has a
+//     step, cycle or alloc limit, so the charge that trips it is the same.
 //
 // Every comparison and every c2hc synthesis run goes through one cell
 // routine: a pipeline half (front end -> clone -> flow) and a check half
@@ -140,8 +143,9 @@ private:
 };
 
 struct EngineOptions {
-  // Default worker-thread count; 0 = hardware concurrency.  A per-call
-  // FlowTuning::jobs overrides this.
+  // Width of the engine's worker pool and each call's default concurrency;
+  // 0 = hardware concurrency.  A per-call FlowTuning::jobs caps that call's
+  // concurrency (the pool's width still bounds it).
   unsigned jobs = 0;
   // Three-model differential mode: after a cell verifies, re-execute the
   // emitted Verilog under vsim and require agreement with the interpreter
@@ -198,7 +202,8 @@ public:
   using CellSink =
       std::function<void(std::size_t w, std::size_t f, Cell &&cell)>;
   // Every (workload, spec) cell, both halves, each handed to `sink`.
-  // Serial at one job, at one cell, or while a fault is armed.
+  // Serial at one job, at one cell, while a fault is armed, or when
+  // `tuning.meter` limits steps, cycles or allocation.
   void compareCells(std::span<const Workload> workloads,
                     std::span<const flows::FlowSpec> specs,
                     const flows::FlowTuning &tuning,
@@ -254,10 +259,10 @@ private:
   unsigned resolveJobs(const flows::FlowTuning &tuning) const;
   // The engine's persistent worker pool, created lazily on the first
   // parallel call and reused by every later batch (TaskGroup-scoped), so a
-  // long-lived daemon never rebuilds threads per request.  Sized by the
-  // first parallel call's resolved jobs; callers that need a specific width
-  // fix it via EngineOptions::jobs.
-  ThreadPool &sharedPool(unsigned jobs);
+  // long-lived daemon never rebuilds threads per request.  Sized once from
+  // EngineOptions::jobs (0 = all cores); a call's own jobs caps only how
+  // many of its cells run at once.
+  ThreadPool &sharedPool();
 
   EngineOptions options_;
   FrontendCache cache_;

@@ -39,7 +39,7 @@ struct Request {
   bool budgetSet = false;
   // vsim backend; unset = server default.
   std::optional<vsim::SimEngine> vsimEngine;
-  unsigned jobs = 0;   // per-request flow parallelism; 0 = server default
+  unsigned jobs = 0;   // max cells in flight; 0 = the engine pool's width
   bool timing = true;  // false suppresses the timing object (golden tests)
   bool noCache = false; // bypass the response cache (bench cold mixes)
 };

@@ -209,6 +209,7 @@ std::string CosimService::cacheKey(const Request &request) const {
 }
 
 std::string CosimService::handleComparison(const Request &request,
+                                           bool frontendHit,
                                            std::string &body,
                                            bool &cacheable) {
   core::Workload workload;
@@ -220,13 +221,16 @@ std::string CosimService::handleComparison(const Request &request,
   core::EngineOptions callOptions;
   callOptions.cosim = cosim;
   callOptions.vsimEngine = request.vsimEngine.value_or(options_.vsimEngine);
-  callOptions.modelCache = &modelCache_;
+  // A first sight of a program is most often its only one: its models
+  // would only push a repeated program's out of the cache.
+  callOptions.modelCache = frontendHit ? &modelCache_ : nullptr;
 
   flows::FlowTuning tuning;
   tuning.budget = effectiveBudget(request);
   guard::ExecBudget meter(tuning.budget);
   tuning.meter = &meter; // one meter spans the whole request
-  tuning.jobs = request.jobs ? request.jobs : options_.flowJobs;
+  if (request.jobs)
+    tuning.jobs = request.jobs;
 
   auto rows = engine_.compareFlows(workload, tuning, callOptions);
 
@@ -393,13 +397,14 @@ std::string CosimService::handle(const Request &request, double queueMs) {
       if (hit) {
         responseCache = "hit";
       } else {
-        frontendCache =
-            engine_.cache().contains(workload.source, workload.top) ? "hit"
-                                                                    : "miss";
+        const bool frontendHit =
+            engine_.cache().contains(workload.source, workload.top);
+        frontendCache = frontendHit ? "hit" : "miss";
         bool cacheable = false;
-        std::string failure = request.op == "analyze"
-                                  ? handleAnalyze(request, body, cacheable)
-                                  : handleComparison(request, body, cacheable);
+        std::string failure =
+            request.op == "analyze"
+                ? handleAnalyze(request, body, cacheable)
+                : handleComparison(request, frontendHit, body, cacheable);
         if (!failure.empty()) {
           std::lock_guard<std::mutex> lock(mutex_);
           ++invalidCount_;

@@ -1,8 +1,9 @@
 // CosimService: the persistent, multi-tenant heart of `c2hc --serve`.
 //
 // One service owns one CompareEngine — and therefore ONE front-end cache
-// and ONE persistent worker pool — plus one response cache and one vsim
-// model cache, shared by every request for the daemon's lifetime.  All
+// and ONE persistent cell pool, as wide as the machine — plus one response
+// cache and one vsim model cache, shared by every request for the daemon's
+// lifetime.  All
 // three caches are support::LruCache instances with their owner's cost
 // and cap (ServiceOptions).  A warm repeat request (same
 // op/source/top/args/engine/budget) is answered from the response cache:
@@ -42,11 +43,10 @@
 namespace c2h::serve {
 
 struct ServiceOptions {
-  // Request worker threads (each request is one task); 0 = hardware.
+  // Request worker threads (each request is one task); 0 = hardware.  A
+  // request's cells run on the engine's own pool (all cores), as many at
+  // once as the request's own `jobs` field allows.
   unsigned jobs = 0;
-  // Default per-request flow parallelism (a request's cells on the engine
-  // pool); requests may override with their `jobs` field.
-  unsigned flowJobs = 1;
   // Max admitted-but-unfinished requests; further submissions get an
   // immediate `rejected` response.  0 = unbounded.
   std::size_t queueDepth = 64;
@@ -64,7 +64,8 @@ struct ServiceOptions {
   vsim::SimEngine vsimEngine = vsim::SimEngine::Compiled;
   // Entry cap for the cross-request vsim model cache (elaborated models,
   // compiled programs and their post-`initial` init images, keyed by
-  // emitted Verilog).  0 disables the cache.
+  // emitted Verilog).  Only a request whose front end was already cached
+  // uses it, so a one-off program never fills it.  0 disables the cache.
   std::size_t modelCacheEntries = 16;
   // Test seam: runs at the top of every handled request (a latch here makes
   // queue-full admission deterministic under test).
@@ -120,8 +121,10 @@ private:
                  std::string &response);
   // Handle a parsed request; returns the serialized response.
   std::string handle(const Request &request, double queueMs);
-  std::string handleComparison(const Request &request, std::string &body,
-                               bool &cacheable);
+  // `frontendHit`: the program was compiled before this request, so it
+  // may come again and its vsim models are worth caching.
+  std::string handleComparison(const Request &request, bool frontendHit,
+                               std::string &body, bool &cacheable);
   std::string handleAnalyze(const Request &request, std::string &body,
                             bool &cacheable);
   std::string statsBody();
@@ -139,8 +142,9 @@ private:
 
   ServiceOptions options_;
   core::CompareEngine engine_;
-  // Cross-request vsim model cache: one per daemon, shared by every cosim
-  // request (compare rows pass it down through EngineOptions).
+  // Cross-request vsim model cache: one per daemon, shared by the cosim
+  // requests for programs seen before (handleComparison passes it down
+  // through EngineOptions).
   vsim::ModelCache modelCache_;
   std::unique_ptr<ThreadPool> pool_;
 

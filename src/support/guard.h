@@ -103,6 +103,11 @@ struct BudgetSpec {
   bool unlimited() const {
     return maxSteps == 0 && maxCycles == 0 && maxAllocBytes == 0 && wallMs == 0;
   }
+  // A step, cycle or alloc limit: which charge trips it depends on the
+  // order in which the charges come, unlike a wall deadline.
+  bool hasCountLimit() const {
+    return maxSteps || maxCycles || maxAllocBytes;
+  }
 };
 
 class ExecBudget {

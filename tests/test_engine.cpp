@@ -20,6 +20,7 @@
 #include "opt/astclone.h"
 #include "support/guard.h"
 #include "support/threadpool.h"
+#include "testutil.h"
 #include "vsim/cosim.h"
 
 #include <gtest/gtest.h>
@@ -682,6 +683,30 @@ int main() {
     EXPECT_EQ(rows[1].verdict.kind, guard::Kind::StepLimit) << rows[1].note;
     EXPECT_EQ(rows[1].verdict.stage, "interp");
   }
+}
+
+TEST(Engine, CallJobsCapOnlyThatCall) {
+  // The pool is sized once, from EngineOptions::jobs.  A call's own jobs
+  // caps how many of its cells are in flight, and an earlier narrow call
+  // does not narrow a later default one.
+  core::EngineOptions options;
+  options.jobs = 4;
+  core::CompareEngine engine(options);
+  const core::Workload &w = core::findWorkload("gcd");
+  testutil::CellLatch latch(flows::allFlows().size());
+  engine.setRunnerForTesting(latch.runner());
+  auto run = [&](std::optional<unsigned> jobs, std::size_t expectPeak) {
+    SCOPED_TRACE(jobs ? "jobs=" + std::to_string(*jobs) : "default jobs");
+    latch.arm(expectPeak);
+    flows::FlowTuning tuning;
+    tuning.jobs = jobs;
+    EXPECT_EQ(engine.compareFlows(w, tuning).size(), flows::allFlows().size());
+    EXPECT_FALSE(latch.timedOut());
+    EXPECT_EQ(latch.peak(), expectPeak);
+  };
+  run(2u, 2);
+  run(std::nullopt, 4);
+  run(1u, 1);
 }
 
 TEST(FrontendCache, CompilesOncePerSourceTopPair) {

@@ -10,16 +10,21 @@
 //  - admission control (bounded queue, per-client share) rejects
 //    structurally, and per-client meters accumulate in `stats`;
 //  - concurrent mixed requests under jobs=4 return byte-identical bodies
-//    to fresh one-shot services handling the same requests serially.
+//    to fresh one-shot services handling the same requests serially;
+//  - a request's cells overlap on the engine's pool, and its rows match a
+//    `"jobs":1` request's; cells sharing a counted budget run in order.
 #include "serve/json.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
+#include "support/threadpool.h"
+#include "testutil.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <condition_variable>
 #include <mutex>
+#include <regex>
 #include <vector>
 
 namespace c2h {
@@ -167,16 +172,22 @@ TEST(ServeService, WarmRepeatIsServedFromTheResponseCache) {
   EXPECT_EQ(stripCache(cold), stripCache(warm));
 }
 
-// One counter of the `stats` op's response_cache object.
-std::int64_t responseCacheStat(CosimService &service, const char *field) {
+// One counter of one cache object (`response_cache`, `model_cache`) in the
+// `stats` op's response.
+std::int64_t cacheStat(CosimService &service, const char *cacheName,
+                       const char *field) {
   std::string stats =
       service.handleLine(R"({"id":"s","op":"stats","timing":false})");
   JsonValue json = JsonValue::makeNull();
   std::string error;
   EXPECT_TRUE(serve::parseJson(stats, json, error)) << error;
-  const JsonValue *cache = json.find("stats")->find("response_cache");
+  const JsonValue *cache = json.find("stats")->find(cacheName);
   EXPECT_NE(cache, nullptr) << stats;
-  return cache ? cache->find(field)->intValue() : -1;
+  return cache ? cache->intOr(field, -1) : -1;
+}
+
+std::int64_t responseCacheStat(CosimService &service, const char *field) {
+  return cacheStat(service, "response_cache", field);
 }
 
 TEST(ServeService, ResponseCacheCapHoldingOneResponseEvicts) {
@@ -290,10 +301,12 @@ TEST(ServeService, StatsTracksPerClientMeters) {
   EXPECT_NE(stats.find("\"rejected\":0"), std::string::npos);
 }
 
-// Satellite: the cross-request vsim model cache.  A repeat cosim request
-// (response cache bypassed with no_cache) reuses the first request's
-// elaborated models and compiled artifacts instead of rebuilding them, and
-// the stats op reports the traffic.
+// The cross-request vsim model cache admits only programs seen before.  A
+// first request for a program (front-end miss) makes no lookups, so a
+// one-off program never fills the cache; a repeat (front-end hit, response
+// cache bypassed with no_cache) misses and admits every distinct design it
+// simulates; a third request hits them all.  The stats op reports the
+// traffic.
 TEST(ServeService, ModelCacheServesRepeatCosimRequests) {
   ServiceOptions options;
   options.modelCacheEntries = 64;
@@ -301,29 +314,87 @@ TEST(ServeService, ModelCacheServesRepeatCosimRequests) {
   const std::string line =
       R"({"id":"a","op":"cosim","workload":"gcd","timing":false,)"
       R"("no_cache":true})";
+  auto stat = [&](const char *field) {
+    return cacheStat(service, "model_cache", field);
+  };
+  EXPECT_EQ(stat("capacity"), 64);
+
   std::string first = service.handleLine(line);
   EXPECT_NE(first.find("\"status\":\"ok\""), std::string::npos) << first;
-  std::string second = service.handleLine(line);
-  EXPECT_NE(second.find("\"status\":\"ok\""), std::string::npos) << second;
+  EXPECT_NE(first.find("\"frontend\":\"miss\""), std::string::npos);
+  EXPECT_EQ(stat("hits"), 0);
+  EXPECT_EQ(stat("misses"), 0);
+  EXPECT_EQ(stat("entries"), 0);
 
-  std::string stats =
-      service.handleLine(R"({"id":"s","op":"stats","timing":false})");
-  const std::string tag = "\"model_cache\":{";
-  std::size_t start = stats.find(tag);
-  ASSERT_NE(start, std::string::npos) << stats;
-  std::size_t end = stats.find('}', start);
-  ASSERT_NE(end, std::string::npos);
-  std::string mc = stats.substr(start, end - start + 1);
-  EXPECT_NE(mc.find("\"capacity\":64"), std::string::npos) << mc;
-  const std::string hitsTag = "\"hits\":";
-  std::size_t h = mc.find(hitsTag);
-  ASSERT_NE(h, std::string::npos) << mc;
-  // The second request's rows were all served from the cache.
-  EXPECT_GE(std::stol(mc.substr(h + hitsTag.size())), 1) << mc;
-  const std::string missTag = "\"misses\":";
-  std::size_t m = mc.find(missTag);
-  ASSERT_NE(m, std::string::npos) << mc;
-  EXPECT_GE(std::stol(mc.substr(m + missTag.size())), 1) << mc;
+  std::string second = service.handleLine(line);
+  EXPECT_NE(second.find("\"frontend\":\"hit\""), std::string::npos)
+      << second;
+  const std::int64_t designs = stat("misses");
+  EXPECT_GE(designs, 1);
+  EXPECT_EQ(stat("hits"), 0);
+  EXPECT_EQ(stat("entries"), designs);
+
+  std::string third = service.handleLine(line);
+  EXPECT_EQ(stat("hits"), designs);
+  EXPECT_EQ(stat("misses"), designs);
+  EXPECT_EQ(stat("entries"), designs);
+  // Cached models answer exactly like fresh ones.
+  EXPECT_EQ(stripCache(first), stripCache(second));
+  EXPECT_EQ(stripCache(first), stripCache(third));
+}
+
+// A request's cells run on the engine's pool at its full width unless the
+// request's `jobs` field caps them; the rows never depend on which.
+TEST(ServeService, DefaultRequestMatchesASerialOne) {
+  CosimService service;
+  for (const core::Workload &w : core::standardWorkloads())
+    for (const std::string op : {"compare", "cosim"}) {
+      SCOPED_TRACE(op + " " + w.name);
+      const std::string head = R"({"id":"d","op":")" + op +
+                               R"(","workload":")" + w.name +
+                               R"(","timing":false,"no_cache":true)";
+      std::string parallel = service.handleLine(head + "}");
+      std::string serial = service.handleLine(head + R"(,"jobs":1})");
+      EXPECT_NE(parallel.find("\"rows\":["), std::string::npos) << parallel;
+      EXPECT_EQ(stripCache(parallel), stripCache(serial));
+    }
+}
+
+// A request whose budget limits steps, cycles or alloc charges one meter
+// from all its cells, so they run in cell order and the same rows trip with
+// the same charges every time.  Only the consumed wall time may differ.
+TEST(ServeService, CountedBudgetTripsAreDeterministic) {
+  CosimService service;
+  const std::string line =
+      R"({"id":"b","op":"cosim","workload":"fir","timing":false,)"
+      R"("no_cache":true,"budget":{"steps":3000}})";
+  const std::regex wall("wallMs=[0-9]+");
+  std::string first;
+  for (int i = 0; i < 8; ++i) {
+    std::string body = std::regex_replace(
+        stripCache(service.handleLine(line)), wall, "wallMs=_");
+    EXPECT_NE(body.find("STEP_LIMIT"), std::string::npos) << body;
+    if (i == 0)
+      first = body;
+    EXPECT_EQ(body, first) << "request " << i;
+  }
+}
+
+// Without a `jobs` field a request's cells overlap: a runner that holds
+// every cell until two are in flight lets them go.
+TEST(ServeService, DefaultRequestRunsCellsConcurrently) {
+  if (ThreadPool::hardwareThreads() < 2)
+    GTEST_SKIP() << "one core: a default request runs its cells in turn";
+  CosimService service;
+  testutil::CellLatch latch(flows::allFlows().size());
+  latch.arm(2);
+  service.engine().setRunnerForTesting(latch.runner());
+  std::string response = service.handleLine(
+      R"({"id":"p","op":"cosim","workload":"gcd","timing":false})");
+  EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos)
+      << response;
+  EXPECT_FALSE(latch.timedOut());
+  EXPECT_GE(latch.peak(), 2u);
 }
 
 // Satellite: concurrent mixed requests (cosim + analyze + compare, several
@@ -353,7 +424,7 @@ TEST(ServeService, ConcurrentMixedRequestsMatchOneShotRuns) {
   }
   for (std::size_t i = 0; i < lines.size(); ++i) {
     SCOPED_TRACE(lines[i]);
-    CosimService fresh; // one-shot: cold caches, serial
+    CosimService fresh; // one-shot: cold caches, one request at a time
     EXPECT_EQ(stripCache(shared[i]), stripCache(fresh.handleLine(lines[i])));
   }
 }

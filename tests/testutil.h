@@ -1,15 +1,21 @@
-// Shared helpers for tests: string scanning of emitted artifacts, and the
+// Shared helpers for tests: string scanning of emitted artifacts, the
 // dynamic cross-check that replays a program and verifies every claim the
-// static range analysis made about it.
+// static range analysis made about it, and a latch that shows how many
+// cells of an engine call run at once.
 #ifndef C2H_TESTS_TESTUTIL_H
 #define C2H_TESTS_TESTUTIL_H
 
 #include "analysis/range.h"
+#include "core/engine.h"
 #include "ir/exec.h"
 #include "ir/ir.h"
 #include "opt/widthinfer.h"
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -222,6 +228,63 @@ checkStaticClaims(const ir::Module &module, const ir::Function &fn,
     block = next;
   }
 }
+
+// ---------------------------------------------------------------------------
+// Cell concurrency.
+//
+// A runner for CompareEngine::setRunnerForTesting that holds each cell until
+// `target` cells are in flight at once (or every cell of the call has
+// started, so none is left to come), then runs the real flow, and records
+// the most cells it saw in flight.  No sleeps: the 10 s wait only ends a run
+// that would otherwise hang, and marks the latch timed out.
+class CellLatch {
+public:
+  explicit CellLatch(std::size_t cells) : cells_(cells) {}
+
+  // Re-arm for one call.
+  void arm(std::size_t target) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    target_ = target;
+    started_ = peak_ = 0;
+  }
+  std::size_t peak() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return peak_;
+  }
+  bool timedOut() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return timedOut_;
+  }
+
+  core::CompareEngine::FlowRunner runner() {
+    return [this](const flows::FlowSpec &spec, ast::Program &program,
+                  TypeContext &types, const std::string &top,
+                  const flows::FlowTuning &tuning) {
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        ++started_;
+        peak_ = std::max(peak_, ++inFlight_);
+        cv_.notify_all();
+        if (!cv_.wait_for(lock, std::chrono::seconds(10), [&] {
+              return timedOut_ || inFlight_ >= target_ || started_ == cells_;
+            }))
+          timedOut_ = true;
+      }
+      flows::FlowResult result =
+          flows::runFlowChecked(spec, program, types, top, tuning);
+      std::lock_guard<std::mutex> lock(mutex_);
+      --inFlight_;
+      return result;
+    };
+  }
+
+private:
+  const std::size_t cells_;
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  std::size_t target_ = 0, inFlight_ = 0, started_ = 0, peak_ = 0;
+  bool timedOut_ = false;
+};
 
 } // namespace c2h::testutil
 
