@@ -7,7 +7,9 @@
 // count.  The table below is the regenerated E11 summary: designs
 // co-simulated, cycle counts matched, and per-engine simulation
 // throughput (DUT clock cycles per wall-clock second) for the
-// event-driven evaluator and the cycle-compiled bytecode VM.
+// event-driven evaluator and the cycle-compiled bytecode VM.  The fsmd/
+// rows give the third witness's speed, the FSMD simulator's, on the same
+// designs and on a long_sim-shaped dot product.
 //
 // The matrix runs under --vsim-engine=compiled-strict: any fallback to
 // the event engine, or a bytecode-to-event retry, is an error.  A second
@@ -38,6 +40,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <utility>
 #include <iostream>
 
 using namespace c2h;
@@ -291,6 +294,53 @@ void BM_Cosim(benchmark::State &state, const char *flowId,
       static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 
+// The FSMD witness's run speed on the same designs: decode the design and
+// simulate it once per iteration, as core::runFsmdModel does for every
+// accepted design.
+void BM_Fsmd(benchmark::State &state, const char *flowId,
+             const core::Workload &w) {
+  auto r = flows::runFlow(*flows::findFlow(flowId), w.source, w.top);
+  if (!r.ok || !r.design) {
+    state.SkipWithError("flow did not produce a design");
+    return;
+  }
+  TypeContext types;
+  DiagnosticEngine diags;
+  auto program = frontend(w.source, types, diags);
+  auto args = core::argBits(*program, w.top, w.args);
+  std::uint64_t cycles = 0;
+  for (auto _ : state) {
+    rtl::Simulator sim(*r.design);
+    auto res = sim.run(args);
+    if (!res.ok) {
+      state.SkipWithError(res.error.c_str());
+      return;
+    }
+    cycles += res.cycles;
+  }
+  state.counters["cycles/s"] = benchmark::Counter(
+      static_cast<double>(cycles), benchmark::Counter::kIsRate);
+}
+
+// A long_sim-shaped program: the benchmark's streaming dot product at 1024
+// elements and 4 passes (about 36k cycles), where the run loop is the cost.
+core::Workload longDotProduct() {
+  core::Workload w;
+  w.name = "dot1024x4";
+  w.top = "main";
+  w.source = "int v[1024];\n"
+             "int main() {\n"
+             "  for (int i = 0; i < 1024; i = i + 1) "
+             "{ v[i] = ((i * 37 + 11) & 255) - 128; }\n"
+             "  int acc = 0;\n"
+             "  for (int r = 0; r < 4; r = r + 1)\n"
+             "    for (int i = 0; i < 1024; i = i + 1) "
+             "{ acc = acc + v[i] * v[(i + r + 1) & 1023]; }\n"
+             "  return acc;\n"
+             "}\n";
+  return w;
+}
+
 // The parse+elaborate front half on its own (amortized away by
 // Cosimulation reuse, but it bounds --emit-verilog + external tools).
 void BM_ParseElaborate(benchmark::State &state, const char *flowId,
@@ -433,6 +483,17 @@ int main(int argc, char **argv) {
         (std::string("cosim-compiled/") + p.flow + "/" + p.workload).c_str(),
         BM_Cosim, p.flow, p.workload, vsim::SimEngine::Compiled);
   }
+  const core::Workload dot = longDotProduct();
+  for (const auto &[flow, w] :
+       {std::pair<const char *, const core::Workload *>{
+            "bachc", &core::findWorkload("gcd")},
+        {"bachc", &core::findWorkload("fir")},
+        {"c2verilog", &core::findWorkload("bubblesort")},
+        {"bachc", &core::findWorkload("dotprod")},
+        {"c2verilog", &dot}})
+    benchmark::RegisterBenchmark(
+        (std::string("fsmd/") + flow + "/" + w->name).c_str(), BM_Fsmd, flow,
+        *w);
   benchmark::RegisterBenchmark("parse+elab/bachc/fir", BM_ParseElaborate,
                                "bachc", "fir");
   benchmark::Initialize(&argc, argv);

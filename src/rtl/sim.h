@@ -12,7 +12,22 @@
 //  * Fork starts child process FSMs and joins on their done signals,
 //  * Call activates the callee's FSM and stalls until done (the hardware
 //    start/done handshake),
+//  * Delay stalls its process for a known number of cycles (which counts as
+//    progress, not as a stall, for deadlock detection),
 //  * memories are word-addressed synchronous RAMs initialized from the IR.
+//
+// Execution model: the constructor decodes the design once, the way
+// vsim::compileModel levelizes a model.  Each process becomes blocks
+// indexed by block id whose control steps are flat lists of the ops that
+// start in them, in program order; each op carries its register slots (the
+// function's vregs, then one slot per immediate), widths and latency, and
+// each terminator its target block indices.  A cycle then runs only the
+// current step's ops.  Datapath values of at most 64 bits are computed on
+// words (support/wordops.h); wider ones, and registers holding a value of
+// an unexpected width, go through ir::IRExecutor::evalOp, so every layer
+// agrees bit for bit.  Only running activations are stepped (a joined
+// child or returned callee is reused), and channel offers, pending
+// multi-cycle writes and delays live in flat vectors.
 //
 // Cycle counts reported by the simulator are the numbers every timing
 // experiment in EXPERIMENTS.md quotes.
@@ -24,6 +39,7 @@
 #include "support/guard.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,6 +83,11 @@ private:
   struct Impl;
   std::shared_ptr<Impl> impl_;
 };
+
+// How many activation steps (one process stepped for one cycle) the
+// simulator has made in this process (relaxed atomic).  Bounded per run by
+// tests, it shows that a cycle steps only running processes.
+std::uint64_t activationSteps();
 
 } // namespace c2h::rtl
 

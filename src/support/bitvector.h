@@ -60,6 +60,15 @@ public:
   // Overwrite an inline value in place, masking `v` to width().  Only
   // valid when isInline(); this is the VM's zero-allocation store.
   void setWord(std::uint64_t v) { inline_ = v & wordMask(width_); }
+  // Become the width-`w` value `v` (w in [1, 64]; `v` is masked to w
+  // bits), freeing a wide value's words: the zero-allocation store of a
+  // register whose width may change.
+  void assignWord(unsigned w, std::uint64_t v) {
+    if (!isInline())
+      delete[] heap_;
+    width_ = w;
+    inline_ = v & wordMask(w);
+  }
 
   // -- Observers --------------------------------------------------------
   bool isZero() const;

@@ -2,7 +2,9 @@
 // (including channels, fork/join, calls, multi-cycle ops), area/timing
 // reports, Verilog emission — and the keystone three-way parity check:
 // AST interpreter == IR executor == RTL simulation.
+#include "core/c2h.h"
 #include "frontend/sema.h"
+#include "ir/builder.h"
 #include "interp/interp.h"
 #include "ir/exec.h"
 #include "ir/lower.h"
@@ -231,6 +233,218 @@ TEST(RtlSim, DelayAddsCycles) {
   simRun(*w0, {1}, &c0);
   simRun(*w1, {1}, &c1);
   EXPECT_GE(c1, c0 + 10);
+}
+
+// A delay longer than the stall limit is a wait for a known cycle, not a
+// deadlock: every flow that accepts delay() verifies it, and the FSMD
+// simulator's cycle count equals vsim's.
+TEST(RtlSim, LongDelayIsNotADeadlock) {
+  core::Workload wl;
+  wl.name = "long_delay";
+  wl.source = "int main(int x) { int s = x; delay(20000); return s + 1; }";
+  wl.top = "main";
+  wl.args = {3};
+  unsigned accepted = 0;
+  for (const auto &flow : flows::allFlows()) {
+    flows::FlowResult r = flows::runFlow(flow, wl.source, wl.top);
+    if (!r.accepted || !r.design)
+      continue;
+    ++accepted;
+    ASSERT_TRUE(r.ok) << flow.info.id << ": " << r.error;
+    core::Verification v = core::verifyAgainstGoldenModel(wl, r);
+    EXPECT_TRUE(v.ok) << flow.info.id << ": " << v.detail;
+    EXPECT_GT(v.cycles, rtl::SimOptions{}.stallLimit) << flow.info.id;
+    EXPECT_EQ(v.returnValue.toInt64(), 4) << flow.info.id;
+    core::CosimVerification c = core::cosimAgainstGoldenModel(wl, r);
+    EXPECT_TRUE(c.ok) << flow.info.id << ": " << c.detail;
+    EXPECT_EQ(c.cycles, v.cycles) << flow.info.id;
+  }
+  EXPECT_GE(accepted, 1u);
+}
+
+// Each loop iteration forks two par branches that join before the next
+// one (tests/fixtures/par_loop.uc at N = 20000).  Only running processes
+// are stepped, so the steps per run grow linearly with the cycles; every
+// process ever forked used to be stepped on every later cycle, about
+// N / 2 steps per cycle.
+TEST(RtlSim, ParLoopStepsGrowLinearly) {
+  for (unsigned n : {500u, 1000u, 2000u, 4000u}) {
+    auto w = build("int b[1]; int c[1];\n"
+                   "int main(int x) {\n"
+                   "  for (int i = 0; i < " + std::to_string(n) +
+                       "; i = i + 1) {\n"
+                   "    par { b[0] = b[0] + x; c[0] = c[0] + i; }\n"
+                   "  }\n"
+                   "  return b[0] + c[0];\n"
+                   "}\n",
+                   "main");
+    ASSERT_NE(w->design, nullptr) << n;
+    const std::uint64_t before = rtl::activationSteps();
+    std::uint64_t cycles = 0;
+    EXPECT_EQ(simRun(*w, {3}, &cycles),
+              3 * static_cast<std::int64_t>(n) +
+                  static_cast<std::int64_t>(n) * (n - 1) / 2)
+        << n;
+    const std::uint64_t steps = rtl::activationSteps() - before;
+    RecordProperty("cycles_" + std::to_string(n), std::to_string(cycles));
+    RecordProperty("steps_" + std::to_string(n), std::to_string(steps));
+    // The parent and its two branches: at most three steps a cycle.
+    EXPECT_LE(steps, 3 * cycles) << "N = " << n;
+    EXPECT_GE(cycles, 2u * n) << "N = " << n;
+  }
+}
+
+// The decoded datapath at its edges, in the style of
+// VsimCompiled.WordOpsMatchEventEngine: every datapath opcode, alone in a
+// function over parameters (and again with an immediate right operand),
+// must return exactly what IRExecutor::evalOp computes — value and width —
+// at 1, 33, 64 (the word path) and 65 bits (evalOp itself).  Operands cover
+// zero, one, the most negative value and its neighbours, all ones and a
+// scrambled pattern, so division and remainder by zero, INT_MIN / -1,
+// shift amounts at and past the width and signed shifts all occur.
+TEST(RtlSim, DecodedDatapathMatchesEvalOp) {
+  using ir::Opcode;
+  auto pattern = [](unsigned w, std::uint64_t low) {
+    BitVector v(w, low);
+    return w > 64 ? v.bitOr(BitVector(w, 1).shl(64)) : v;
+  };
+  auto operands = [&](unsigned w) {
+    BitVector min = BitVector(w, 1).shl(w - 1);
+    return std::vector<BitVector>{BitVector(w),
+                                  BitVector(w, 1),
+                                  BitVector(w, 7),
+                                  min,
+                                  min.add(BitVector(w, 1)),
+                                  min.sub(BitVector(w, 1)),
+                                  BitVector::allOnes(w),
+                                  pattern(w, 0x9E3779B97F4A7C15ull)};
+  };
+  auto amounts = [](unsigned w) {
+    std::vector<BitVector> out;
+    for (std::uint64_t a : {0ull, 1ull, 7ull, 31ull, 32ull, 63ull, 64ull,
+                            65ull, 200ull, ~0ull})
+      out.push_back(BitVector(w, a));
+    out.push_back(BitVector::allOnes(w));
+    return out;
+  };
+  struct Case {
+    Opcode op;
+    unsigned arity;
+  };
+  const Case cases[] = {
+      {Opcode::Copy, 1},   {Opcode::Add, 2},    {Opcode::Sub, 2},
+      {Opcode::Mul, 2},    {Opcode::DivS, 2},   {Opcode::DivU, 2},
+      {Opcode::RemS, 2},   {Opcode::RemU, 2},   {Opcode::And, 2},
+      {Opcode::Or, 2},     {Opcode::Xor, 2},    {Opcode::Not, 1},
+      {Opcode::Neg, 1},    {Opcode::Shl, 2},    {Opcode::ShrL, 2},
+      {Opcode::ShrA, 2},   {Opcode::CmpEq, 2},  {Opcode::CmpNe, 2},
+      {Opcode::CmpLtS, 2}, {Opcode::CmpLtU, 2}, {Opcode::CmpLeS, 2},
+      {Opcode::CmpLeU, 2}, {Opcode::Mux, 3},    {Opcode::Trunc, 1},
+      {Opcode::ZExt, 1},   {Opcode::SExt, 1}};
+  sched::TechLibrary lib;
+  unsigned checked = 0, mismatches = 0;
+  std::string first;
+  for (unsigned w : {1u, 33u, 64u, 65u}) {
+    for (const Case &tc : cases) {
+      const bool shift = tc.op == Opcode::Shl || tc.op == Opcode::ShrL ||
+                         tc.op == Opcode::ShrA;
+      std::vector<unsigned> dstWidths = {w};
+      if (tc.op == Opcode::CmpEq || tc.op == Opcode::CmpNe ||
+          tc.op == Opcode::CmpLtS || tc.op == Opcode::CmpLtU ||
+          tc.op == Opcode::CmpLeS || tc.op == Opcode::CmpLeU)
+        dstWidths = {1};
+      if (tc.op == Opcode::Trunc)
+        dstWidths = w > 1 ? std::vector<unsigned>{1, w - 1}
+                          : std::vector<unsigned>{1};
+      if (tc.op == Opcode::ZExt || tc.op == Opcode::SExt)
+        dstWidths = w < 64 ? std::vector<unsigned>{w + 7, 64}
+                           : std::vector<unsigned>{w + 7};
+      const std::vector<BitVector> xs = operands(w);
+      const std::vector<BitVector> ys = shift ? amounts(w) : operands(w);
+      for (unsigned dstWidth : dstWidths) {
+        // immediateRhs: the last operand is an immediate, not a parameter.
+        for (bool immediateRhs : {false, true}) {
+          if (tc.arity == 1 && immediateRhs)
+            continue;
+          for (const BitVector &fixed : immediateRhs ? ys
+                                                     : std::vector<BitVector>{
+                                                           BitVector(1)}) {
+            ir::Module m;
+            ir::Function *f = m.addFunction("f", dstWidth);
+            std::vector<ir::Operand> ops;
+            if (tc.op == Opcode::Mux) {
+              ir::VReg cond = f->newVReg(1);
+              f->params().push_back(cond);
+              ops.push_back(cond);
+            }
+            ir::VReg x = f->newVReg(w);
+            f->params().push_back(x);
+            ops.push_back(x);
+            if (tc.arity >= 2) {
+              if (immediateRhs) {
+                ops.push_back(fixed);
+              } else {
+                ir::VReg y = f->newVReg(w);
+                f->params().push_back(y);
+                ops.push_back(y);
+              }
+            }
+            ir::Builder b(*f);
+            b.setInsertPoint(f->newBlock("entry"));
+            auto instr = std::make_unique<ir::Instr>();
+            instr->op = tc.op;
+            instr->dst = f->newVReg(dstWidth);
+            instr->operands = ops;
+            ir::VReg result = *b.emit(std::move(instr))->dst;
+            b.emitRet(result);
+            ASSERT_TRUE(ir::verify(m).empty()) << ir::opcodeName(tc.op);
+            rtl::Design design = rtl::buildDesign(m, "f", lib, {});
+            rtl::Simulator sim(design);
+            for (unsigned cond = 0; cond < (tc.op == Opcode::Mux ? 2u : 1u);
+                 ++cond) {
+              for (const BitVector &xv : xs) {
+                for (std::size_t j = 0;
+                     j < (tc.arity >= 2 && !immediateRhs ? ys.size() : 1);
+                     ++j) {
+                  std::vector<BitVector> args, evalArgs;
+                  if (tc.op == Opcode::Mux) {
+                    args.push_back(BitVector(1, cond));
+                    evalArgs.push_back(BitVector(1, cond));
+                  }
+                  args.push_back(xv);
+                  evalArgs.push_back(xv);
+                  if (tc.arity >= 2) {
+                    const BitVector &yv = immediateRhs ? fixed : ys[j];
+                    if (!immediateRhs)
+                      args.push_back(yv);
+                    evalArgs.push_back(yv);
+                  }
+                  BitVector want =
+                      ir::IRExecutor::evalOp(tc.op, evalArgs, dstWidth);
+                  rtl::SimResult r = sim.run(args);
+                  ASSERT_TRUE(r.ok) << r.error;
+                  ++checked;
+                  if (r.returnValue.width() != want.width() ||
+                      r.returnValue != want) {
+                    if (mismatches++ == 0)
+                      first = std::string(ir::opcodeName(tc.op)) + " at " +
+                              std::to_string(w) + " bits, x = " +
+                              xv.toStringHex() + ": got " +
+                              r.returnValue.toStringHex() + " (" +
+                              std::to_string(r.returnValue.width()) +
+                              " bits), want " + want.toStringHex() + " (" +
+                              std::to_string(want.width()) + " bits)";
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first;
+  EXPECT_GT(checked, 10000u);
 }
 
 // ---------------------------------------------------------------------------
