@@ -1,11 +1,13 @@
 #include "analysis/lints.h"
 
 #include "analysis/astwalk.h"
-#include "ir/ir.h"
+#include "ir/dataflow.h"
+#include "ir/liveness.h"
 #include "opt/astconst.h"
 #include "opt/unroll.h"
 
-#include <map>
+#include <algorithm>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -103,121 +105,100 @@ Report lintWidthTruncation(const Program &program) {
 
 namespace {
 
+// The vregs that may still be unwritten where a block starts, ascending.
+using Unwritten = std::vector<unsigned>;
+
+bool joinUnwritten(const ir::BasicBlock &, Unwritten &into,
+                   const Unwritten &from, bool) {
+  if (std::includes(into.begin(), into.end(), from.begin(), from.end()))
+    return false;
+  Unwritten merged;
+  merged.reserve(into.size() + from.size());
+  std::set_union(into.begin(), into.end(), from.begin(), from.end(),
+                 std::back_inserter(merged));
+  into = std::move(merged);
+  return true;
+}
+
 void lintFunctionUninit(const ir::Function &fn, Report &report) {
   const unsigned regs = fn.vregCount();
   if (regs == 0 || fn.blocks().empty())
     return;
 
-  // Predecessor map from terminator successors.
-  std::map<const ir::BasicBlock *, std::vector<const ir::BasicBlock *>> preds;
-  for (const auto &block : fn.blocks())
-    for (ir::BasicBlock *succ : block->successors())
-      preds[succ].push_back(block.get());
+  // A read can see an unwritten vreg only if some path from the entry
+  // reaches it without a write, so only the vregs live into the entry can
+  // be unwritten, parameters aside.  Lowering zero-initializes locals, so
+  // for almost every function there are none.
+  const ir::Liveness liveness(fn);
+  Unwritten seed;
+  for (unsigned r : liveness.liveIn(fn.entry()))
+    if (r < regs && std::none_of(fn.params().begin(), fn.params().end(),
+                                 [r](ir::VReg p) { return p.id == r; }))
+      seed.push_back(r);
+  if (seed.empty())
+    return;
 
-  // Must-initialized forward dataflow; meet is intersection, so the lattice
-  // top (unvisited) is all-initialized.
-  std::vector<ir::BasicBlock *> order = fn.reversePostOrder();
-  std::map<const ir::BasicBlock *, std::vector<bool>> inState;
-  std::vector<bool> entryIn(regs, false);
-  for (ir::VReg param : fn.params())
-    if (param.id < regs)
-      entryIn[param.id] = true;
-
-  auto transfer = [&](const ir::BasicBlock &block, std::vector<bool> state,
-                      Report *sink) {
-    for (const auto &instr : block.instrs()) {
-      if (sink) {
-        for (const auto &operand : instr->operands) {
-          if (operand.isReg() && operand.reg().id < regs &&
-              !state[operand.reg().id]) {
-            Diagnostic d;
-            d.severity = Severity::Warning;
-            d.code = "C2H-UNINIT-001";
-            d.message = "value in function '" + fn.name() +
-                        "' may be read before it is written";
-            d.spans.push_back({instr->loc, "read here"});
-            d.hint = "initialize the variable on every path before this use";
-            sink->add(std::move(d));
-            state[operand.reg().id] = true; // report each value once
-          }
-        }
-      }
-      if (instr->dst && instr->dst->id < regs)
-        state[instr->dst->id] = true;
-    }
-    return state;
+  // May-be-unwritten forward dataflow: a write removes its vreg, and the
+  // join is a union.  While a block is walked, mark[r] == epoch iff r is
+  // in the set at the current point.
+  std::vector<unsigned> mark(regs, 0);
+  unsigned epoch = 0;
+  auto load = [&](const Unwritten &in) {
+    ++epoch;
+    for (unsigned r : in)
+      mark[r] = epoch;
   };
+  auto transfer = [&](const ir::BasicBlock &block, const Unwritten &in,
+                      ir::EdgeStates<Unwritten> &out) {
+    load(in);
+    for (const auto &instr : block.instrs())
+      if (instr->dst && instr->dst->id < regs)
+        mark[instr->dst->id] = 0;
+    out.state[0].clear();
+    for (unsigned r : in)
+      if (mark[r] == epoch)
+        out.state[0].push_back(r);
+    const std::size_t succs = block.successors().size();
+    if (succs == 2)
+      out.state[1] = out.state[0];
+    for (std::size_t e = 0; e < succs; ++e)
+      out.feasible[e] = true;
+  };
+  const ir::DataflowOrder order = ir::dataflowOrder(fn);
+  auto solved = ir::solveForwardDataflow(fn, order, std::move(seed),
+                                         transfer, joinUnwritten);
 
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (ir::BasicBlock *block : order) {
-      std::vector<bool> in;
-      if (block == fn.entry()) {
-        in = entryIn;
-      } else {
-        auto pit = preds.find(block);
-        if (pit == preds.end())
-          continue; // unreachable
-        bool first = true;
-        for (const ir::BasicBlock *pred : pit->second) {
-          auto sit = inState.find(pred);
-          if (sit == inState.end())
-            continue; // top: contributes nothing to the intersection
-          std::vector<bool> predOut = transfer(*pred, sit->second, nullptr);
-          if (first) {
-            in = std::move(predOut);
-            first = false;
-          } else {
-            for (unsigned r = 0; r < regs; ++r)
-              in[r] = in[r] && predOut[r];
-          }
-        }
-        if (first)
-          continue; // all preds still at top
-      }
-      auto it = inState.find(block);
-      if (it == inState.end() || it->second != in) {
-        inState[block] = in;
-        changed = true;
-      }
-    }
-  }
-
-  // Final pass: report uses not covered by the converged state.  Dedup on
-  // (vreg, location) so loops report once.
+  // Report the reads the converged states leave unwritten, each value once
+  // per block walk.  Dedup on (vreg, location) so loops report once.
   std::set<std::pair<unsigned, std::pair<unsigned, unsigned>>> seen;
-  Report local;
-  for (ir::BasicBlock *block : order) {
-    auto it = inState.find(block);
-    if (it == inState.end())
+  for (const ir::WtoElement &e : order.wto) {
+    const std::optional<Unwritten> &in = solved.in[e.block->id()];
+    if (!in)
       continue;
-    std::vector<bool> state = it->second;
-    for (const auto &instr : block->instrs()) {
+    load(*in);
+    for (const auto &instr : e.block->instrs()) {
       for (const auto &operand : instr->operands) {
-        if (operand.isReg() && operand.reg().id < regs &&
-            !state[operand.reg().id]) {
-          if (seen.insert({operand.reg().id,
-                           {instr->loc.line, instr->loc.column}})
-                  .second) {
-            Diagnostic d;
-            d.severity = Severity::Warning;
-            d.code = "C2H-UNINIT-001";
-            d.message = "value in function '" + fn.name() +
-                        "' may be read before it is written";
-            d.spans.push_back({instr->loc, "read here"});
-            d.hint =
-                "initialize the variable on every path before this use";
-            local.add(std::move(d));
-          }
-          state[operand.reg().id] = true;
+        if (!operand.isReg() || operand.reg().id >= regs ||
+            mark[operand.reg().id] != epoch)
+          continue;
+        if (seen.insert({operand.reg().id,
+                         {instr->loc.line, instr->loc.column}})
+                .second) {
+          Diagnostic d;
+          d.severity = Severity::Warning;
+          d.code = "C2H-UNINIT-001";
+          d.message = "value in function '" + fn.name() +
+                      "' may be read before it is written";
+          d.spans.push_back({instr->loc, "read here"});
+          d.hint = "initialize the variable on every path before this use";
+          report.add(std::move(d));
         }
+        mark[operand.reg().id] = 0;
       }
       if (instr->dst && instr->dst->id < regs)
-        state[instr->dst->id] = true;
+        mark[instr->dst->id] = 0;
     }
   }
-  report.append(local);
 }
 
 } // namespace

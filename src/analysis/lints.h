@@ -10,8 +10,9 @@
 //                  the paper complains about; constants that provably fit
 //                  the target width are not reported.
 //   C2H-UNINIT-001 possible read-before-write of a register value, found by
-//                  must-initialized forward dataflow on the lowered IR
-//                  (warning — the analysis is path-insensitive).
+//                  may-be-unwritten forward dataflow on the lowered IR over
+//                  the vregs live into the entry (warning — the analysis is
+//                  path-insensitive).
 #ifndef C2H_ANALYSIS_LINTS_H
 #define C2H_ANALYSIS_LINTS_H
 

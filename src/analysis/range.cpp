@@ -668,8 +668,7 @@ FnPlan planFunction(const ir::Module &module, const ir::Function &fn) {
   ir::Liveness live(fn);
   std::set<unsigned> loads, recvs, callees;
   for (const auto &block : fn.blocks()) {
-    const std::set<unsigned> &in = live.liveIn(block.get());
-    plan.liveIn[block->id()].assign(in.begin(), in.end());
+    plan.liveIn[block->id()] = live.liveIn(block.get());
     plan.branches[block->id()] = planBranch(*block);
     for (const auto &instr : block->instrs()) {
       if (instr->op == Opcode::Load)

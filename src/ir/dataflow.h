@@ -1,6 +1,9 @@
 // Reusable forward-dataflow scaffolding over the IR control-flow graph.
 //
-// Every IR-level analysis in this repo iterates the same way: states are
+// The forward IR analyses, value ranges (analysis/range.cpp) and the
+// uninitialized-read lint (analysis/lints.cpp), iterate here.  Liveness,
+// the one backward analysis, needs no iteration: ir/liveness.h walks each
+// vreg's uses back to its definitions.  In the solver, states are
 // delivered along edges (so reachability falls out for free: a block only
 // acquires a state once some feasible edge hands it one), and blocks are
 // visited in Bourdoncle's weak topological order ("Efficient chaotic

@@ -439,7 +439,8 @@ bool deadCodeElimination(ir::Function &fn) {
   Liveness liveness(fn);
   bool changed = false;
   for (auto &block : fn.blocks()) {
-    std::set<unsigned> live = liveness.liveOut(block.get());
+    const std::vector<unsigned> &out = liveness.liveOut(block.get());
+    std::set<unsigned> live(out.begin(), out.end());
     auto &instrs = block->instrs();
     for (std::size_t i = instrs.size(); i-- > 0;) {
       Instr &instr = *instrs[i];

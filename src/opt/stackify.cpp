@@ -23,10 +23,10 @@ struct CallSite {
 };
 
 // Registers live immediately *after* instruction `index` of `block`.
-std::set<unsigned> liveAfterInstr(const Function &fn, const Liveness &liveness,
-                                  BasicBlock *block, std::size_t index) {
-  (void)fn;
-  std::set<unsigned> live = liveness.liveOut(block);
+std::set<unsigned> liveAfterInstr(const Liveness &liveness, BasicBlock *block,
+                                  std::size_t index) {
+  const std::vector<unsigned> &out = liveness.liveOut(block);
+  std::set<unsigned> live(out.begin(), out.end());
   const auto &instrs = block->instrs();
   for (std::size_t i = instrs.size(); i-- > index + 1;) {
     const Instr &instr = *instrs[i];
@@ -56,8 +56,7 @@ public:
           site.block = block.get();
           site.index = i;
           site.dst = instr.dst;
-          std::set<unsigned> live =
-              liveAfterInstr(fn_, liveness, block.get(), i);
+          std::set<unsigned> live = liveAfterInstr(liveness, block.get(), i);
           if (instr.dst)
             live.erase(instr.dst->id);
           site.liveAfter.assign(live.begin(), live.end());

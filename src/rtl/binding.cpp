@@ -71,8 +71,9 @@ RegisterBinding bindRegisters(const ir::Function &fn,
           interferes[a].insert(b);
   };
   for (const auto &block : fn.blocks()) {
-    std::set<unsigned> boundary = liveness.liveIn(block.get());
+    const auto &in = liveness.liveIn(block.get());
     const auto &out = liveness.liveOut(block.get());
+    std::set<unsigned> boundary(in.begin(), in.end());
     boundary.insert(out.begin(), out.end());
     // Values defined in the block that are live out also overlap the
     // block's live-through values.
@@ -83,7 +84,8 @@ RegisterBinding bindRegisters(const ir::Function &fn,
     for (const auto &p : fn.params())
       params.insert(p.id);
     if (fn.entry()) {
-      std::set<unsigned> entryLive = liveness.liveIn(fn.entry());
+      const auto &in = liveness.liveIn(fn.entry());
+      std::set<unsigned> entryLive(in.begin(), in.end());
       entryLive.insert(params.begin(), params.end());
       addClique(entryLive);
     }

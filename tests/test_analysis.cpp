@@ -6,6 +6,7 @@
 #include "analysis/lints.h"
 #include "analysis/race.h"
 #include "core/c2h.h"
+#include "ir/builder.h"
 #include "opt/astclone.h"
 
 #include <gtest/gtest.h>
@@ -391,6 +392,91 @@ TEST(Lints, UninitializedReadOnIr) {
   analysis::Report report = analysis::lintUninitReads(module);
   EXPECT_EQ(withCode(report, "C2H-UNINIT-001").size(), 1u)
       << report.renderText();
+}
+
+// Four hand-built functions, one case each.  `loop` reads x twice at the
+// top of a loop body that writes x only afterwards: unwritten on the first
+// iteration, and one finding although the solver revisits the block around
+// the back edge.  `dead` reads y only in a block the entry cannot reach.
+// `diamond` writes z on both arms before reading it.  `param` reads its
+// parameter.  Only the loop's read is reported.
+TEST(Lints, UninitReadsFollowPaths) {
+  ir::Module module;
+  auto at = [](ir::Instr *instr, unsigned line) { instr->loc = {line, 1}; };
+  const ir::Operand one(BitVector(32, 1));
+
+  ir::Function *loop = module.addFunction("loop", 32);
+  {
+    ir::VReg p = loop->newVReg(1), x = loop->newVReg(32);
+    loop->params().push_back(p);
+    ir::Builder b(*loop);
+    auto *entry = loop->newBlock("entry");
+    auto *head = loop->newBlock("head");
+    auto *exit = loop->newBlock("exit");
+    b.setInsertPoint(entry);
+    b.emitBr(head);
+    b.setInsertPoint(head);
+    ir::VReg sum = b.emitBinary(ir::Opcode::Add, ir::Operand(x), one);
+    at(head->instrs().back().get(), 3);
+    b.emitBinary(ir::Opcode::Add, ir::Operand(x), ir::Operand(sum));
+    at(head->instrs().back().get(), 3);
+    b.emitCopyTo(x, ir::Operand(sum));
+    b.emitCondBr(ir::Operand(p), head, exit);
+    b.setInsertPoint(exit);
+    b.emitRet(ir::Operand(x));
+    at(exit->instrs().back().get(), 4);
+  }
+
+  ir::Function *dead = module.addFunction("dead", 32);
+  {
+    ir::VReg y = dead->newVReg(32);
+    ir::Builder b(*dead);
+    auto *entry = dead->newBlock("entry");
+    auto *unreached = dead->newBlock("unreached");
+    b.setInsertPoint(entry);
+    b.emitRet(one);
+    b.setInsertPoint(unreached);
+    b.emitRet(ir::Operand(y));
+    at(unreached->instrs().back().get(), 10);
+  }
+
+  ir::Function *diamond = module.addFunction("diamond", 32);
+  {
+    ir::VReg p = diamond->newVReg(1), z = diamond->newVReg(32);
+    diamond->params().push_back(p);
+    ir::Builder b(*diamond);
+    auto *entry = diamond->newBlock("entry");
+    auto *left = diamond->newBlock("left");
+    auto *right = diamond->newBlock("right");
+    auto *join = diamond->newBlock("join");
+    b.setInsertPoint(entry);
+    b.emitCondBr(ir::Operand(p), left, right);
+    b.setInsertPoint(left);
+    b.emitCopyTo(z, one);
+    b.emitBr(join);
+    b.setInsertPoint(right);
+    b.emitCopyTo(z, ir::Operand(BitVector(32, 2)));
+    b.emitBr(join);
+    b.setInsertPoint(join);
+    b.emitRet(ir::Operand(z));
+    at(join->instrs().back().get(), 20);
+  }
+
+  ir::Function *param = module.addFunction("param", 32);
+  {
+    ir::VReg a = param->newVReg(32);
+    param->params().push_back(a);
+    ir::Builder b(*param);
+    b.setInsertPoint(param->newBlock("entry"));
+    b.emitRet(ir::Operand(a));
+    at(param->entry()->instrs().back().get(), 30);
+  }
+
+  auto findings = withCode(analysis::lintUninitReads(module), "C2H-UNINIT-001");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].primaryLoc().line, 3u);
+  EXPECT_NE(findings[0].message.find("'loop'"), std::string::npos)
+      << findings[0].message;
 }
 
 // uC gives declared-but-uninitialized locals fresh-zero semantics (the

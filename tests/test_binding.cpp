@@ -57,7 +57,8 @@ TEST(Binding, SimultaneouslyLiveValuesDoNotShare) {
   // values co-live at any block boundary never share.
   ir::Liveness liveness(*f);
   for (const auto &block : f->blocks()) {
-    std::set<unsigned> boundary = liveness.liveIn(block.get());
+    const std::vector<unsigned> &in = liveness.liveIn(block.get());
+    std::set<unsigned> boundary(in.begin(), in.end());
     for (unsigned r : liveness.liveOut(block.get()))
       boundary.insert(r);
     for (unsigned a : boundary)

@@ -1,18 +1,23 @@
 // IR construction, verification, lowering, and the interpreter/IR-executor
 // parity chain.
+#include "core/c2h.h"
 #include "frontend/sema.h"
 #include "interp/interp.h"
 #include "ir/builder.h"
 #include "ir/dataflow.h"
 #include "ir/exec.h"
+#include "ir/liveness.h"
 #include "ir/lower.h"
 #include "opt/ifconvert.h"
+#include "opt/inline.h"
+#include "opt/irpasses.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <random>
 #include <set>
 
 namespace c2h {
@@ -818,6 +823,273 @@ TEST(Dataflow, JoinThatAlwaysChangesStopsAtTheCap) {
       0, /*maxRounds=*/5);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.transfers, 5u * 4u); // maxRounds x reachable blocks
+}
+
+
+// ---------------------------------------------------------------------------
+// Liveness
+// ---------------------------------------------------------------------------
+
+// Liveness by brute force: r is live out of b iff some path from a
+// successor of b reaches a read of r before any write of it, and live into
+// b iff b reads r before writing it or r is live out of b and b does not
+// write it.  Each (block, vreg) pair is its own search.
+struct PathLiveness {
+  std::map<const ir::BasicBlock *, std::set<unsigned>> upward, written;
+
+  explicit PathLiveness(const ir::Function &fn) {
+    for (const auto &block : fn.blocks()) {
+      auto &up = upward[block.get()];
+      auto &wr = written[block.get()];
+      for (const auto &instr : block->instrs()) {
+        for (const auto &op : instr->operands)
+          if (op.isReg() && !wr.count(op.reg().id))
+            up.insert(op.reg().id);
+        if (instr->dst)
+          wr.insert(instr->dst->id);
+      }
+    }
+  }
+  bool liveOut(const ir::BasicBlock *b, unsigned r) const {
+    std::set<const ir::BasicBlock *> seen;
+    const ir::Successors first = b->successors();
+    std::vector<const ir::BasicBlock *> work(first.begin(), first.end());
+    while (!work.empty()) {
+      const ir::BasicBlock *x = work.back();
+      work.pop_back();
+      if (!seen.insert(x).second)
+        continue;
+      if (upward.at(x).count(r))
+        return true;
+      if (!written.at(x).count(r)) {
+        const ir::Successors next = x->successors();
+        work.insert(work.end(), next.begin(), next.end());
+      }
+    }
+    return false;
+  }
+  bool liveIn(const ir::BasicBlock *b, unsigned r) const {
+    return upward.at(b).count(r) || (!written.at(b).count(r) && liveOut(b, r));
+  }
+};
+
+// Every vreg that appears in `fn`, plus any id below vregCount().
+std::vector<unsigned> vregsOf(const ir::Function &fn) {
+  std::set<unsigned> regs;
+  for (unsigned r = 0; r < fn.vregCount(); ++r)
+    regs.insert(r);
+  for (const auto &block : fn.blocks())
+    for (const auto &instr : block->instrs()) {
+      for (const auto &op : instr->operands)
+        if (op.isReg())
+          regs.insert(op.reg().id);
+      if (instr->dst)
+        regs.insert(instr->dst->id);
+    }
+  return {regs.begin(), regs.end()};
+}
+
+void expectMatchesPaths(const ir::Function &fn, const std::string &what) {
+  ir::Liveness live(fn);
+  PathLiveness paths(fn);
+  const std::vector<unsigned> regs = vregsOf(fn);
+  for (const auto &block : fn.blocks()) {
+    std::vector<unsigned> in, out;
+    for (unsigned r : regs) {
+      if (paths.liveIn(block.get(), r))
+        in.push_back(r);
+      if (paths.liveOut(block.get(), r))
+        out.push_back(r);
+    }
+    EXPECT_EQ(live.liveIn(block.get()), in)
+        << what << " " << fn.name() << " block " << block->id();
+    EXPECT_EQ(live.liveOut(block.get()), out)
+        << what << " " << fn.name() << " block " << block->id();
+  }
+}
+
+// A random function over `blocks` blocks and vregs 0..4; vreg 5 is read
+// but never written.  Edges go anywhere, so self-loops, irreducible loops
+// and blocks the entry cannot reach all occur.
+std::unique_ptr<ir::Module> randomCfg(std::mt19937 &rng, unsigned blocks) {
+  auto m = std::make_unique<ir::Module>();
+  ir::Function *f = m->addFunction("f", 32);
+  std::vector<ir::VReg> regs;
+  for (unsigned r = 0; r < 6; ++r)
+    regs.push_back(f->newVReg(32));
+  f->params().push_back(regs[0]);
+  std::vector<ir::BasicBlock *> bbs;
+  for (unsigned i = 0; i < blocks; ++i)
+    bbs.push_back(f->newBlock(""));
+  auto pick = [&](unsigned n) {
+    return std::uniform_int_distribution<unsigned>(0, n - 1)(rng);
+  };
+  auto operand = [&]() {
+    return pick(3) == 0 ? ir::Operand(BitVector(32, 1))
+                        : ir::Operand(regs[pick(6)]);
+  };
+  for (ir::BasicBlock *bb : bbs) {
+    for (unsigned n = pick(4); n-- > 0;) {
+      auto instr = std::make_unique<ir::Instr>();
+      instr->op = ir::Opcode::Add;
+      instr->dst = regs[pick(5)];
+      instr->operands = {operand(), operand()};
+      bb->append(std::move(instr));
+    }
+    auto term = std::make_unique<ir::Instr>();
+    switch (pick(3)) {
+    case 0:
+      term->op = ir::Opcode::Ret;
+      term->operands = {operand()};
+      break;
+    case 1:
+      term->op = ir::Opcode::Br;
+      term->target0 = bbs[pick(blocks)];
+      break;
+    default:
+      term->op = ir::Opcode::CondBr;
+      term->operands = {operand()};
+      term->target0 = bbs[pick(blocks)];
+      term->target1 = bbs[pick(blocks)];
+      break;
+    }
+    bb->append(std::move(term));
+  }
+  return m;
+}
+
+TEST(Liveness, MatchesPathReference) {
+  std::mt19937 rng(29);
+  for (unsigned trial = 0; trial < 400; ++trial) {
+    auto m = randomCfg(rng, 1 + trial % 8);
+    expectMatchesPaths(*m->functions().front(),
+                       "random CFG " + std::to_string(trial));
+  }
+
+  {
+    // Irreducible: entry enters the a <-> c cycle at both blocks; x is
+    // written only in c and read in a, y only read in c.
+    ir::Module m;
+    ir::Function *f = m.addFunction("f", 32);
+    ir::VReg p = f->newVReg(1), x = f->newVReg(32), y = f->newVReg(32);
+    f->params().push_back(p);
+    ir::Builder b(*f);
+    auto *entry = f->newBlock("entry");
+    auto *a = f->newBlock("a");
+    auto *c = f->newBlock("c");
+    auto *exit = f->newBlock("exit");
+    b.setInsertPoint(entry);
+    b.emitCondBr(ir::Operand(p), a, c);
+    b.setInsertPoint(a);
+    ir::VReg sum = b.emitBinary(ir::Opcode::Add, ir::Operand(x),
+                                ir::Operand(BitVector(32, 1)));
+    b.emitCondBr(ir::Operand(p), c, exit);
+    b.setInsertPoint(c);
+    b.emitCopyTo(x, ir::Operand(y));
+    b.emitBr(a);
+    b.setInsertPoint(exit);
+    b.emitRet(ir::Operand(sum));
+    expectMatchesPaths(*f, "irreducible");
+    ir::Liveness live(*f);
+    EXPECT_EQ(live.liveIn(entry), (std::vector<unsigned>{p.id, x.id, y.id}));
+    EXPECT_EQ(live.liveIn(c), (std::vector<unsigned>{p.id, y.id}));
+  }
+
+  for (const auto &wl : core::standardWorkloads()) {
+    TypeContext types;
+    DiagnosticEngine diags;
+    auto ast = frontend(wl.source, types, diags);
+    ASSERT_NE(ast, nullptr) << wl.name << diags.str();
+    opt::inlineFunctions(*ast, types, diags);
+    opt::removeUnusedFunctions(*ast, wl.top);
+    auto module = ir::lowerToIR(*ast, diags);
+    ASSERT_NE(module, nullptr) << wl.name << diags.str();
+    for (int optimized = 0; optimized < 2; ++optimized) {
+      if (optimized)
+        opt::optimizeModule(*module);
+      for (const auto &fn : module->functions())
+        expectMatchesPaths(*fn, wl.name + (optimized ? " (optimized)"
+                                                     : " (raw)"));
+    }
+  }
+
+  {
+    // A 100k-block chain: v is written in the first block and read in the
+    // last, so it is live out of every block but the last.
+    constexpr unsigned kBlocks = 100000;
+    ir::Module m;
+    ir::Function *f = m.addFunction("f", 32);
+    ir::Builder b(*f);
+    std::vector<ir::BasicBlock *> blocks;
+    for (unsigned i = 0; i < kBlocks; ++i)
+      blocks.push_back(f->newBlock(""));
+    b.setInsertPoint(blocks[0]);
+    ir::VReg v = b.emitConst(BitVector(32, 7));
+    for (unsigned i = 0; i + 1 < kBlocks; ++i) {
+      b.setInsertPoint(blocks[i]);
+      b.emitBr(blocks[i + 1]);
+    }
+    b.setInsertPoint(blocks.back());
+    b.emitRet(ir::Operand(v));
+    ir::Liveness live(*f);
+    const std::vector<unsigned> one{v.id}, none;
+    EXPECT_EQ(live.liveIn(blocks[0]), none);
+    for (unsigned i = 0; i + 1 < kBlocks; ++i)
+      ASSERT_EQ(live.liveOut(blocks[i]), one) << i;
+    for (unsigned i = 1; i < kBlocks; ++i)
+      ASSERT_EQ(live.liveIn(blocks[i]), one) << i;
+    EXPECT_EQ(live.liveOut(blocks.back()), none);
+  }
+
+  {
+    // A 2k-deep loop nest: loop i's header reads its own counter and
+    // enters loop i + 1 or leaves to loop i - 1's latch, which rewrites
+    // counter i - 1.  Leaving loop i rewrites the counters of the loops
+    // around it before they are read again, so header i holds counters
+    // i..D-1 live, as does latch i on its way out, and latch i (which
+    // rewrites counter i) holds counters i+1..D-1 live in.
+    constexpr unsigned kDepth = 2000;
+    ir::Module m;
+    ir::Function *f = m.addFunction("f", 0);
+    ir::Builder b(*f);
+    auto *entry = f->newBlock("entry");
+    std::vector<ir::BasicBlock *> heads, latches;
+    std::vector<ir::VReg> counters;
+    for (unsigned i = 0; i < kDepth; ++i) {
+      heads.push_back(f->newBlock(""));
+      latches.push_back(f->newBlock(""));
+      counters.push_back(f->newVReg(32));
+    }
+    auto *exit = f->newBlock("exit");
+    b.setInsertPoint(entry);
+    for (ir::VReg c : counters)
+      b.emitCopyTo(c, ir::Operand(BitVector(32, 0)));
+    b.emitBr(heads[0]);
+    for (unsigned i = 0; i < kDepth; ++i) {
+      b.setInsertPoint(heads[i]);
+      ir::VReg more = b.emitCompare(ir::Opcode::CmpLtS, ir::Operand(counters[i]),
+                                    ir::Operand(BitVector(32, 1)));
+      b.emitCondBr(ir::Operand(more),
+                   i + 1 < kDepth ? heads[i + 1] : latches[i],
+                   i > 0 ? latches[i - 1] : exit);
+      b.setInsertPoint(latches[i]);
+      b.emitCopyTo(counters[i], ir::Operand(BitVector(32, 1)));
+      b.emitBr(heads[i]);
+    }
+    b.setInsertPoint(exit);
+    b.emitRet();
+    ir::Liveness live(*f);
+    EXPECT_TRUE(live.liveIn(entry).empty());
+    std::vector<unsigned> inner;
+    for (ir::VReg c : counters)
+      inner.push_back(c.id);
+    for (unsigned i = 0; i < kDepth; ++i) {
+      ASSERT_EQ(live.liveIn(heads[i]), inner) << i;
+      ASSERT_EQ(live.liveOut(latches[i]), inner) << i;
+      inner.erase(inner.begin());
+      ASSERT_EQ(live.liveIn(latches[i]), inner) << i;
+    }
+  }
 }
 
 } // namespace

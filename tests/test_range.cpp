@@ -288,7 +288,7 @@ TEST(RangeState, EntryHoldsLiveIn) {
         ASSERT_NE(fr, nullptr) << wl.name << " " << fn->name();
         ir::Liveness live(*fn);
         for (const auto &[block, state] : fr->entry) {
-          const std::set<unsigned> &in = live.liveIn(block);
+          const std::vector<unsigned> &in = live.liveIn(block);
           std::vector<unsigned> held;
           for (const auto &r : state.regs)
             held.push_back(r.vreg);

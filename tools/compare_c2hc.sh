@@ -12,11 +12,17 @@
 #   * every tests/fixtures/*.uc and docs/examples/*.uc with --flow=all,
 #     --flow=all --cosim --jobs=1, and --analyze as text and as json; a file
 #     whose comments name an `--args=...` runs with those arguments.
+# Each side of an invocation runs under `timeout`, killed after `limit`
+# (60) seconds; a side that is killed prints `TIMEOUT: c2hc <args> (parent)` or
+# `(change)`, and the invocation counts as a difference, even when both
+# sides time out.
 # Run it from anywhere; paths are resolved against the repository root.
 # Prints each differing invocation with the first lines of its diff, then
 # a summary; exits 0 when every invocation matched, 1 otherwise, 2 on bad
 # usage.
 set -u
+
+limit=60
 
 if [ $# -ne 2 ] || [ ! -x "$1" ] || [ ! -x "$2" ]; then
   echo "usage: $0 PARENT_C2HC CHANGE_C2HC" >&2
@@ -32,11 +38,17 @@ trap 'rm -rf "$work"' EXIT
 runs=0
 diffs=0
 compare() {
-  "$parent" "$@" >"$work/parent.out" 2>"$work/parent.err"
+  timeout "$limit" "$parent" "$@" >"$work/parent.out" 2>"$work/parent.err"
   local parentExit=$?
-  "$change" "$@" >"$work/change.out" 2>"$work/change.err"
+  timeout "$limit" "$change" "$@" >"$work/change.out" 2>"$work/change.err"
   local changeExit=$?
   runs=$((runs + 1))
+  if [ "$parentExit" = 124 ] || [ "$changeExit" = 124 ]; then
+    diffs=$((diffs + 1))
+    [ "$parentExit" = 124 ] && echo "TIMEOUT: c2hc $* (parent)"
+    [ "$changeExit" = 124 ] && echo "TIMEOUT: c2hc $* (change)"
+    return
+  fi
   if [ "$parentExit" = "$changeExit" ] &&
     cmp -s "$work/parent.out" "$work/change.out" &&
     cmp -s "$work/parent.err" "$work/change.err"; then
