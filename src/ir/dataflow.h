@@ -1,7 +1,7 @@
 // Reusable forward-dataflow scaffolding over the IR control-flow graph.
 //
-// The forward IR analyses, value ranges (analysis/range.cpp) and the
-// uninitialized-read lint (analysis/lints.cpp), iterate here.  Liveness,
+// The forward IR analyses (value ranges in analysis/range.cpp and the
+// uninitialized-read lint in analysis/lints.cpp) iterate here.  Liveness,
 // the one backward analysis, needs no iteration: ir/liveness.h walks each
 // vreg's uses back to its definitions.  In the solver, states are
 // delivered along edges (so reachability falls out for free: a block only
